@@ -6,8 +6,8 @@ simulation sweep — every workload of Table IV run under all four
 protocols — so the sweep is computed once per pytest session and
 memoized here.
 
-All simulations route through :class:`repro.sweep.SweepRunner`, which
-serves three environment knobs:
+All simulations route through :class:`repro.sweep.SweepRunner`; nine
+environment knobs apply:
 
 * ``REPRO_SWEEP_JOBS``  — worker processes (default ``1`` = serial
   in-process, the bit-identical reference path);
@@ -23,14 +23,6 @@ serves three environment knobs:
   fast path).  The two are bit-identical — pinned by
   ``tests/integration/test_determinism.py`` — so this knob exists for
   cross-checking, not for changing results;
-* ``REPRO_ENGINE``      — ``object`` (default) or ``array``: which
-  simulation engine executes each run.  The array engine compiles
-  per-core issue loops and per-protocol dispatch tables at arm time;
-  it is pinned bit-identical to the object engine
-  (``tests/integration/test_engine_identity.py`` and ``repro perf
-  --engine both``), so like ``REPRO_FAST_PATH`` it changes wall time
-  only, never a figure.  Sweep workers inherit it through the
-  environment;
 * ``REPRO_SWEEP_TIMEOUT`` / ``REPRO_SWEEP_RETRIES`` — resilience
   policy for the benchmark sweep: per-point wall-clock timeout in
   seconds and retry count with seeded exponential backoff (defaults:

@@ -182,24 +182,20 @@ def simulate(
     trace: Optional[TraceOptions] = None,
     checker: bool = False,
     manifest_path: Optional[Union[str, Path]] = None,
-    engine: Optional[str] = None,
 ) -> RunResult:
     """Build, run and observe the simulation ``spec`` describes.
 
     ``trace`` attaches the tracing subsystem for the run (detached
     again before returning); ``checker=True`` audits the coherence
     invariants over every cached block after the measurement window;
-    ``manifest_path`` forces a manifest even without tracing;
-    ``engine`` selects the simulation engine (``"object"`` or
-    ``"array"``; ``None`` defers to ``REPRO_ENGINE``) — the two are
-    pinned bit-identical, so this only affects wall time.
+    ``manifest_path`` forces a manifest even without tracing.
 
     A run aborted by the engine's progress watchdog re-raises its
     :class:`~repro.sim.engine.LivelockError` — after writing any
     requested manifest with the ``watchdog`` verdict recorded, so the
     stalled-tiles/blocks diagnostic survives the crash.
     """
-    chip = spec.build_chip(engine=engine)
+    chip = spec.build_chip()
     tracer: Optional[Tracer] = None
     sink: Optional[TraceSink] = None
     if trace is not None:

@@ -46,7 +46,6 @@ from .analysis import fig7_rows, fig9a_performance, fig9b_miss_breakdown
 from .api import RunSpec, TraceOptions, simulate
 from .core.protocols import REGISTRY, expand_selection
 from .sim.config import ConfigError
-from .simx import ENGINES
 from .sweep.spec import valid_override_keys
 
 PROTOCOL_ORDER = ("directory", "dico", "dico-providers", "dico-arin")
@@ -112,7 +111,6 @@ def cmd_run(args) -> int:
     result = simulate(
         _spec_for(args, args.protocol),
         checker=args.checker,
-        engine=args.engine,
     )
     out = result.stats.summary()
     out["miss_categories"] = result.stats.miss_categories
@@ -539,7 +537,6 @@ def cmd_verify(args) -> int:
         mutation=args.mutate,
         bundle_dir=args.bundle_dir,
         report_path=args.output or None,
-        engine=args.engine,
         scenarios=args.scenario or None,
     )
     print(json.dumps(report.to_dict(), indent=2))
@@ -617,12 +614,6 @@ def main(argv=None) -> int:
     p_run.add_argument(
         "--checker", action=argparse.BooleanOptionalAction, default=True,
         help="run the post-run coherence invariant sweep (default: on)",
-    )
-    p_run.add_argument(
-        "--engine", default=None, choices=ENGINES,
-        help="simulation engine (default: $REPRO_ENGINE, else object); "
-        "the engines are pinned bit-identical, so this only changes "
-        "wall time",
     )
     p_run.set_defaults(func=cmd_run)
 
@@ -914,17 +905,9 @@ def main(argv=None) -> int:
         "overhead against a tracing-off run",
     )
     p_perf.add_argument(
-        "--engine", default=None, choices=ENGINES + ("both",),
-        help="simulation engine to time (default: $REPRO_ENGINE, else "
-        "object); 'both' times object then array, asserts them "
-        "bit-identical per cell, and embeds the object run as the "
-        "report's baseline",
-    )
-    p_perf.add_argument(
         "--min-geomean", type=float, default=None, metavar="RATIO",
         help="fail (exit 1) when the measured geomean speedup vs the "
-        "baseline (--engine both or --baseline) is below RATIO — the "
-        "CI regression gate",
+        "--baseline report is below RATIO — a regression gate",
     )
     p_perf.add_argument(
         "--comparison-output", default=None, metavar="PATH",
@@ -981,12 +964,6 @@ def main(argv=None) -> int:
         "--replay", default=None, metavar="BUNDLE",
         help="re-execute a captured repro bundle instead of fuzzing "
         "(exit 0 iff the recorded violation reproduces)",
-    )
-    p_verify.add_argument(
-        "--engine", default=None, choices=ENGINES + ("both",),
-        help="simulation engine for the fuzz traces (default: "
-        "$REPRO_ENGINE, else object); 'both' replays every protocol on "
-        "both engines per round and fails on any engine divergence",
     )
     p_verify.set_defaults(func=cmd_verify)
 

@@ -27,7 +27,6 @@ register_protocol(
     "directory",
     family="directory",
     transport="mesh",
-    supports_simx=True,
     aliases=("dir",),
     description="flat full-map directory with an NCID-style directory cache",
 )(DirectoryProtocol)
@@ -35,14 +34,12 @@ register_protocol(
     "dico",
     family="dico",
     transport="mesh",
-    supports_simx=True,
     description="original direct coherence: owner-resident directory info",
 )(DiCoProtocol)
 register_protocol(
     "dico-providers",
     family="dico",
     transport="mesh",
-    supports_simx=True,
     aliases=("providers",),
     description="DiCo with per-area providers (Table I/II semantics)",
 )(DiCoProvidersProtocol)
@@ -50,7 +47,6 @@ register_protocol(
     "dico-arin",
     family="dico",
     transport="mesh",
-    supports_simx=True,
     aliases=("arin",),
     description="DiCo with home-resident inter-area blocks + safe broadcast",
 )(DiCoArinProtocol)
@@ -58,7 +54,6 @@ register_protocol(
     "vh",
     family="hierarchical",
     transport="mesh",
-    supports_simx=True,
     aliases=("virtual-hierarchy",),
     description="two-level Virtual Hierarchies comparator (Sec. II)",
 )(VirtualHierarchyProtocol)

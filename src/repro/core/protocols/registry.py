@@ -3,8 +3,7 @@
 The paper's evaluation hard-wired four protocols; the protocol lab
 needs an extension seam.  Every protocol class registers itself here
 with capability metadata — its *family* (directory, dico, snoop, …),
-the *transport* it runs on (mesh or bus), whether the simx array
-engine can compile it (``supports_simx``), and any aliases — and every
+the *transport* it runs on (mesh or bus), and any aliases — and every
 consumer (CLI, sweeps, perf harness, verifier, ``make_protocol``)
 resolves names through the registry instead of a hard-coded dict.
 
@@ -57,7 +56,6 @@ class ProtocolInfo:
     cls: "Type[CoherenceProtocol]"
     family: str
     transport: str = "mesh"
-    supports_simx: bool = False
     aliases: Tuple[str, ...] = ()
     description: str = ""
 
@@ -120,16 +118,6 @@ class ProtocolRegistry:
 
     def infos(self) -> Tuple[ProtocolInfo, ...]:
         return tuple(self._infos.values())
-
-    def supports_simx(self, proto_cls: type) -> bool:
-        """True when ``proto_cls`` (or a registered ancestor — seeded
-        mutations subclass registered protocols) compiles on the array
-        engine."""
-        for klass in proto_cls.__mro__:
-            info = self._infos.get(getattr(klass, "name", ""))
-            if info is not None and info.cls is klass:
-                return info.supports_simx
-        return False
 
     # -- selection expansion -------------------------------------------
 
@@ -212,7 +200,6 @@ def register_protocol(
     *,
     family: str,
     transport: str = "mesh",
-    supports_simx: bool = False,
     aliases: Sequence[str] = (),
     description: str = "",
 ) -> "Callable[[Type[CoherenceProtocol]], Type[CoherenceProtocol]]":
@@ -225,7 +212,6 @@ def register_protocol(
                 cls=cls,
                 family=family,
                 transport=transport,
-                supports_simx=supports_simx,
                 aliases=tuple(aliases),
                 description=description,
             )
@@ -247,16 +233,15 @@ def protocol_names() -> Tuple[str, ...]:
 def protocol_table_markdown() -> str:
     """The README protocol table, generated from the registry."""
     rows = [
-        "| protocol | family | transport | simx | aliases | description |",
-        "|---|---|---|---|---|---|",
+        "| protocol | family | transport | aliases | description |",
+        "|---|---|---|---|---|",
     ]
     for info in REGISTRY.infos():
         rows.append(
-            "| `{name}` | {family} | {transport} | {simx} | {aliases} | {desc} |".format(
+            "| `{name}` | {family} | {transport} | {aliases} | {desc} |".format(
                 name=info.name,
                 family=info.family,
                 transport=info.transport,
-                simx="yes" if info.supports_simx else "object engine",
                 aliases=", ".join(f"`{a}`" for a in info.aliases) or "—",
                 desc=info.description,
             )

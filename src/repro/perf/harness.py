@@ -47,10 +47,8 @@ counts are asserted identical across repeats — the simulator is
 deterministic, only the clock varies).  Each cell also records the
 sha256 of its full statistics document, so two reports double as a
 bit-identity witness: equal digests mean the runs computed the same
-result, whatever their speed.  ``--engine both`` exploits this to time
-the object and array engines back-to-back, assert them bit-identical
-per cell, and emit the array report with the object report embedded as
-its baseline.
+result, whatever their speed.  The report's ``engine`` field is always
+``"object"``; it is kept so older readers still find it.
 """
 
 from __future__ import annotations
@@ -66,7 +64,6 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..simx import resolve_engine
 from ..sweep.spec import RunSpec
 
 __all__ = [
@@ -242,7 +239,6 @@ def _time_cell(
     spec: RunSpec,
     repeat: int,
     trace: bool = False,
-    engine: Optional[str] = None,
 ) -> CellResult:
     """Median-of-``repeat`` wall time for one cell.
 
@@ -253,9 +249,8 @@ def _time_cell(
     consumed, never stored), which isolates the cost of the
     instrumentation itself — the number ``--trace`` reports.
 
-    ``engine`` selects the simulation engine per run (``None`` defers
-    to ``REPRO_ENGINE``); the first repeat's statistics are hashed into
-    the result so cross-engine runs can be asserted bit-identical.
+    The first repeat's statistics are hashed into the result, so two
+    reports show whether their runs computed the same result.
     """
     walls: List[float] = []
     operations: Optional[int] = None
@@ -269,7 +264,7 @@ def _time_cell(
 
             options = TraceOptions(sink=CountingSink())
         start = time.perf_counter()
-        stats = spec.execute(verify=False, trace=options, engine=engine)
+        stats = spec.execute(verify=False, trace=options)
         wall = time.perf_counter() - start
         walls.append(wall)
         if operations is None:
@@ -298,17 +293,15 @@ def run_cells(
     repeat: int = 1,
     progress: Optional[Callable[[str], None]] = None,
     trace: bool = False,
-    engine: Optional[str] = None,
 ) -> List[CellResult]:
     """Time every cell; results come back in cell order."""
     results: List[CellResult] = []
     for i, spec in enumerate(cells):
-        result = _time_cell(spec, repeat, trace=trace, engine=engine)
+        result = _time_cell(spec, repeat, trace=trace)
         results.append(result)
         if progress is not None:
-            tag = f"[{engine}] " if engine else ""
             progress(
-                f"{tag}[{i + 1}/{len(cells)}] "
+                f"[{i + 1}/{len(cells)}] "
                 f"{spec.protocol}/{spec.workload:<10s}"
                 f" {result.operations:>8d} ops  {result.wall_s:7.3f}s"
                 f"  {result.ops_per_s:>10,.0f} ops/s"
@@ -323,13 +316,12 @@ def build_report(
     repeat: int,
     baseline: Optional[Dict[str, Any]] = None,
     trace: bool = False,
-    engine: str = "object",
 ) -> Dict[str, Any]:
     report: Dict[str, Any] = {
         "schema": BENCH_PERF_SCHEMA_VERSION,
         "git_rev": git_rev(),
         "config_fingerprint": config_fingerprint(cells),
-        "engine": engine,
+        "engine": "object",
         "quick": quick,
         "repeat": repeat,
         "trace_enabled": trace,
@@ -455,23 +447,17 @@ def compare_reports(
     return comparison
 
 
-def profile_cells(
-    cells: Sequence[RunSpec], top: int, engine: Optional[str] = None
-) -> str:
+def profile_cells(cells: Sequence[RunSpec], top: int) -> str:
     """cProfile the whole cell set; returns the top-``top`` report.
 
     Profiling roughly halves throughput, so the profiled run is never
     used for the timing numbers — it only attributes where the cycles
     go (sorted by cumulative time, which surfaces the hot call trees).
-
-    ``engine`` selects the engine to profile, exactly as in
-    :func:`run_cells` — under ``array`` the profile attributes time to
-    the compiled runners and miss handlers, not the object path.
     """
     profiler = cProfile.Profile()
     profiler.enable()
     for spec in cells:
-        spec.execute(verify=False, engine=engine)
+        spec.execute(verify=False)
     profiler.disable()
     buf = io.StringIO()
     stats = pstats.Stats(profiler, stream=buf)
@@ -481,19 +467,6 @@ def profile_cells(
 
 # ---------------------------------------------------------------------------
 # CLI entry point (wired up by repro.cli)
-
-def assert_identical_cells(
-    results_a: Sequence[CellResult], results_b: Sequence[CellResult]
-) -> None:
-    """Raise unless both engines computed bit-identical statistics."""
-    for a, b in zip(results_a, results_b):
-        if a.stats_sha256 != b.stats_sha256:
-            raise RuntimeError(
-                f"{a.spec.label}: engines disagree — stats sha256 "
-                f"{a.stats_sha256[:16]}… vs {b.stats_sha256[:16]}… "
-                "(the engines are pinned bit-identical; this is a bug)"
-            )
-
 
 def format_comparison(comparison: Comparison) -> str:
     """Render the per-cell speedup table (also the CI artifact body)."""
@@ -558,14 +531,6 @@ def main(args) -> int:
         )
     else:
         cells = QUICK_CELLS if args.quick else REFERENCE_CELLS
-    engine = getattr(args, "engine", None)
-    if engine != "both":
-        # no flag: defer to REPRO_ENGINE, like every other entry point
-        try:
-            engine = resolve_engine(engine)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
 
     def progress(line: str) -> None:
         print(line, file=sys.stderr, flush=True)
@@ -576,47 +541,18 @@ def main(args) -> int:
     if args.baseline:
         baseline = load_report(args.baseline)
 
-    if engine == "both":
-        # object first (it becomes the embedded baseline), then the
-        # array engine, asserted bit-identical cell by cell
-        if baseline is not None:
-            print(
-                "warning: --engine both measures its own object-engine "
-                "baseline; ignoring --baseline", file=sys.stderr,
-            )
-        object_results = run_cells(
-            cells, repeat=args.repeat, progress=progress, trace=trace,
-            engine="object",
-        )
-        results = run_cells(
-            cells, repeat=args.repeat, progress=progress, trace=trace,
-            engine="array",
-        )
-        assert_identical_cells(object_results, results)
-        baseline = build_report(
-            cells, object_results, quick=args.quick, repeat=args.repeat,
-            trace=trace, engine="object",
-        )
-        report = build_report(
-            cells, results, quick=args.quick, repeat=args.repeat,
-            baseline=baseline, trace=trace, engine="array",
-        )
-    else:
-        results = run_cells(
-            cells, repeat=args.repeat, progress=progress, trace=trace,
-            engine=engine,
-        )
-        report = build_report(
-            cells, results, quick=args.quick, repeat=args.repeat,
-            baseline=baseline, trace=trace, engine=engine,
-        )
+    results = run_cells(
+        cells, repeat=args.repeat, progress=progress, trace=trace,
+    )
+    report = build_report(
+        cells, results, quick=args.quick, repeat=args.repeat,
+        baseline=baseline, trace=trace,
+    )
 
     if trace:
         print("tracing            enabled (counting sink)")
     print(f"git rev            {report['git_rev']}")
     print(f"config fingerprint {report['config_fingerprint'][:16]}…")
-    print(f"engine             {report['engine']}"
-          + (" (bit-identical to object baseline)" if engine == "both" else ""))
     print(f"total wall         {report['total_wall_s']:.3f}s "
           f"(median of {args.repeat} per cell)")
     print()
@@ -655,16 +591,11 @@ def main(args) -> int:
         print(f"\nwrote {args.output}", file=sys.stderr)
 
     if args.profile:
-        # profile exactly the engines that were timed, labelled; under
-        # --engine both that is one profiled pass per engine
-        profiled = ("object", "array") if engine == "both" else (engine,)
-        for profile_engine in profiled:
-            print(
-                f"\n--- cProfile top {args.profile}, engine "
-                f"{profile_engine or 'default'} (separate profiled pass, "
-                f"excluded from timings) ---"
-            )
-            print(profile_cells(cells, args.profile, engine=profile_engine))
+        print(
+            f"\n--- cProfile top {args.profile} (separate profiled pass, "
+            f"excluded from timings) ---"
+        )
+        print(profile_cells(cells, args.profile))
 
     min_geomean = getattr(args, "min_geomean", None)
     if min_geomean is not None:
@@ -672,7 +603,7 @@ def main(args) -> int:
         if gm is None:
             print(
                 "error: --min-geomean needs a speedup to gate on — run "
-                "with --engine both or --baseline", file=sys.stderr,
+                "with --baseline", file=sys.stderr,
             )
             return 2
         if gm < min_geomean:

@@ -231,9 +231,8 @@ class Core:
 class Chip:
     """One protocol + one workload, ready to run."""
 
-    #: engine label ("object" here; the array engine's chip overrides).
-    #: Both engines are pinned bit-identical, so the label is
-    #: provenance, not a result dimension.
+    #: engine label recorded in manifests and perf reports; there is
+    #: one engine, so it is always ``"object"``
     engine = "object"
 
     def __init__(
@@ -445,7 +444,11 @@ class Chip:
         moved = flushed = pages = 0
         if ev.kind == "vm_migrate":
             old = self.placement.tiles_of(ev.vm)
-            core_by_tile = {c.tile: c for c in self.cores}
+            # departed cores keep their last tile, which a later
+            # migration or arrival may reuse: only live cores move
+            core_by_tile = {
+                c.tile: c for c in self.cores if c not in self._core_vm
+            }
             for src, dst in zip(old, ev.tiles):
                 m, f = proto.migrate_tile_state(src, dst, now)
                 moved += m

@@ -1,67 +1,13 @@
-"""Batched array-engine simulation core (``REPRO_ENGINE=array``).
+"""Engine label for callers that still ask which engine runs.
 
-The array engine is a drop-in alternative to the object engine's
-one-``protocol.access``-call-per-op issue loop.  It keeps the protocol
-state machines, caches and checker untouched and instead removes the
-per-operation interpretation overhead around them:
-
-* the per-core issue loop is compiled into one closure per core that
-  drains up to the inline budget of operations with every hot structure
-  (busy table, L1 index, LRU stacks, version map) held in locals,
-* the L1 hit/upgrade path of :meth:`CoherenceProtocol.access` is
-  executed inline from per-protocol integer-dispatch tables
-  (:mod:`repro.simx.tables`) instead of through the generic method,
-* monotonic counters accumulate in closure cells that persist across
-  drains and are flushed additively only at observation boundaries
-  (before the post-warmup ``reset_stats`` and after the measured
-  window) — sound because nothing reads them mid-run,
-* operations are consumed chunk-wise from
-  :meth:`ConsolidatedWorkload.trace_chunks` (stage a) with the
-  virtual-to-physical translation performed inline (stage b), skipping
-  the per-op generator resume and ``MemOp`` allocation,
-* the shared protocol helpers (``msg``, ``mem_fetch``, ``set_busy``,
-  ``mem_writeback``) and the LRU ``SetAssocCache`` methods are replaced
-  by instance-patched, statement-identical closures
-  (:mod:`repro.simx.helpers`) so the miss handlers — which still run
-  their original per-protocol code — pay less per message and per
-  cache probe.
-
-The contract is **bit-identical** ``RunStats`` with the object engine
-for every protocol, pinned by the determinism suite and the ``repro
-verify`` differential harness exactly like ``REPRO_FAST_PATH``.
-
-Engine selection: ``resolve_engine()`` honours an explicit argument
-first and the ``REPRO_ENGINE`` environment variable second, defaulting
-to the object engine.  ``REPRO_SIMX_COMPILED=0`` forces the array
-engine to fall back to the object issue path (debug aid; statistics are
-identical either way).
+The simulator has one engine: :class:`repro.sim.chip.Chip` and its
+issue loop.  This module only keeps :func:`resolve_engine` for callers
+written when an opt-in array engine existed.
 """
 
-from __future__ import annotations
-
-import os
-from typing import Optional
-
-__all__ = ["ENGINES", "DEFAULT_ENGINE", "resolve_engine"]
-
-#: recognised engine names, in documentation order
-ENGINES = ("object", "array")
-
-DEFAULT_ENGINE = "object"
+__all__ = ["resolve_engine"]
 
 
-def resolve_engine(engine: Optional[str] = None) -> str:
-    """Resolve the effective engine name.
-
-    ``engine=None`` falls back to the ``REPRO_ENGINE`` environment
-    variable, then to :data:`DEFAULT_ENGINE`.  Raises ``ValueError``
-    for unknown names (including via the environment) so typos fail
-    loudly instead of silently running the default engine.
-    """
-    if engine is None:
-        engine = os.environ.get("REPRO_ENGINE") or DEFAULT_ENGINE
-    if engine not in ENGINES:
-        raise ValueError(
-            f"unknown engine {engine!r}; options: {list(ENGINES)}"
-        )
-    return engine
+def resolve_engine() -> str:
+    """The simulation engine's name: always ``"object"``."""
+    return "object"

@@ -394,18 +394,8 @@ class RunSpec:
         )
         return apply_overrides(base, self.overrides)
 
-    def build_chip(self, engine: Optional[str] = None) -> Chip:
-        """Construct the chip this spec describes.
-
-        ``engine`` picks the simulation engine (``"object"`` or
-        ``"array"``); ``None`` defers to the ``REPRO_ENGINE``
-        environment variable.  The engine is deliberately *not* part of
-        the spec (or its fingerprint): both engines are pinned
-        bit-identical, so results are engine-independent and cache
-        entries are shared.
-        """
-        from ..simx import resolve_engine
-
+    def build_chip(self) -> Chip:
+        """Construct the chip this spec describes."""
         cfg = self.resolve_config()
         if isinstance(self.placement, str):
             if self.placement == "aligned":
@@ -429,13 +419,7 @@ class RunSpec:
                 vm: _workload_spec_from_doc(doc)
                 for vm, doc in self.workload_specs
             }
-        if resolve_engine(engine) == "array":
-            from ..simx.engine import ArrayChip
-
-            chip_cls = ArrayChip
-        else:
-            chip_cls = Chip
-        return chip_cls(
+        return Chip(
             self.protocol,
             self.workload,
             config=cfg,
@@ -453,17 +437,14 @@ class RunSpec:
         self,
         verify: bool = True,
         trace: Any = None,
-        engine: Optional[str] = None,
     ) -> RunStats:
         """Run the simulation this spec describes and return its stats.
 
         Thin wrapper over :func:`repro.api.simulate` (the single
         construction path); ``trace`` takes a
-        :class:`~repro.api.TraceOptions`, ``engine`` picks the
-        simulation engine (``None`` defers to ``REPRO_ENGINE``).  Use
-        ``simulate`` directly when you need the manifest or captured
-        events.
+        :class:`~repro.api.TraceOptions`.  Use ``simulate`` directly
+        when you need the manifest or captured events.
         """
         from ..api import simulate  # circular: api imports RunSpec
 
-        return simulate(self, trace=trace, checker=verify, engine=engine).stats
+        return simulate(self, trace=trace, checker=verify).stats

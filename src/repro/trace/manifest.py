@@ -60,8 +60,8 @@ class RunManifest:
     wall_time_s: float
     created_unix: float
     fast_path: bool
-    #: simulation engine the run used (``"object"`` or ``"array"``);
-    #: provenance only — the engines are pinned bit-identical
+    #: simulation engine label; always ``"object"`` now, kept because
+    #: older manifests carry it
     engine: str = "object"
     #: attached instruments, e.g. ``["tracer", "checker"]``
     instruments: List[str] = field(default_factory=list)

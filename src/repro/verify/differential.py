@@ -32,13 +32,11 @@ from ..core.checker import CoherenceChecker, CoherenceViolation
 from ..sim.chip import make_protocol
 from ..sim.config import ChipConfig, small_test_chip
 from ..sim.engine import StuckError
-from ..simx import resolve_engine
 from .fuzzer import Op
 
 __all__ = [
     "Violation",
     "TraceResult",
-    "pin_engines",
     "run_trace",
     "run_differential",
 ]
@@ -114,19 +112,8 @@ def run_trace(
     seed: int = 0,
     factory: Optional[ProtocolFactory] = None,
     full_audit_every: int = FULL_AUDIT_EVERY,
-    engine: Optional[str] = None,
 ) -> TraceResult:
-    """Execute ``ops`` serially on one protocol under the checker.
-
-    ``engine`` selects the simulation engine (``None`` defers to
-    ``REPRO_ENGINE``).  The harness drives ``protocol.access``
-    directly, so "array" here means the array engine's instance-level
-    machinery — the compiled dispatch tables, fast helper closures and
-    flattened cache methods the miss handlers run on — is installed on
-    the protocol before the trace executes.  The two engines are pinned
-    to identical verdicts and commit streams by ``run_differential``'s
-    engine-pinning mode.
-    """
+    """Execute ``ops`` serially on one protocol under the checker."""
     if config is None:
         config = default_config()
     checker = CoherenceChecker()
@@ -134,27 +121,6 @@ def run_trace(
     checker.record_commits(commits)
     build = factory if factory is not None else make_protocol
     proto = build(protocol, config, seed=seed, checker=checker)
-    from ..core.protocols.registry import REGISTRY
-
-    if resolve_engine(engine) == "array" and REGISTRY.supports_simx(type(proto)):
-        # non-supports_simx protocols (bus/DLS families) run the object
-        # path under both engine labels — the transparent fallback
-        from ..simx.handlers import compile_protocol_handlers
-        from ..simx.helpers import (
-            install_fast_cache_methods,
-            install_fast_helpers,
-            protocol_caches,
-        )
-        from ..simx.tables import ProtocolTables
-
-        tables = ProtocolTables(proto)
-        install_fast_helpers(proto, tables)
-        for cache in protocol_caches(proto):
-            install_fast_cache_methods(cache)
-        # the compiled miss handlers batch their counters; the harness
-        # only reads the live checker state mid-trace, so the flush can
-        # wait until the trace completes (nothing reads these stats)
-        compile_protocol_handlers(proto, tables)
 
     # ops carry *block numbers*; the protocol interface takes addresses
     addr_shift = (config.block_bytes - 1).bit_length()
@@ -175,7 +141,7 @@ def run_trace(
             elif op.tile in getattr(proto, "_inactive_tiles", ()):
                 # ddmin can delete the migrate that would have
                 # reactivated this tile; skip the op (identically in
-                # every protocol and engine) so any subset of an event
+                # every protocol) so any subset of an event
                 # trace stays well-formed and shrinking never
                 # manufactures a failure the full sequence did not have
                 versions.append(checker.current_version(op.block))
@@ -279,70 +245,12 @@ def _from_exc(
     return Violation(kind, protocol, op_index, str(exc), details)
 
 
-def pin_engines(
-    ops: Sequence[Op],
-    protocol: str,
-    config: Optional[ChipConfig] = None,
-    seed: int = 0,
-    factory: Optional[ProtocolFactory] = None,
-) -> Tuple[TraceResult, TraceResult, Optional[Violation]]:
-    """Replay one trace on both engines and demand identical results.
-
-    The object and array engines must agree on the committed-version
-    stream, the checker verdict (violation kind and op index) and the
-    number of ops executed — the differential analogue of the
-    determinism suite's bit-identity pin.  Returns both results plus an
-    ``engine-divergence`` violation when they disagree.
-    """
-    obj = run_trace(
-        protocol, ops, config, seed=seed, factory=factory, engine="object"
-    )
-    arr = run_trace(
-        protocol, ops, config, seed=seed, factory=factory, engine="array"
-    )
-    mismatch: Optional[str] = None
-    if obj.versions != arr.versions:
-        idx = _first_diff(obj.versions, arr.versions)
-        mismatch = f"committed-version streams diverge at op {idx}"
-    elif obj.ops_executed != arr.ops_executed:
-        mismatch = (
-            f"ops executed differ: object {obj.ops_executed}, "
-            f"array {arr.ops_executed}"
-        )
-    elif (obj.violation is None) != (arr.violation is None):
-        mismatch = (
-            f"verdicts differ: object "
-            f"{obj.violation.kind if obj.violation else 'clean'}, "
-            f"array {arr.violation.kind if arr.violation else 'clean'}"
-        )
-    elif obj.violation is not None and arr.violation is not None and (
-        obj.violation.kind != arr.violation.kind
-        or obj.violation.op_index != arr.violation.op_index
-    ):
-        mismatch = (
-            f"verdicts differ: object {obj.violation.kind}@"
-            f"{obj.violation.op_index}, array {arr.violation.kind}@"
-            f"{arr.violation.op_index}"
-        )
-    violation = None
-    if mismatch is not None:
-        violation = Violation(
-            "engine-divergence",
-            protocol,
-            0,
-            f"array engine disagrees with object engine: {mismatch}",
-            {"object_ops": obj.ops_executed, "array_ops": arr.ops_executed},
-        )
-    return obj, arr, violation
-
-
 def run_differential(
     ops: Sequence[Op],
     protocols: Sequence[str],
     config: Optional[ChipConfig] = None,
     seed: int = 0,
     factories: Optional[Dict[str, ProtocolFactory]] = None,
-    engine: Optional[str] = None,
 ) -> Tuple[List[TraceResult], List[Violation]]:
     """Run one trace through every protocol and cross-check.
 
@@ -350,39 +258,22 @@ def run_differential(
     the mutation tests inject broken variants this way.  Returns the
     per-protocol results plus all violations (per-protocol ones first,
     then any cross-protocol version-stream divergence).
-
-    ``engine`` picks the simulation engine for every trace; the special
-    value ``"both"`` replays each protocol on the object *and* array
-    engines and reports any disagreement as an ``engine-divergence``
-    violation (see :func:`pin_engines`) before the usual
-    cross-protocol comparison (over the object-engine results).
     """
     if config is None:
         config = default_config()
-    violations: List[Violation] = []
-    if engine == "both":
-        results = []
-        for name in protocols:
-            obj, _arr, pin_violation = pin_engines(
-                ops, name, config, seed=seed,
-                factory=(factories or {}).get(name),
-            )
-            results.append(obj)
-            if pin_violation is not None:
-                violations.append(pin_violation)
-    else:
-        results = [
-            run_trace(
-                name,
-                ops,
-                config,
-                seed=seed,
-                factory=(factories or {}).get(name),
-                engine=engine,
-            )
-            for name in protocols
-        ]
-    violations.extend(r.violation for r in results if r.violation is not None)
+    results = [
+        run_trace(
+            name,
+            ops,
+            config,
+            seed=seed,
+            factory=(factories or {}).get(name),
+        )
+        for name in protocols
+    ]
+    violations: List[Violation] = [
+        r.violation for r in results if r.violation is not None
+    ]
 
     clean = [r for r in results if r.violation is None]
     if len(clean) >= 2:

@@ -54,9 +54,6 @@ class VerifyReport:
     ops_executed: int = 0
     elapsed_seconds: float = 0.0
     git_rev: Optional[str] = None
-    #: simulation engine the traces ran on (``"both"`` additionally
-    #: pins array==object per protocol per round)
-    engine: str = "object"
 
     @property
     def passed(self) -> bool:
@@ -78,7 +75,6 @@ class VerifyReport:
             "ops_executed": self.ops_executed,
             "elapsed_seconds": round(self.elapsed_seconds, 3),
             "git_rev": self.git_rev,
-            "engine": self.engine,
         }
 
     def save(self, path: Union[str, Path]) -> Path:
@@ -100,7 +96,6 @@ def run_verification(
     shrink: bool = True,
     max_shrink_tests: int = 400,
     fail_fast: bool = True,
-    engine: Optional[str] = None,
     scenarios: Optional[Sequence[str]] = None,
 ) -> VerifyReport:
     """Fuzz ``protocols`` for ``rounds`` rounds (or until the budget).
@@ -110,11 +105,6 @@ def run_verification(
     ``mutation`` set, the named deliberately-broken variant replaces
     its target protocol — the run is then *expected* to fail, which is
     how CI proves the harness has teeth.
-
-    ``engine`` picks the simulation engine for every trace (``None``
-    defers to ``REPRO_ENGINE``); ``"both"`` additionally replays each
-    protocol on both engines per round and fails on any
-    ``engine-divergence``.
 
     ``scenarios`` restricts the rotation to the named scenarios; this
     is also the only way rounds reach the consolidation-event
@@ -143,10 +133,6 @@ def run_verification(
         factories = {name: f for name in protocols}
     if config is None:
         config = default_config()
-
-    from ..simx import resolve_engine
-
-    engine_label = engine if engine == "both" else resolve_engine(engine)
     started = time.monotonic()
     deadline = started + budget_seconds if budget_seconds else None
     report = VerifyReport(
@@ -158,7 +144,6 @@ def run_verification(
         seed=seed,
         mutation=mutation,
         git_rev=git_rev(),
-        engine=engine_label,
     )
     scenario_names = (
         list(scenarios) if scenarios is not None else sorted(SCENARIOS)
@@ -176,7 +161,6 @@ def run_verification(
         report.scenarios_run.append(scenario)
         results, violations = run_differential(
             ops, protocols, config, seed=round_seed, factories=factories,
-            engine=engine_label,
         )
         report.rounds_run += 1
         report.ops_executed += sum(res.ops_executed for res in results)
@@ -187,9 +171,9 @@ def run_verification(
             doc = violation.to_dict()
             doc["round"] = r
             doc["scenario"] = scenario
-            # divergence kinds have no single-protocol reproducer to
-            # shrink against; bundle the full sequence as-is
-            if violation.kind not in ("divergence", "engine-divergence"):
+            # a divergence has no single-protocol reproducer to shrink
+            # against; bundle the full sequence as-is
+            if violation.kind != "divergence":
                 shrunk, final = _shrink_and_confirm(
                     ops,
                     violation,
@@ -199,9 +183,6 @@ def run_verification(
                     shrink=shrink,
                     max_tests=max_shrink_tests,
                     deadline=deadline,
-                    # under "both" the per-protocol violations come from
-                    # the object-engine replays; shrink on that engine
-                    engine="object" if engine_label == "both" else engine_label,
                 )
                 doc["shrunk_ops"] = len(shrunk)
                 doc["original_ops"] = len(ops)
@@ -245,7 +226,6 @@ def _shrink_and_confirm(
     shrink: bool,
     max_tests: int,
     deadline: Optional[float],
-    engine: Optional[str] = None,
 ):
     """ddmin the sequence, then re-run the minimum to capture the final
     violation record (its op index moved during shrinking)."""
@@ -255,13 +235,11 @@ def _shrink_and_confirm(
     def still_fails(subset) -> bool:
         res = run_trace(
             violation.protocol, subset, config, seed=seed, factory=factory,
-            engine=engine,
         )
         return res.violation is not None and res.violation.same_failure(violation)
 
     shrunk = ddmin(list(ops), still_fails, max_tests=max_tests, deadline=deadline)
     final = run_trace(
         violation.protocol, shrunk, config, seed=seed, factory=factory,
-        engine=engine,
     ).violation
     return shrunk, final

@@ -33,7 +33,7 @@ targets overlap an occupied region — with a structured
 :class:`~repro.sim.config.ConfigError` naming the event index.
 
 A plan with no events is normalized away by the chip: statistics stay
-bit-identical to a plan-less run on both engines (pinned by tests).
+bit-identical to a plan-less run (pinned by tests).
 """
 
 from __future__ import annotations

@@ -376,9 +376,7 @@ class ConsolidatedWorkload:
         mutates the shared copy-on-write table, so translations must
         happen in global *consumption* order — which a generator
         guarantees — while the RNG-driven stage can safely run a chunk
-        ahead.  The array engine consumes :meth:`trace_chunks` directly
-        and performs stage b inline; both paths are pinned bit-identical
-        by the determinism suite.
+        ahead.
         """
         vm = self.placement.vm_of(tile)
         translate = self.table.translate

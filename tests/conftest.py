@@ -3,10 +3,18 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
 
 from repro.core.checker import CoherenceChecker
 from repro.sim.chip import PROTOCOLS, make_protocol
 from repro.sim.config import ChipConfig, small_test_chip
+
+# tier-1 runs the same Hypothesis examples every time; the randomized
+# profile (``--hypothesis-profile=randomized --hypothesis-seed=N``)
+# explores new examples outside it
+settings.register_profile("deterministic", derandomize=True, database=None)
+settings.register_profile("randomized", derandomize=False)
+settings.load_profile("deterministic")
 
 ALL_PROTOCOLS = tuple(PROTOCOLS)
 

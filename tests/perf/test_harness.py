@@ -15,7 +15,6 @@ from repro.perf.harness import (
     QUICK_CELLS,
     REFERENCE_CELLS,
     CellResult,
-    assert_identical_cells,
     compare_reports,
     config_fingerprint,
     geomean,
@@ -196,22 +195,17 @@ def test_git_rev_in_repo():
         assert git_rev_in_repo("f" * 40) is False
 
 
-def test_cell_results_carry_stats_digest_and_engines_agree():
-    cell = tiny_cells(1)[0]
-    obj = harness._time_cell(cell, repeat=1, engine="object")
-    arr = harness._time_cell(cell, repeat=1, engine="array")
-    assert obj.stats_sha256 and len(obj.stats_sha256) == 64
-    # the bit-identity contract: both engines hash to the same stats
-    assert obj.stats_sha256 == arr.stats_sha256
-    assert_identical_cells([obj], [arr])
-
-
-def test_assert_identical_cells_raises_on_digest_mismatch():
-    cell = tiny_cells(1)[0]
-    a = CellResult(spec=cell, operations=10, wall_s=0.1, stats_sha256="a" * 64)
-    b = CellResult(spec=cell, operations=10, wall_s=0.1, stats_sha256="b" * 64)
-    with pytest.raises(RuntimeError, match="engines disagree"):
-        assert_identical_cells([a], [b])
+def test_cell_results_carry_stats_digest_and_engines_agree(monkeypatch):
+    # the digest is a bit-identity witness: the inline-draining issue
+    # path and the one-event-per-op reference path hash to the same
+    # stats, while a different cell hashes differently
+    cell, other = tiny_cells(2)
+    fast = harness._time_cell(cell, repeat=1)
+    monkeypatch.setenv("REPRO_FAST_PATH", "0")
+    reference = harness._time_cell(cell, repeat=1)
+    assert fast.stats_sha256 and len(fast.stats_sha256) == 64
+    assert fast.stats_sha256 == reference.stats_sha256
+    assert harness._time_cell(other, repeat=1).stats_sha256 != fast.stats_sha256
 
 
 def test_cli_perf_end_to_end(tmp_path, monkeypatch, capsys):
@@ -237,37 +231,12 @@ def test_cli_perf_end_to_end(tmp_path, monkeypatch, capsys):
     assert "geomean" in captured.out
     report2 = load_report(str(out2))
     assert report2["baseline"]["cells"] == report["cells"]
-
-
-def test_cli_perf_engine_both_embeds_identical_object_baseline(
-    tmp_path, monkeypatch, capsys
-):
-    monkeypatch.setattr(harness, "QUICK_CELLS", tiny_cells(2))
-    out = tmp_path / "BENCH_PERF.json"
-    assert cli.main([
-        "perf", "--quick", "--engine", "both", "--output", str(out),
-    ]) == 0
-    report = load_report(str(out))
-    assert report["engine"] == "array"
-    assert report["baseline"]["engine"] == "object"
-    # same grid, and bit-identical statistics cell by cell
-    for arr_cell, obj_cell in zip(
-        report["cells"], report["baseline"]["cells"]
-    ):
-        assert arr_cell["stats_sha256"] == obj_cell["stats_sha256"]
-        assert arr_cell["operations"] == obj_cell["operations"]
-    captured = capsys.readouterr()
-    assert "bit-identical to object baseline" in captured.out
-    assert "speedup" in captured.out
-
-
-def test_cli_perf_rejects_unknown_engine(monkeypatch, capsys):
-    monkeypatch.setattr(harness, "QUICK_CELLS", tiny_cells(1))
-    assert cli.main(["perf", "--quick", "--output", ""]) == 0
-    monkeypatch.setenv("REPRO_ENGINE", "warp-drive")
-    assert cli.main(["perf", "--quick", "--output", ""]) == 2
-    captured = capsys.readouterr()
-    assert "warp-drive" in captured.err
+    # the simulator is deterministic: a rerun computes the same
+    # statistics cell by cell, and the report labels its one engine
+    for now_cell, base_cell in zip(report2["cells"], report["cells"]):
+        assert now_cell["stats_sha256"] == base_cell["stats_sha256"]
+        assert now_cell["operations"] == base_cell["operations"]
+    assert report2["engine"] == "object"
 
 
 def test_cli_perf_profile_flag(tmp_path, monkeypatch, capsys):
@@ -283,20 +252,14 @@ def test_cli_perf_profile_flag(tmp_path, monkeypatch, capsys):
 def test_cli_perf_profile_covers_selected_engine(
     tmp_path, monkeypatch, capsys
 ):
-    # --profile must profile the engine that was timed, labelled; under
-    # --engine both, one labelled pass per engine, with the array pass
-    # attributing time to the compiled runner (not Core._issue_fast)
+    # --profile attributes time to the issue loop that was timed
     monkeypatch.setattr(harness, "QUICK_CELLS", tiny_cells(1))
     assert cli.main([
-        "perf", "--quick", "--engine", "both", "--output", "",
-        "--profile", "40",
+        "perf", "--quick", "--output", "", "--profile", "40",
     ]) == 0
     captured = capsys.readouterr()
-    assert "engine object" in captured.out
-    assert "engine array" in captured.out
-    obj_part, arr_part = captured.out.split("engine array", 1)
-    assert "_issue_fast" in obj_part
-    assert "runner" in arr_part
+    profile = captured.out.split("cProfile top 40", 1)[1]
+    assert "_issue_fast" in profile
 
 
 def test_cell_results_record_l1_miss_rate():
@@ -341,11 +304,13 @@ def test_load_report_upgrades_schema_v1(tmp_path):
 
 def test_cli_perf_min_geomean_gate(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(harness, "QUICK_CELLS", tiny_cells(1))
+    baseline = tmp_path / "BENCH_PERF.json"
+    assert cli.main(["perf", "--quick", "--output", str(baseline)]) == 0
     table = tmp_path / "comparison.txt"
-    # engines are bit-identical, so array-vs-object speedup is ~1×;
-    # a gate of 0.01 always passes, 1000 always fails
+    # a rerun against its own baseline scores ~1×; a gate of 0.01
+    # always passes, 1000 always fails
     assert cli.main([
-        "perf", "--quick", "--engine", "both", "--output", "",
+        "perf", "--quick", "--output", "", "--baseline", str(baseline),
         "--min-geomean", "0.01", "--comparison-output", str(table),
     ]) == 0
     captured = capsys.readouterr()
@@ -353,7 +318,7 @@ def test_cli_perf_min_geomean_gate(tmp_path, monkeypatch, capsys):
     assert "geomean" in table.read_text()
 
     assert cli.main([
-        "perf", "--quick", "--engine", "both", "--output", "",
+        "perf", "--quick", "--output", "", "--baseline", str(baseline),
         "--min-geomean", "1000",
     ]) == 1
     captured = capsys.readouterr()

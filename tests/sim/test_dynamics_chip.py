@@ -5,7 +5,6 @@ statistics, and the empty-plan bit-identity contract."""
 import pytest
 
 from repro.sim.chip import PROTOCOLS, Chip
-from repro.simx.engine import ArrayChip
 from repro.stats.io import stats_to_dict
 from repro.workloads.dynamics import ConsolidationEvent, ConsolidationPlan
 from repro.workloads.placement import VMPlacement
@@ -156,11 +155,11 @@ def test_per_vm_operations_keeps_departed_vm_of_record():
 
 
 # ---------------------------------------------------------------------------
-# the bit-identity contract: no plan == empty plan, on both engines
+# the bit-identity contract: no plan == empty plan, on both issue paths
 
 
 @pytest.mark.parametrize("protocol", sorted(PROTOCOLS))
-def test_empty_plan_is_bit_identical_on_both_engines(protocol):
+def test_empty_plan_is_bit_identical_on_both_engines(protocol, monkeypatch):
     spec = dict(config=tiny_chip(), n_vms=3, seed=2)
     reference = Chip(protocol, "mixed-com", **spec).run_cycles(
         3_000, warmup=500
@@ -168,26 +167,13 @@ def test_empty_plan_is_bit_identical_on_both_engines(protocol):
     empty = Chip(
         protocol, "mixed-com", plan=ConsolidationPlan(), **spec
     ).run_cycles(3_000, warmup=500)
-    array = ArrayChip(
+    # and on the one-event-per-op reference issue path
+    monkeypatch.setenv("REPRO_FAST_PATH", "0")
+    empty_reference_path = Chip(
         protocol, "mixed-com", plan=ConsolidationPlan(), **spec
     ).run_cycles(3_000, warmup=500)
     assert stats_to_dict(empty) == stats_to_dict(reference)
-    assert stats_to_dict(array) == stats_to_dict(reference)
-
-
-def test_armed_plan_forces_object_path_on_array_engine():
-    """simx cannot replay mid-run topology changes; a non-empty plan
-    must transparently disarm the compiled fast path and still agree
-    with the object engine."""
-    plan = storyline()
-    spec = dict(config=tiny_chip(), n_vms=3, seed=2)
-    chip = ArrayChip("dico", "mixed-com", plan=plan, **spec)
-    via_array = chip.run_cycles(4_000, warmup=1_000)
-    assert not chip._armed
-    reference = Chip("dico", "mixed-com", plan=storyline(), **spec).run_cycles(
-        4_000, warmup=1_000
-    )
-    assert stats_to_dict(via_array) == stats_to_dict(reference)
+    assert stats_to_dict(empty_reference_path) == stats_to_dict(reference)
 
 
 def test_invalid_plan_rejected_at_run_time():

@@ -203,8 +203,8 @@ def test_manifest_survives_livelock(tmp_path, monkeypatch):
     spec = tiny_spec()
     real_build = RunSpec.build_chip
 
-    def wedged_build(self, engine=None):
-        chip = real_build(self, engine=engine)
+    def wedged_build(self):
+        chip = real_build(self)
         wedge(chip)
         return chip
 
@@ -221,8 +221,8 @@ def test_traced_livelock_closes_trace(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_WATCHDOG_WINDOW", "500")
     real_build = RunSpec.build_chip
 
-    def wedged_build(self, engine=None):
-        chip = real_build(self, engine=engine)
+    def wedged_build(self):
+        chip = real_build(self)
         wedge(chip)
         return chip
 

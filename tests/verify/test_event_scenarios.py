@@ -78,13 +78,12 @@ def test_event_scenarios_pass_clean_on_all_protocols(tmp_path):
     assert report.violations == []
 
 
-def test_event_scenarios_pass_clean_on_both_engines(tmp_path):
+def test_event_scenarios_pass_clean_on_a_second_seed(tmp_path):
     report = run_verification(
-        rounds=3, seed=5, n_ops=120, bundle_dir=tmp_path, engine="both",
+        rounds=3, seed=5, n_ops=120, bundle_dir=tmp_path,
         scenarios=sorted(EVENT_SCENARIOS),
     )
     assert report.verdict == "pass"
-    assert report.engine == "both"
 
 
 def test_unknown_scenario_rejected():

@@ -10,7 +10,9 @@ All simulations route through :class:`repro.sweep.SweepRunner`; nine
 environment knobs apply:
 
 * ``REPRO_SWEEP_JOBS``  — worker processes (default ``1`` = serial
-  in-process, the bit-identical reference path);
+  in-process, the bit-identical reference path; above ``1`` every
+  point runs in a fresh process through :mod:`repro.sweep.executor`,
+  with bit-identical results);
 * ``REPRO_SWEEP_CACHE`` — on-disk result-cache directory (default:
   unset, no cross-session caching);
 * ``REPRO_TRACE_DIR``   — when set, every *executed* benchmark run

@@ -77,7 +77,7 @@ def _parse_override(text: str):
     """``key=value`` with value parsed as JSON when possible.
 
     Unknown keys are rejected here, at the CLI boundary, with the full
-    list of valid dotted paths — not deep inside a pool worker.
+    list of valid dotted paths — not deep inside a worker process.
     """
     key, sep, raw = text.partition("=")
     if not sep:

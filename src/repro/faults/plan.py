@@ -10,10 +10,10 @@ replayed locally, and the Hypothesis properties in
 Four fault kinds are understood:
 
 * ``crash``          — the worker process dies hard (``os._exit``), as
-  if OOM-killed; in-process execution degrades to raising
-  :class:`InjectedFault` so a serial run is never taken down.
+  if OOM-killed.
 * ``hang``           — the worker stops making progress (sleeps) until
-  the runner's per-spec timeout kills it.
+  the runner's per-spec timeout kills it; a hang that outlives
+  ``hang_s`` ends in :class:`InjectedFault`.
 * ``corrupt-result`` — the worker returns a mangled stats document
   that fails to decode in the parent.
 * ``corrupt-cache``  — the parent flips bytes in the freshly written
@@ -27,9 +27,11 @@ interval, so selection is independent of grid order and stable across
 processes.  ``times`` bounds injection to the first N attempts, which
 is how retry tests arrange "fails twice, then succeeds".
 
-Plans travel to pool workers either embedded in the task payload or
-via the ``REPRO_FAULT_PLAN`` environment variable (a path to a JSON
-plan, or the JSON document itself).
+A sweep resolves its plan once, from its argument or from the
+``REPRO_FAULT_PLAN`` environment variable (a path to a JSON plan, or
+the JSON document itself), and embeds it in every attempt's payload.
+Only the worker process of :mod:`repro.sweep.executor` reads it, so a
+sweep with a plan always runs its points out of process.
 """
 
 from __future__ import annotations
@@ -56,7 +58,7 @@ PLAN_ENV = "REPRO_FAULT_PLAN"
 
 
 class InjectedFault(RuntimeError):
-    """An injected failure (raised where a hard death is not safe)."""
+    """An injected failure that ends an attempt with an exception."""
 
 
 @dataclass(frozen=True)
@@ -142,11 +144,6 @@ class FaultPlan:
             if kind in kinds:
                 return kind
         return None
-
-    @property
-    def needs_isolation(self) -> bool:
-        """True when any rule can take a process down or wedge it."""
-        return any(r.kind in ("crash", "hang") for r in self.rules)
 
     # ------------------------------------------------------------------
 

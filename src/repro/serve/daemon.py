@@ -2,11 +2,14 @@
 
 :class:`ExperimentServer` puts an asyncio HTTP control plane in front
 of the existing sweep machinery.  Every result still flows through the
-same code the CLI uses — :func:`repro.sweep.runner._isolated_worker`
-for process-isolated execution, :class:`~repro.sweep.cache.ResultCache`
-for content-addressed dedup, :class:`~repro.sweep.journal.SweepJournal`
+same code the CLI uses — :mod:`repro.sweep.executor` for out-of-process
+execution, :class:`~repro.sweep.cache.ResultCache` for
+content-addressed dedup, :class:`~repro.sweep.journal.SweepJournal`
 for crash-safe per-point progress — so a grid served over HTTP is
-bit-identical to the same grid run by ``repro sweep``.
+bit-identical to the same grid run by ``repro sweep``.  The daemon
+itself adds tenancy, admission, single-flight dedup, cancellation and
+HTTP, all on one event-loop thread: attempts fork from it, and file
+I/O runs on it, so no helper thread is alive at any fork.
 
 The robustness contract:
 
@@ -16,10 +19,12 @@ The robustness contract:
   memory never grows unboundedly with offered load.
 * **Fair scheduling** — worker slots are granted weighted round-robin
   across tenants (:class:`~repro.serve.scheduling.FairWorkerPool`).
-* **Graceful degradation** — each point attempt runs in its own
-  process with a deadline; crashes/hangs/timeouts become retries with
-  seeded non-blocking backoff and, when exhausted, structured
-  :class:`~repro.faults.FailureRecord` events — never daemon death.
+* **Graceful degradation** — each point runs through the sweep
+  executor's :func:`~repro.sweep.executor.run_point`, holding a
+  tenant's worker slot per attempt: crashes/hangs/timeouts become
+  retries with seeded backoff that holds no slot and, when exhausted,
+  structured :class:`~repro.faults.FailureRecord` events — never
+  daemon death.
 * **Restart = resume** — job records persist in the
   :class:`~repro.serve.store.JobStore`; completed points persist in
   the journal + result cache.  A daemon killed hard and restarted
@@ -61,11 +66,11 @@ from typing import Any, AsyncIterator, Dict, List, Optional, Tuple
 from ..faults import FailureRecord, FaultPlan, FaultPolicy
 from ..sim.config import ConfigError
 from ..stats.counters import RunStats
-from ..stats.io import stats_from_dict, stats_to_dict
+from ..stats.io import stats_to_dict
 from ..sweep.cache import ResultCache, stats_checksum
+from ..sweep.executor import AttemptRegistry, run_point
 from ..sweep.journal import SweepJournal, gc_journals
 from ..sweep.spec import RunSpec
-from .executor import AttemptRegistry, run_attempt
 from .http import (
     HttpError,
     Request,
@@ -266,7 +271,7 @@ class ExperimentServer:
             _log.info("shutdown: killed %d in-flight attempt(s); their "
                       "points will re-run on resume", killed)
         for job in self.jobs.values():
-            await asyncio.to_thread(self.store.save, self._job_record(job))
+            self.store.save(self._job_record(job))
 
     # ------------------------------------------------------------------
     # task bookkeeping
@@ -333,6 +338,7 @@ class ExperimentServer:
                 pending.append(point)
             self.counters["jobs_resumed"] += 1
             if not pending:
+                journal.finish([p.status == "ok" for p in job.points])
                 self.store.save(self._job_record(job))
                 continue
             # resumed work was admitted before the restart; it must not
@@ -421,98 +427,41 @@ class ExperimentServer:
             "summary": stats.summary(),
         }
 
-    def _store_result(
-        self, spec: RunSpec, fp: str, stats: RunStats, elapsed: float
-    ) -> None:
-        self.cache.put(spec, stats, elapsed)
-        plan = self.config.fault_plan
-        # parity with SweepRunner._corrupt_cache_entry: the injection is
-        # keyed on attempt 1, after a successful write
-        if plan is not None and plan.first_fault(fp, 1, ("corrupt-cache",)):
-            path = self.cache.path_for(spec)
-            try:
-                text = path.read_text()
-                path.write_text(text[: max(1, len(text) // 2)] + '"CORRUPT')
-            except OSError:  # pragma: no cover - entry vanished mid-injection
-                pass
-
     async def _execute_fp(
         self, tenant: str, spec: RunSpec, fp: str, policy: FaultPolicy
     ) -> Dict[str, Any]:
-        stats = await asyncio.to_thread(self.cache.get, spec)
+        stats = self.cache.get(spec)
         if stats is not None:
             self.counters["cache_hits"] += 1
             return self._ok_outcome(
                 stats, cached=True, attempts=0, elapsed=0.0
             )
-        plan = self.config.fault_plan
-        base_payload = spec.to_dict()
-        total_elapsed = 0.0
-        attempt = 1
-        while True:
-            payload = dict(base_payload)
-            payload["__attempt__"] = attempt
-            if plan is not None:
-                payload["__fault_plan__"] = plan.to_dict()
-            await self.pool.acquire(tenant)
-            try:
-                kind, data, elapsed = await asyncio.to_thread(
-                    run_attempt, payload, policy.timeout_s, self._attempts
-                )
-            finally:
-                self.pool.release(tenant)
-            total_elapsed += elapsed
-            failure_fields: Optional[Dict[str, str]] = None
-            if kind == "ok":
-                try:
-                    stats = stats_from_dict(data)
-                except (KeyError, TypeError, ValueError) as exc:
-                    failure_fields = {
-                        "kind": "exception",
-                        "exc_type": type(exc).__name__,
-                        "message": f"undecodable stats document: {exc}",
-                    }
-                else:
-                    self.counters["executed"] += 1
-                    await asyncio.to_thread(
-                        self._store_result, spec, fp, stats, elapsed
-                    )
-                    return self._ok_outcome(
-                        stats,
-                        cached=False,
-                        attempts=attempt,
-                        elapsed=total_elapsed,
-                    )
-            elif kind == "exception":
-                failure_fields = {
-                    "kind": "exception",
-                    "exc_type": data.get("exc_type", ""),
-                    "message": data.get("message", ""),
-                    "traceback_tail": data.get("traceback_tail", ""),
-                }
-            else:  # crash | timeout
-                failure_fields = {"kind": kind, "message": data}
-            if attempt <= policy.max_retries:
-                self.counters["retries"] += 1
-                delay = policy.backoff_delay(fp, attempt)
-                attempt += 1
-                # the worker slot was released above — backoff parks
-                # only this coroutine, never a scheduler slot
-                await asyncio.sleep(delay)
-                continue
-            record = FailureRecord(
-                attempts=attempt,
-                elapsed_s=round(total_elapsed, 6),
-                fingerprint=fp,
-                **failure_fields,
-            )
+        result = await run_point(
+            spec,
+            spec.to_dict(),
+            fp,
+            policy,
+            lambda: self.pool.slot(tenant),
+            plan=self.config.fault_plan,
+            cache=self.cache,
+            registry=self._attempts,
+        )
+        self.counters["retries"] += result.attempts - 1
+        if result.failure is not None:
             return {
                 "status": "failed",
                 "cached": False,
-                "attempts": attempt,
-                "elapsed_s": round(total_elapsed, 6),
-                "failure": record.to_dict(),
+                "attempts": result.attempts,
+                "elapsed_s": result.failure.elapsed_s,
+                "failure": result.failure.to_dict(),
             }
+        self.counters["executed"] += 1
+        return self._ok_outcome(
+            result.stats,
+            cached=False,
+            attempts=result.attempts,
+            elapsed=result.elapsed_s,
+        )
 
     async def _finish_point(
         self, job: Job, point: PointState, outcome: Dict[str, Any]
@@ -526,26 +475,23 @@ class ExperimentServer:
         self.admission.release(job.tenant)
         status = outcome["status"]
         self.counters[f"points_{status}"] += 1
+        journal = self._journals[job.job_id]
         if status in ("ok", "failed"):
-            journal = self._journals.get(job.job_id)
-            if journal is not None:
-                detail = ""
-                if status == "failed":
-                    failure = outcome.get("failure") or {}
-                    detail = f"{failure.get('kind', '')}: " \
-                             f"{failure.get('message', '')}".strip()
-                await asyncio.to_thread(
-                    journal.record,
-                    point.fingerprint,
-                    status,
-                    attempts=outcome.get("attempts", 1),
-                    elapsed_s=outcome.get("elapsed_s", 0.0),
-                    detail=detail,
-                )
-        if job.terminal:
-            await asyncio.to_thread(
-                self.store.save, self._job_record(job)
+            detail = ""
+            if status == "failed":
+                failure = outcome.get("failure") or {}
+                detail = f"{failure.get('kind', '')}: " \
+                         f"{failure.get('message', '')}".strip()
+            journal.record(
+                point.fingerprint,
+                status,
+                attempts=outcome.get("attempts", 1),
+                elapsed_s=outcome.get("elapsed_s", 0.0),
+                detail=detail,
             )
+        if job.terminal:
+            journal.finish([p.status == "ok" for p in job.points])
+            self.store.save(self._job_record(job))
         # publish last: a client that sees the job go terminal must be
         # able to trust the durable record on disk
         await job.publish(event)
@@ -567,8 +513,7 @@ class ExperimentServer:
     async def _gc_loop(self) -> None:
         while True:
             try:
-                pruned = await asyncio.to_thread(
-                    gc_journals,
+                pruned = gc_journals(
                     self.config.cache_dir,
                     self.config.journal_gc_days * 86400.0,
                 )
@@ -713,8 +658,8 @@ class ExperimentServer:
         self.jobs[job_id] = job
         journal = SweepJournal.for_grid(self.config.cache_dir, specs)
         self._journals[job_id] = journal
-        await asyncio.to_thread(journal.touch)
-        await asyncio.to_thread(self.store.save, self._job_record(job))
+        journal.touch()
+        self.store.save(self._job_record(job))
         for point in job.points:
             self._spawn_point(job, point)
         self.counters["jobs_submitted"] += 1

@@ -30,11 +30,12 @@ are pinned by fast deterministic unit tests.
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import math
 import time
 from collections import OrderedDict, deque
 from dataclasses import dataclass
-from typing import Callable, Deque, Dict, Optional
+from typing import AsyncIterator, Callable, Deque, Dict, Optional
 
 __all__ = [
     "AdmissionController",
@@ -337,6 +338,15 @@ class FairWorkerPool:
                 # slot on instead of leaking it
                 self.release(tenant)
             raise
+
+    @contextlib.asynccontextmanager
+    async def slot(self, tenant: str) -> AsyncIterator[None]:
+        """Hold one of ``tenant``'s slots for the ``async with`` body."""
+        await self.acquire(tenant)
+        try:
+            yield
+        finally:
+            self.release(tenant)
 
     def release(self, tenant: str) -> None:
         held = self._active.get(tenant, 0)

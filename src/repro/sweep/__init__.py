@@ -7,9 +7,12 @@ function of its :class:`RunSpec`:
 
 * :class:`RunSpec` (``spec.py``) — a complete, serializable run
   description;
-* :class:`SweepRunner` (``runner.py``) — fans specs across a
-  ``multiprocessing`` pool (serial with ``jobs=1``) with bit-identical
+* :class:`SweepRunner` (``runner.py``) — runs specs in process with
+  ``jobs=1`` and through ``executor.py`` above, with bit-identical
   results regardless of job count;
+* ``executor.py`` — the one out-of-process executor, shared with
+  ``repro serve``: a fresh worker process per attempt, deadline kills,
+  seeded-backoff retries, fault injection;
 * :class:`ResultCache` (``cache.py``) — on-disk JSON store keyed by a
   stable hash of the spec plus the simulator's source fingerprint;
 * ``grids.py`` — the canonical figure-reproduction grid shared by the

@@ -113,6 +113,18 @@ class SweepJournal:
             fh.flush()
             os.fsync(fh.fileno())
 
+    def finish(self, ok: Sequence[bool]) -> None:
+        """Mark the grid complete when every one of its points finished
+        ok (one flag per point).
+
+        The one rule both the sweep runner and the daemon apply when a
+        grid ends: a fully-ok grid is done for good, so GC may prune it
+        once the keep window passes; a grid with a failed or missing
+        point stays unmarked, as resume state.
+        """
+        if ok and all(ok) and not self.is_complete():
+            self.mark_complete(len(ok))
+
     def is_complete(self) -> bool:
         """True when a grid-complete marker has been recorded."""
         if not self.path.is_file():

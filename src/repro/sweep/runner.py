@@ -1,59 +1,41 @@
-"""Fan a grid of runs across worker processes, with result caching.
+"""Run a grid of specs, in process or out of it, with result caching.
 
 The grid points of an experiment sweep are embarrassingly parallel —
 each :class:`~repro.sweep.spec.RunSpec` is an independent,
-deterministic simulation — so :class:`SweepRunner` simply maps them
-over worker processes.  Three properties are load-bearing:
+deterministic simulation — so :class:`SweepRunner` runs them side by
+side in worker processes.  Three properties are load-bearing:
 
 * **Bit-identical results.**  Statistics always travel through the
-  JSON codec of :mod:`repro.stats.io` — serial runs included — so a
-  spec's stats are byte-for-byte the same whether they came from this
-  process, a pool worker, or the on-disk cache.
+  JSON codec of :mod:`repro.stats.io` — in-process runs included — so
+  a spec's stats are byte-for-byte the same whether they came from this
+  process, a worker process, or the on-disk cache.
 * **Deterministic ordering.**  Results come back in spec order, so
   downstream aggregation never depends on worker scheduling.
 * **Content-keyed caching.**  With a cache directory configured, specs
   already on disk are never re-simulated; a warm re-run of a whole
   sweep executes zero simulations.
 
-On top of that sits the resilience layer (see
-:mod:`repro.faults`): a :class:`~repro.faults.FaultPolicy` adds
-per-spec timeouts, seeded-backoff retries and record-and-skip failure
-handling; a :class:`~repro.faults.FaultPlan` injects deterministic
-worker crashes, hangs and corruption for chaos testing; and a
-:class:`~repro.sweep.journal.SweepJournal` checkpoints completed
-points so an interrupted sweep resumes instead of restarting.  With
-the default policy and no plan, execution takes exactly the historical
-serial/pool paths — same processes, same codec, same bits.
-
-Failure isolation needs real process boundaries (a hung or dying
-worker cannot be preempted from within), so any non-default policy or
-active plan routes pending specs through a process-per-attempt
-executor that can kill on timeout, observe hard worker deaths
-(``SIGKILL``-style, exit without a result message) and retry with
-deterministic exponential backoff.
+A point runs one of two ways.  When one worker would run the pending
+points under the default :class:`~repro.faults.FaultPolicy` with no
+:class:`~repro.faults.FaultPlan`, they run here, in this process, one
+after another.  Everything else goes through
+:mod:`repro.sweep.executor`, one fresh process per attempt: it kills a
+hung attempt at its deadline, contains a worker that dies, retries with
+seeded backoff and injects a plan's faults.  A
+:class:`~repro.sweep.journal.SweepJournal` checkpoints completed points
+either way, so an interrupted sweep resumes instead of restarting.
 """
 
 from __future__ import annotations
 
-import heapq
-import itertools
 import logging
-import multiprocessing
 import os
 import sys
 import time
-import traceback
 from dataclasses import dataclass
-from multiprocessing.connection import wait as _connection_wait
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..faults import (
-    FailureRecord,
-    FaultPlan,
-    FaultPolicy,
-    InjectedFault,
-    plan_from_env,
-)
+from ..faults import FailureRecord, FaultPlan, FaultPolicy, plan_from_env
 from ..stats.counters import RunStats
 from ..stats.io import stats_from_dict, stats_to_dict
 from .cache import ResultCache
@@ -68,14 +50,6 @@ __all__ = [
 ]
 
 _log = logging.getLogger("repro.sweep")
-
-#: exit code an injected worker crash dies with (no cleanup, no result)
-_CRASH_EXIT = 87
-
-#: set in isolated worker processes; hard-death fault injections check
-#: it so a serial in-process run degrades to an exception instead of
-#: taking the parent down
-_IN_WORKER = False
 
 
 class SweepExecutionError(RuntimeError):
@@ -126,47 +100,18 @@ class SweepResult:
         return self.stats.operations / self.elapsed_s
 
 
-def _traceback_tail(limit: int = 15) -> str:
-    lines = traceback.format_exc().strip().splitlines()
-    return "\n".join(lines[-limit:])
-
-
 def _execute_payload(payload: Dict[str, Any]) -> Tuple[Dict[str, Any], float]:
-    """Worker entry point: simulate one spec, return its stats document.
+    """Simulate one spec document; return its stats document and the
+    simulation's seconds.
 
-    Module-level (picklable) and fed plain dicts, so it works under
-    both ``fork`` and ``spawn`` start methods.  Dunder keys are
-    stripped before spec decoding (they are not part of the spec's
-    identity): ``__trace_dir__`` makes the worker write a JSONL trace
-    plus manifest there, ``__fault_plan__``/``__attempt__`` drive
-    deterministic fault injection (a plan may also arrive via the
-    ``REPRO_FAULT_PLAN`` environment knob).
+    The one function that simulates a payload, in process or in an
+    executor worker.  Fed plain dicts, so it works under both ``fork``
+    and ``spawn``.  ``__trace_dir__`` makes it write a JSONL trace plus
+    manifest there; it is not part of the spec's identity.
     """
     payload = dict(payload)
     trace_dir = payload.pop("__trace_dir__", None)
-    plan_doc = payload.pop("__fault_plan__", None)
-    attempt = payload.pop("__attempt__", 1)
     spec = RunSpec.from_dict(payload)
-    plan = (
-        FaultPlan.from_dict(plan_doc) if plan_doc is not None else plan_from_env()
-    )
-    fingerprint = spec.fingerprint() if plan is not None else ""
-    if plan is not None:
-        kind = plan.first_fault(fingerprint, attempt, ("crash", "hang"))
-        if kind == "crash":
-            if _IN_WORKER:
-                os._exit(_CRASH_EXIT)
-            raise InjectedFault(
-                f"injected worker crash (attempt {attempt}, "
-                f"spec {fingerprint[:12]})"
-            )
-        if kind == "hang":
-            if _IN_WORKER:
-                time.sleep(plan.hang_s)
-            raise InjectedFault(
-                f"injected worker hang (attempt {attempt}, "
-                f"spec {fingerprint[:12]})"
-            )
     trace = None
     if trace_dir is not None:
         from pathlib import Path
@@ -181,70 +126,16 @@ def _execute_payload(payload: Dict[str, Any]) -> Tuple[Dict[str, Any], float]:
     start = time.perf_counter()
     stats = spec.execute(trace=trace)
     elapsed = time.perf_counter() - start
-    doc = stats_to_dict(stats)
-    if plan is not None and plan.first_fault(
-        fingerprint, attempt, ("corrupt-result",)
-    ):
-        # an undecodable document: the parent's stats_from_dict raises,
-        # which is exactly how a garbled worker reply presents
-        doc = {"__injected_corrupt_result__": fingerprint[:12]}
-    return doc, elapsed
-
-
-def _isolated_worker(conn, payload: Dict[str, Any]) -> None:
-    """Entry point of a process-per-attempt worker.
-
-    Sends exactly one ``("ok", stats_doc, elapsed)`` or
-    ``("error", failure_doc)`` message; a process that dies without
-    sending anything is a crash by definition.
-    """
-    global _IN_WORKER
-    _IN_WORKER = True
-    try:
-        doc, elapsed = _execute_payload(payload)
-        conn.send(("ok", doc, elapsed))
-    except BaseException as exc:  # a worker must report, never re-raise
-        try:
-            conn.send(
-                (
-                    "error",
-                    {
-                        "exc_type": type(exc).__name__,
-                        "message": str(exc),
-                        "traceback_tail": _traceback_tail(),
-                    },
-                )
-            )
-        except (OSError, ValueError, BrokenPipeError):  # parent is gone
-            pass
-    finally:
-        try:
-            conn.close()
-        except OSError:
-            pass
+    return stats_to_dict(stats), elapsed
 
 
 def _default_progress(line: str) -> None:
     print(line, file=sys.stderr, flush=True)
 
 
-@dataclass
-class _Attempt:
-    """Book-keeping for one in-flight isolated attempt."""
-
-    index: int
-    spec: RunSpec
-    attempt: int
-    #: wall time already spent on earlier attempts of this spec
-    elapsed_before: float
-    proc: Any
-    conn: Any
-    started: float
-    deadline: Optional[float]
-
-
 class SweepRunner:
-    """Runs :class:`RunSpec` grids; serial with ``jobs=1``, pooled above.
+    """Runs :class:`RunSpec` grids: in process with ``jobs=1``, in up
+    to ``jobs`` worker processes above.
 
     ``cache_dir=None`` disables the on-disk cache.  ``progress`` may be
     ``False`` (silent), ``True`` (lines on stderr) or a callable that
@@ -304,7 +195,6 @@ class SweepRunner:
         self.failed = 0
         if (
             self.fault_plan is not None
-            and self.fault_plan.needs_isolation
             and any(r.kind == "hang" for r in self.fault_plan.rules)
             and self.policy.timeout_s is None
         ):
@@ -346,9 +236,9 @@ class SweepRunner:
         """Execute every spec; results are returned in spec order.
 
         Under the default :class:`~repro.faults.FaultPolicy` a failing
-        point raises (:class:`SweepExecutionError` from the isolated
-        executor, the worker's own exception from the legacy paths);
-        with ``on_failure="skip"`` it comes back as a failed
+        point raises (the point's own exception in process,
+        :class:`SweepExecutionError` from the executor); with
+        ``on_failure="skip"`` it comes back as a failed
         :class:`SweepResult` carrying a
         :class:`~repro.faults.FailureRecord`.  ``KeyboardInterrupt``
         is re-raised as :class:`SweepInterrupted` with the completed
@@ -360,17 +250,9 @@ class SweepRunner:
         pending: List[Tuple[int, RunSpec]] = []
         done = 0
         self.failed = 0
-
-        # the resilience features all key by content fingerprint; the
-        # default fast path never needs one
-        needs_fp = (
-            self._journal_enabled
-            or self.fault_plan is not None
-            or not self.policy.is_default
-        )
-        fps: Optional[List[str]] = (
-            [s.fingerprint() for s in specs] if needs_fp else None
-        )
+        # the journal, the executor and fault plans key by content
+        # fingerprint
+        fps = [s.fingerprint() for s in specs]
         journal = self._journal_for(specs)
         prior = journal.load() if journal is not None else {}
         if journal is not None:
@@ -380,11 +262,15 @@ class SweepRunner:
 
         def mark(i: int, result: SweepResult) -> None:
             nonlocal done
-            results[i] = result
             done += 1
+            # report first: a progress callback that raises (Ctrl-C)
+            # leaves this point out of the partial results and journal
             self._report(done, total, result)
+            results[i] = result
             if result.failure is not None:
                 self.failed += 1
+            elif not result.cached:
+                self.executed += 1
             if journal is not None:
                 fp = fps[i]
                 status = "ok" if result.failure is None else "failed"
@@ -400,6 +286,11 @@ class SweepRunner:
                         else result.failure.describe(),
                     )
                     prior[fp] = {"fingerprint": fp, "status": status}
+
+        def accept(i: int, result: SweepResult) -> None:
+            if not result.ok and self.policy.on_failure == "raise":
+                raise SweepExecutionError(result.failure, result.spec)
+            mark(i, result)
 
         try:
             for i, spec in enumerate(specs):
@@ -419,328 +310,38 @@ class SweepRunner:
                 else:
                     pending.append((i, spec))
 
-            if pending:
-                isolate = (
-                    self.fault_plan is not None or not self.policy.is_default
+            in_process = self.fault_plan is None and self.policy.is_default
+            if in_process and (self.jobs == 1 or len(pending) == 1):
+                for i, spec in pending:
+                    doc, elapsed = _execute_payload(self._payload(spec))
+                    # the codec round-trip keeps in-process results
+                    # bit-identical to worker ones
+                    stats = stats_from_dict(doc)
+                    if self.cache is not None:
+                        self.cache.put(spec, stats, elapsed)
+                    mark(i, SweepResult(spec, stats, elapsed, cached=False))
+            elif pending:
+                # imported here: the executor pulls in asyncio, which a
+                # warm or in-process sweep never needs
+                from .executor import run_points
+
+                run_points(
+                    [(i, s, self._payload(s), fps[i]) for i, s in pending],
+                    self.jobs,
+                    self.policy,
+                    accept,
+                    plan=self.fault_plan,
+                    cache=self.cache,
                 )
-                if isolate:
-                    self._run_isolated(pending, fps, mark)
-                elif self.jobs == 1 or len(pending) == 1:
-                    for i, spec in pending:
-                        doc, elapsed = _execute_payload(self._payload(spec))
-                        self._finish_ok(i, spec, doc, elapsed, 1, fps, mark)
-                else:
-                    outcomes = self._pooled(
-                        [self._payload(spec) for _, spec in pending]
-                    )
-                    for (i, spec), (doc, elapsed) in zip(pending, outcomes):
-                        self._finish_ok(i, spec, doc, elapsed, 1, fps, mark)
         except KeyboardInterrupt:
             raise SweepInterrupted(
                 [r for r in results if r is not None]
             ) from None
 
         assert all(r is not None for r in results)
-        if (
-            journal is not None
-            and total > 0
-            and self.failed == 0
-            and not journal.is_complete()
-        ):
-            # a fully-ok grid is done for good: mark the journal so GC
-            # may prune it once the keep window passes (failed grids
-            # stay unmarked — they are resume state)
-            journal.mark_complete(total)
+        if journal is not None:
+            journal.finish([r.ok for r in results])
         return results  # type: ignore[return-value]
 
     def run_one(self, spec: RunSpec) -> SweepResult:
         return self.run([spec])[0]
-
-    # ------------------------------------------------------------------
-
-    def _finish_ok(
-        self,
-        i: int,
-        spec: RunSpec,
-        stats_doc: Dict[str, Any],
-        elapsed: float,
-        attempts: int,
-        fps: Optional[List[str]],
-        mark: Callable[[int, SweepResult], None],
-    ) -> None:
-        # the codec round-trip keeps serial results bit-identical to
-        # pooled ones (both sides of the comparison see exactly what
-        # survives JSON)
-        stats = stats_from_dict(stats_doc)
-        self.executed += 1
-        if self.cache is not None:
-            self.cache.put(spec, stats, elapsed)
-            if self.fault_plan is not None and self.fault_plan.first_fault(
-                fps[i], 1, ("corrupt-cache",)
-            ):
-                self._corrupt_cache_entry(spec)
-        mark(
-            i,
-            SweepResult(
-                spec=spec,
-                stats=stats,
-                elapsed_s=elapsed,
-                cached=False,
-                attempts=attempts,
-            ),
-        )
-
-    def _corrupt_cache_entry(self, spec: RunSpec) -> None:
-        """Injected ``corrupt-cache`` fault: garble the entry on disk."""
-        path = self.cache.path_for(spec)
-        try:
-            text = path.read_text()
-            path.write_text(text[: max(1, len(text) // 2)] + '"CORRUPT')
-        except OSError:  # pragma: no cover - entry vanished mid-injection
-            pass
-
-    # ------------------------------------------------------------------
-    # legacy pool path (default policy, no fault plan)
-
-    def _pooled(self, payloads: List[Dict[str, Any]]):
-        """Map payloads over a worker pool, preserving order."""
-        methods = multiprocessing.get_all_start_methods()
-        ctx = multiprocessing.get_context(
-            "fork" if "fork" in methods else "spawn"
-        )
-        jobs = min(self.jobs, len(payloads))
-        pool = ctx.Pool(processes=jobs)
-        try:
-            yield from pool.imap(_execute_payload, payloads, chunksize=1)
-        finally:
-            # terminate, not close: the caller may abandon this
-            # generator mid-iteration (KeyboardInterrupt, early exit)
-            # with tasks still queued, and close() would strand them
-            pool.terminate()
-            pool.join()
-
-    # ------------------------------------------------------------------
-    # isolated executor (timeouts, retries, crash containment)
-
-    def _run_isolated(
-        self,
-        pending: List[Tuple[int, RunSpec]],
-        fps: List[str],
-        mark: Callable[[int, SweepResult], None],
-    ) -> None:
-        """Process-per-attempt execution with kill/retry/skip semantics.
-
-        Each attempt runs in its own child process talking back over a
-        pipe, so the parent can kill a hung attempt at its deadline and
-        observe a hard death (process exit without a result message) —
-        neither is possible with ``Pool.imap``.  Up to ``jobs``
-        attempts run concurrently; retries re-enter the queue after
-        their seeded backoff delay.
-        """
-        policy = self.policy
-        plan = self.fault_plan
-        methods = multiprocessing.get_all_start_methods()
-        ctx = multiprocessing.get_context(
-            "fork" if "fork" in methods else "spawn"
-        )
-        max_workers = max(1, min(self.jobs, len(pending)))
-        seq = itertools.count()
-
-        # (index, spec, attempt_no, elapsed_on_earlier_attempts)
-        ready: List[Tuple[int, RunSpec, int, float]] = [
-            (i, spec, 1, 0.0) for i, spec in pending
-        ]
-        ready.reverse()  # pop() from the end keeps spec order
-        # min-heap of (ready_time, seq, index, spec, attempt, elapsed)
-        waiting: List[Tuple[float, int, int, RunSpec, int, float]] = []
-        running: Dict[Any, _Attempt] = {}
-
-        def spawn(i: int, spec: RunSpec, attempt: int, before: float) -> None:
-            payload = self._payload(spec)
-            payload["__attempt__"] = attempt
-            if plan is not None:
-                payload["__fault_plan__"] = plan.to_dict()
-            parent_conn, child_conn = ctx.Pipe(duplex=False)
-            proc = ctx.Process(
-                target=_isolated_worker,
-                args=(child_conn, payload),
-                daemon=True,
-            )
-            proc.start()
-            child_conn.close()
-            now = time.monotonic()
-            running[parent_conn] = _Attempt(
-                index=i,
-                spec=spec,
-                attempt=attempt,
-                elapsed_before=before,
-                proc=proc,
-                conn=parent_conn,
-                started=now,
-                deadline=None
-                if policy.timeout_s is None
-                else now + policy.timeout_s,
-            )
-
-        def reap(task: _Attempt) -> None:
-            del running[task.conn]
-            try:
-                task.conn.close()
-            except OSError:
-                pass
-            task.proc.join(timeout=5)
-
-        def fail_attempt(
-            task: _Attempt,
-            kind: str,
-            *,
-            exc_type: str = "",
-            message: str = "",
-            traceback_tail: str = "",
-        ) -> None:
-            elapsed = task.elapsed_before + (time.monotonic() - task.started)
-            if task.attempt <= policy.max_retries:
-                delay = policy.backoff_delay(fps[task.index], task.attempt)
-                _log.info(
-                    "retrying %s after %s (attempt %d/%d, backoff %.3fs)",
-                    task.spec.label, kind, task.attempt,
-                    policy.max_retries + 1, delay,
-                )
-                heapq.heappush(
-                    waiting,
-                    (
-                        time.monotonic() + delay,
-                        next(seq),
-                        task.index,
-                        task.spec,
-                        task.attempt + 1,
-                        elapsed,
-                    ),
-                )
-                return
-            record = FailureRecord(
-                kind=kind,
-                exc_type=exc_type,
-                message=message,
-                traceback_tail=traceback_tail,
-                attempts=task.attempt,
-                elapsed_s=round(elapsed, 6),
-                fingerprint=fps[task.index],
-            )
-            if policy.on_failure == "raise":
-                raise SweepExecutionError(record, task.spec)
-            mark(
-                task.index,
-                SweepResult(
-                    spec=task.spec,
-                    stats=None,
-                    elapsed_s=elapsed,
-                    cached=False,
-                    failure=record,
-                    attempts=task.attempt,
-                ),
-            )
-
-        def complete(task: _Attempt, doc: Dict[str, Any], sim_s: float) -> None:
-            try:
-                self._finish_ok(
-                    task.index, task.spec, doc, sim_s, task.attempt, fps, mark
-                )
-            except (KeyError, TypeError, ValueError) as exc:
-                # an undecodable stats document is a failed attempt
-                # (corrupt worker reply), not a sweep-fatal error
-                fail_attempt(
-                    task,
-                    "exception",
-                    exc_type=type(exc).__name__,
-                    message=f"undecodable stats document: {exc}",
-                    traceback_tail=_traceback_tail(),
-                )
-
-        try:
-            while ready or waiting or running:
-                now = time.monotonic()
-                while waiting and waiting[0][0] <= now:
-                    _, _, i, spec, attempt, before = heapq.heappop(waiting)
-                    ready.append((i, spec, attempt, before))
-                while ready and len(running) < max_workers:
-                    i, spec, attempt, before = ready.pop()
-                    spawn(i, spec, attempt, before)
-                if not running:
-                    if waiting:
-                        time.sleep(max(0.0, waiting[0][0] - time.monotonic()))
-                    continue
-
-                # sleep until a result arrives, a worker dies, a
-                # deadline expires or a backoff matures
-                wait_for: List[Any] = []
-                timeout: Optional[float] = None
-                for task in running.values():
-                    wait_for.append(task.conn)
-                    wait_for.append(task.proc.sentinel)
-                    if task.deadline is not None:
-                        left = task.deadline - now
-                        timeout = left if timeout is None else min(timeout, left)
-                if waiting:
-                    left = waiting[0][0] - now
-                    timeout = left if timeout is None else min(timeout, left)
-                _connection_wait(
-                    wait_for,
-                    timeout=None if timeout is None else max(0.0, timeout),
-                )
-
-                now = time.monotonic()
-                for task in list(running.values()):
-                    if task.conn.poll():
-                        try:
-                            msg = task.conn.recv()
-                        except (EOFError, OSError):
-                            reap(task)
-                            fail_attempt(task, "crash",
-                                         message="worker died mid-reply")
-                            continue
-                        reap(task)
-                        if msg[0] == "ok":
-                            complete(task, msg[1], msg[2])
-                        else:
-                            fail_attempt(
-                                task,
-                                "exception",
-                                exc_type=msg[1].get("exc_type", ""),
-                                message=msg[1].get("message", ""),
-                                traceback_tail=msg[1].get("traceback_tail", ""),
-                            )
-                    elif not task.proc.is_alive():
-                        exitcode = task.proc.exitcode
-                        reap(task)
-                        fail_attempt(
-                            task,
-                            "crash",
-                            message=(
-                                "worker process died without a result "
-                                f"(exit code {exitcode})"
-                            ),
-                        )
-                    elif task.deadline is not None and now >= task.deadline:
-                        task.proc.kill()
-                        reap(task)
-                        fail_attempt(
-                            task,
-                            "timeout",
-                            message=(
-                                f"attempt exceeded timeout_s="
-                                f"{policy.timeout_s}"
-                            ),
-                        )
-        finally:
-            # abandoning the executor (Ctrl-C, on_failure="raise", an
-            # unexpected error) must never leak worker processes
-            for task in list(running.values()):
-                task.proc.kill()
-            for task in list(running.values()):
-                task.proc.join(timeout=5)
-                try:
-                    task.conn.close()
-                except OSError:
-                    pass
-            running.clear()

@@ -1,8 +1,9 @@
 """Determinism and accounting invariants across the sweep machinery.
 
 The sweep runner's contract is bit-identity: the same :class:`RunSpec`
-must produce the same ``RunStats.summary()`` whether it ran serially,
-through a worker pool, or came back from the on-disk cache.  These
+must produce the same ``RunStats.summary()`` whether it ran in
+process, in the executor's worker processes, or came back from the
+on-disk cache.  These
 tests pin that contract for every protocol, and check the miss-
 classification books balance (every L1 miss lands in exactly one
 category of Fig. 5's taxonomy).
@@ -85,7 +86,7 @@ def test_fast_path_is_bit_identical_to_reference_path(protocol, monkeypatch):
 
 def test_fast_path_reference_agreement_through_pool(monkeypatch):
     # reference stats computed serially must match fast-path stats
-    # coming back from pool workers (the env propagates via fork)
+    # coming back from worker processes (the env propagates via fork)
     grid = [spec_for(p) for p in sorted(PROTOCOLS)]
     monkeypatch.setenv("REPRO_FAST_PATH", "0")
     reference = [stats_to_dict(spec.execute()) for spec in grid]

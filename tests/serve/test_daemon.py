@@ -21,6 +21,7 @@ from repro.serve import (
     TenantQuota,
 )
 from repro.sim.config import small_test_chip
+from repro.sweep import SweepJournal, SweepRunner, gc_journals
 from repro.sweep.cache import ResultCache, stats_checksum
 from repro.sweep.spec import RunSpec, config_to_dict
 from repro.stats.io import stats_to_dict
@@ -299,6 +300,51 @@ def test_transient_crash_retries_to_success(tmp_path):
         st.stop(client)
 
 
+def test_retried_points_report_as_a_sweep_does(tmp_path):
+    docs = tiny_docs(2, seed0=135)
+    specs = [RunSpec.from_dict(d) for d in docs]
+    flaky, broken = specs
+    plan = FaultPlan(
+        seed=0,
+        rules=(
+            FaultRule(kind="crash", match=flaky.fingerprint()[:16], times=1),
+            FaultRule(kind="crash", match=broken.fingerprint()[:16], times=9),
+        ),
+    )
+    overlay = {"max_retries": 1, "backoff_base_s": 0.01}
+    runner = SweepRunner(
+        jobs=2,
+        cache_dir=str(tmp_path / "sweep-cache"),
+        policy=FaultPolicy(on_failure="skip", **overlay),
+        fault_plan=plan,
+    )
+    swept = runner.run(specs)
+    st = ServerThread(make_config(tmp_path, fault_plan=plan))
+    client = st.start()
+    try:
+        events = client.wait_job(
+            client.submit(docs, policy=overlay)["job_id"]
+        )
+    finally:
+        st.stop(client)
+    served = sorted(events, key=lambda e: e["index"])
+    serve_cache = ResultCache(tmp_path / "cache")
+    assert [r.ok for r in swept] == [True, False]
+    for r, e in zip(swept, served):
+        assert e["status"] == ("ok" if r.ok else "failed")
+        assert e["attempts"] == r.attempts == 2
+        if not r.ok:
+            assert e["failure"]["kind"] == r.failure.kind == "crash"
+            continue
+        assert e["stats_sha256"] == stats_checksum(stats_to_dict(r.stats))
+        # an ok point's elapsed_s is its successful attempt's simulation
+        # seconds: the figure its cache entry stores
+        entry = json.loads(runner.cache.path_for(r.spec).read_text())
+        assert round(r.elapsed_s, 6) == entry["elapsed_s"]
+        entry = json.loads(serve_cache.path_for(r.spec).read_text())
+        assert e["elapsed_s"] == entry["elapsed_s"]
+
+
 # ----------------------------------------------------------------- cancel
 
 
@@ -323,6 +369,19 @@ def test_cancel_queued_points(tmp_path):
 
 
 # ----------------------------------------------------------------- resume
+
+
+def test_finished_job_marks_its_journal_complete(server, tmp_path):
+    client, _st = server
+    docs = tiny_docs(2, seed0=145)
+    events = client.wait_job(client.submit(docs)["job_id"])
+    assert all(e["status"] == "ok" for e in events)
+    cache_dir = tmp_path / "cache"
+    journal = SweepJournal.for_grid(
+        cache_dir, [RunSpec.from_dict(d) for d in docs]
+    )
+    assert journal.is_complete()
+    assert gc_journals(cache_dir, keep_s=0, now=1e12) == [journal.path]
 
 
 def test_restart_resumes_active_job(tmp_path):

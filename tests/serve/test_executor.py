@@ -1,18 +1,25 @@
-"""Process-isolated attempt execution: outcomes, deadlines, registry.
+"""One attempt as the daemon runs it: outcomes, deadlines, registry.
 
-These use the same tiny specs and fault plans as the sweep resilience
-suite — the worker entry point is shared, so behavior must match.
+The daemon and ``repro sweep`` share :mod:`repro.sweep.executor`;
+these cases drive its :func:`run_attempt` and :class:`AttemptRegistry`
+directly, with the same tiny specs and fault plans as the sweep
+resilience suite.
 """
 
-import pytest
+import asyncio
 
 from repro.faults import FaultPlan, FaultRule
-from repro.serve.executor import AttemptRegistry, run_attempt
+from repro.sweep.executor import AttemptRegistry
+from repro.sweep.executor import run_attempt as _run_attempt
 from repro.sim.config import small_test_chip
 from repro.stats.io import stats_from_dict
 from repro.sweep.spec import RunSpec, config_to_dict
 
 TINY = config_to_dict(small_test_chip())
+
+
+def run_attempt(payload, timeout_s, registry=None):
+    return asyncio.run(_run_attempt(payload, timeout_s, registry))
 
 
 def tiny_payload(attempt=1, plan=None, seed=1):

@@ -1,0 +1,125 @@
+"""How a sweep's worker processes end, and where they fork from.
+
+Every pending point of a ``jobs=2`` sweep runs through
+:mod:`repro.sweep.executor`.  These pin its exits (Ctrl-C from a
+progress callback, ``on_failure="raise"``), that it forks only from a
+parent with no other thread, and that importing the sweep API leaves
+``asyncio`` unimported.  ``os.cpu_count`` is pinned to 2 so ``jobs=2``
+is not clamped to one in-process worker on a single-core machine.
+"""
+
+import multiprocessing
+import os
+import subprocess
+import sys
+import threading
+from pathlib import Path
+
+import pytest
+
+import repro
+from repro.faults import FaultPlan, FaultRule
+from repro.sim.config import small_test_chip
+from repro.sweep import (
+    RunSpec,
+    SweepExecutionError,
+    SweepInterrupted,
+    SweepJournal,
+    SweepRunner,
+)
+from repro.sweep.spec import config_to_dict
+
+TINY = config_to_dict(small_test_chip())
+
+
+def tiny_grid(protocols=("directory", "dico", "dico-providers")):
+    return [
+        RunSpec(
+            protocol=p,
+            workload="radix",
+            seed=1,
+            cycles=1_500,
+            warmup=500,
+            config=TINY,
+        )
+        for p in protocols
+    ]
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+
+
+def test_interrupt_from_progress_keeps_first_result_and_kills_workers(
+    tmp_path, two_cpus
+):
+    grid = tiny_grid()
+    lines = []
+
+    def progress(line):
+        lines.append(line)
+        if len(lines) == 2:
+            raise KeyboardInterrupt
+
+    runner = SweepRunner(jobs=2, cache_dir=str(tmp_path), progress=progress)
+    with pytest.raises(SweepInterrupted) as exc_info:
+        runner.run(grid)
+    partial = exc_info.value.results
+    assert len(partial) == 1
+    assert partial[0].ok and not partial[0].cached
+    journal = SweepJournal.for_grid(tmp_path, grid)
+    assert journal.summarize(grid)["ok"] == [partial[0].spec.fingerprint()]
+    assert multiprocessing.active_children() == []
+
+
+def test_raise_policy_kills_every_live_attempt(two_cpus):
+    grid = tiny_grid()
+    plan = FaultPlan(
+        seed=0,
+        rules=(FaultRule(kind="crash", match=grid[0].fingerprint()[:16]),),
+    )
+    runner = SweepRunner(jobs=2, fault_plan=plan)
+    with pytest.raises(SweepExecutionError) as exc_info:
+        runner.run(grid)
+    assert exc_info.value.spec == grid[0]
+    assert exc_info.value.record.kind == "crash"
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="needs the fork start method",
+)
+def test_workers_fork_from_a_parent_with_no_other_thread(
+    monkeypatch, two_cpus
+):
+    real_fork = os.fork
+    threads_at_fork = []
+
+    def fork():
+        threads_at_fork.append(threading.active_count())
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", fork)
+    before = threading.active_count()
+    results = SweepRunner(jobs=2).run(tiny_grid())
+    assert all(r.ok and not r.cached for r in results)
+    assert threads_at_fork == [before] * len(results)
+
+
+def test_importing_the_sweep_api_leaves_asyncio_out():
+    src = Path(repro.__file__).resolve().parent.parent
+    code = (
+        "import sys; import repro.api, repro.sweep; "
+        "print('asyncio' in sys.modules)"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=120,
+    )
+    assert out.stdout.strip() == "False"

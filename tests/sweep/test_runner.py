@@ -1,4 +1,4 @@
-"""Unit tests for the sweep runner (serial, pooled, cached paths)."""
+"""Unit tests for the sweep runner (in-process, worker, cached paths)."""
 
 import pytest
 

@@ -37,7 +37,7 @@ def test_trace_identical_across_fast_and_reference_paths(
 
 
 def test_trace_files_identical_serial_vs_pooled(tmp_path, monkeypatch):
-    # same specs, one traced serially and one through pool workers —
+    # same specs, one traced serially and one through worker processes —
     # the JSONL payloads must agree byte for byte
     specs = [tiny_spec(p) for p in ("dico", "dico-providers")]
     serial_dir, pooled_dir = tmp_path / "serial", tmp_path / "pooled"

@@ -6,7 +6,7 @@ simulation sweep — every workload of Table IV run under all four
 protocols — so the sweep is computed once per pytest session and
 memoized here.
 
-All simulations route through :class:`repro.sweep.SweepRunner`; nine
+All simulations route through :class:`repro.sweep.SweepRunner`; seven
 environment knobs apply:
 
 * ``REPRO_SWEEP_JOBS``  — worker processes (default ``1`` = serial
@@ -22,9 +22,9 @@ environment knobs apply:
   the statistics;
 * ``REPRO_FAST_PATH``   — ``0`` selects the one-event-per-op reference
   issue path inside the simulator (default ``1``, the inline-draining
-  fast path).  The two are bit-identical — pinned by
-  ``tests/integration/test_determinism.py`` — so this knob exists for
-  cross-checking, not for changing results;
+  fast path; any other value is a ``ConfigError``).  The two are
+  bit-identical — pinned by ``tests/integration/test_determinism.py``
+  — so this knob exists for cross-checking, not for changing results;
 * ``REPRO_SWEEP_TIMEOUT`` / ``REPRO_SWEEP_RETRIES`` — resilience
   policy for the benchmark sweep: per-point wall-clock timeout in
   seconds and retry count with seeded exponential backoff (defaults:
@@ -32,10 +32,6 @@ environment knobs apply:
 * ``REPRO_FAULT_PLAN``   — path to (or inline) fault-plan JSON for
   chaos testing the sweep machinery (see ``repro.faults``); never set
   for real figure runs;
-* ``REPRO_WATCHDOG`` / ``REPRO_WATCHDOG_WINDOW`` — the engine's
-  livelock watchdog (default on, sampling every 200k events; ``0``
-  disables).  It only counts and raises, so fault-free statistics are
-  bit-identical with it on or off;
 * the runner guarantees results identical to serial execution
   regardless of any knob, so the figures never depend on how the
   sweep was scheduled.

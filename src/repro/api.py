@@ -218,12 +218,7 @@ def simulate(
             detach_tracer(chip)
             tracer.close()
     wall = time.perf_counter() - start
-    if chip.sim.watchdog is None:
-        watchdog_verdict = "off"
-    elif livelock is None:
-        watchdog_verdict = "ok"
-    else:
-        watchdog_verdict = f"livelock: {livelock}"
+    watchdog_verdict = "ok" if livelock is None else f"livelock: {livelock}"
 
     trace_path: Optional[Path] = None
     if trace is not None and trace.path is not None:
@@ -237,8 +232,7 @@ def simulate(
             instruments.append("tracer")
         if checker:
             instruments.append("checker")
-        if chip.sim.watchdog is not None:
-            instruments.append("watchdog")
+        instruments.append("watchdog")
         manifest = RunManifest(
             protocol=spec.protocol,
             workload=spec.workload,

@@ -1,4 +1,2 @@
-"""Cache substrate: set-associative arrays, replacement policies, MSHRs."""
+"""Cache substrate: set-associative arrays with LRU replacement."""
 from .cache import CacheAccessStats, SetAssocCache
-from .mshr import MshrEntry, MshrFullError, MshrTable
-from .replacement import FIFO, LRU, RandomRepl, ReplacementPolicy, TreePLRU, make_policy

@@ -7,17 +7,22 @@ they need.  Victim selection returns the evicted ``(block, entry)``
 pair so the protocol can run its replacement actions (Table II of the
 paper).
 
+Replacement is true LRU (GEMS' L1/L2 default, and the policy of every
+table and figure reproduced here).  Each set keeps an age stack of way
+indices, most recently used first, plus a list of free ways.  A freed
+(invalidated or displaced) way keeps its slot in the stack: fills take
+free ways first and move them to the front, so by the time the set is
+full again — the only time a victim is picked — the stack orders the
+valid ways by recency.
+
 Access counting happens here so that the dynamic power model can charge
 tag and data array energies per structure (Fig. 8a categories).
 """
 
 from __future__ import annotations
 
-import zlib
 from dataclasses import dataclass
 from typing import Dict, Generic, Iterator, List, Optional, Tuple, TypeVar
-
-from .replacement import ReplacementPolicy, make_policy
 
 __all__ = ["CacheAccessStats", "SetAssocCache"]
 
@@ -47,7 +52,7 @@ class CacheAccessStats:
 
 
 class SetAssocCache(Generic[E]):
-    """A set-associative array of protocol entries.
+    """A set-associative array of protocol entries with LRU replacement.
 
     ``n_sets`` must be a power of two; the set index is the low-order
     bits of the block number (the block offset is already stripped).
@@ -57,19 +62,12 @@ class SetAssocCache(Generic[E]):
         self,
         n_sets: int,
         n_ways: int,
-        policy: str = "lru",
         name: str = "cache",
         index_shift: int = 0,
-        seed: int = 0,
     ) -> None:
         """``index_shift`` drops low block bits before set selection —
         home-bank structures must shift out the bank-interleaving bits,
-        which are constant within one bank.
-
-        ``seed`` decorrelates stochastic replacement across structures:
-        each set's policy gets a seed derived from ``(seed, name, set)``
-        via CRC32 (stable across processes, unlike ``hash()``), so two
-        sets — or two caches — never replay the same victim stream."""
+        which are constant within one bank."""
         if n_sets < 1 or n_sets & (n_sets - 1):
             raise ValueError(f"n_sets={n_sets} must be a positive power of two")
         if n_ways < 1:
@@ -81,21 +79,17 @@ class SetAssocCache(Generic[E]):
         self.name = name
         self.index_shift = index_shift
         self._set_mask = n_sets - 1
-        self._policy_name = policy
         # per set: way -> (block, entry); None when invalid
         self._ways: List[List[Optional[Tuple[int, E]]]] = [
             [None] * n_ways for _ in range(n_sets)
         ]
         # per set: block -> way, for O(1) lookup
         self._index: List[Dict[int, int]] = [dict() for _ in range(n_sets)]
-        # replacement state is built lazily on the first insert into a
-        # set: a 64-tile chip holds tens of thousands of sets and short
-        # runs touch a fraction of them, so eager construction (one
-        # CRC32 + policy object per set) dominates chip build time.
-        # Laziness cannot perturb results — each set's seed depends only
-        # on (seed, name, set), never on creation order.
-        self._seed = seed
-        self._policy_slots: List[Optional[ReplacementPolicy]] = [None] * n_sets
+        # per set: LRU age stack of way indices, MRU first.  Like the
+        # free lists below it is built on the set's first insert (as
+        # ``list(range(n_ways))``): a 64-tile chip holds tens of
+        # thousands of sets and short runs touch a fraction of them.
+        self._lru: List[Optional[List[int]]] = [None] * n_sets
         # per set: stack of free way indices (None until the first
         # insert touches the set), so fills never scan the way array.
         # Reversed so pops hand out ways in ascending order while the
@@ -105,26 +99,6 @@ class SetAssocCache(Generic[E]):
         #: observability hook (:class:`repro.trace.Tracer`); only the
         #: state-changing paths (insert/displace/invalidate) consult it
         self._trace = None
-
-    @property
-    def _policies(self) -> List[ReplacementPolicy]:
-        """All per-set policies, materializing any not yet built.
-
-        Introspection/test path — the hot paths index
-        ``_policy_slots`` directly (sets they touch are guaranteed to
-        have been inserted into, hence built)."""
-        slots = self._policy_slots
-        for s in range(self.n_sets):
-            if slots[s] is None:
-                slots[s] = make_policy(
-                    self._policy_name, self.n_ways, seed=self._set_seed(self._seed, s)
-                )
-        return slots  # type: ignore[return-value]
-
-    def _set_seed(self, seed: int, set_index: int) -> int:
-        return zlib.crc32(f"{self.name}/{set_index}".encode()) ^ (
-            seed & 0xFFFFFFFF
-        )
 
     # ------------------------------------------------------------------
 
@@ -163,7 +137,10 @@ class SetAssocCache(Generic[E]):
             return None
         stats.hits += 1
         if touch:
-            self._policy_slots[s].touch(way)
+            stack = self._lru[s]
+            if stack[0] != way:  # already MRU: nothing to move
+                stack.remove(way)
+                stack.insert(0, way)
         return self._ways[s][way][1]
 
     def peek(self, block: int) -> Optional[E]:
@@ -186,8 +163,7 @@ class SetAssocCache(Generic[E]):
         free = self._free[s]
         if free is None or free:
             return None
-        way = self._policy_slots[s].victim()
-        return self._ways[s][way]
+        return self._ways[s][self._lru[s][-1]]
 
     def displace(self, block: int) -> Optional[Tuple[int, E]]:
         """Combined :meth:`victim_for` + :meth:`invalidate` of the victim.
@@ -205,12 +181,11 @@ class SetAssocCache(Generic[E]):
         free = self._free[s]
         if free is None or free:
             return None
-        way = self._policy_slots[s].victim()
+        way = self._lru[s][-1]
         frame = self._ways[s][way]
         del index[frame[0]]
         self._ways[s][way] = None
         free.append(way)
-        self._policy_slots[s].reset(way)
         self.stats.tag_writes += 1
         if self._trace is not None:
             self._trace.cache_event(self.name, "evict", frame[0])
@@ -226,42 +201,45 @@ class SetAssocCache(Generic[E]):
         self.stats.tag_writes += 1
         index = self._index[s]
         ways = self._ways[s]
-        policy = self._policy_slots[s]
-        if policy is None:
-            policy = self._policy_slots[s] = make_policy(
-                self._policy_name, self.n_ways, seed=self._set_seed(self._seed, s)
-            )
         existing = index.get(block)
         if existing is not None:
             ways[existing] = (block, entry)
-            policy.touch(existing)
+            stack = self._lru[s]
+            if stack[0] != existing:
+                stack.remove(existing)
+                stack.insert(0, existing)
             if self._trace is not None:
                 self._trace.cache_event(self.name, "fill", block)
             return None
         free = self._free[s]
         if free is None:
-            # first insert into this set takes way 0
+            # first insert into this set takes way 0, already the MRU
+            # way of the fresh age stack
             self._free[s] = list(range(self.n_ways - 1, 0, -1))
+            self._lru[s] = list(range(self.n_ways))
             ways[0] = (block, entry)
             index[block] = 0
-            policy.touch(0)
             if self._trace is not None:
                 self._trace.cache_event(self.name, "fill", block)
             return None
+        stack = self._lru[s]
         if free:
             way = free.pop()
             ways[way] = (block, entry)
             index[block] = way
-            policy.touch(way)
+            if stack[0] != way:
+                stack.remove(way)
+                stack.insert(0, way)
             if self._trace is not None:
                 self._trace.cache_event(self.name, "fill", block)
             return None
-        way = policy.victim()
+        # evict the LRU way and make it the MRU one
+        way = stack.pop()
+        stack.insert(0, way)
         victim = ways[way]
         del index[victim[0]]
         ways[way] = (block, entry)
         index[block] = way
-        policy.touch(way)
         self.stats.evictions += 1
         if self._trace is not None:
             self._trace.cache_event(self.name, "evict", victim[0])
@@ -278,7 +256,6 @@ class SetAssocCache(Generic[E]):
         frame = self._ways[s][way]
         self._ways[s][way] = None
         self._free[s].append(way)
-        self._policy_slots[s].reset(way)
         if self._trace is not None:
             self._trace.cache_event(self.name, "invalidate", block)
         return frame[1]

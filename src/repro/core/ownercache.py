@@ -37,7 +37,6 @@ class OwnerCache:
         n_entries: int,
         assoc: int = 8,
         index_shift: int = 0,
-        seed: int = 0,
     ) -> None:
         if n_entries % assoc:
             raise ValueError("entries must divide evenly into ways")
@@ -47,7 +46,6 @@ class OwnerCache:
             n_ways=assoc,
             name=f"l2c[{home_tile}]",
             index_shift=index_shift,
-            seed=seed,
         )
         self.forced_relinquishes = 0
 

@@ -45,9 +45,7 @@ class PredictionStats:
 class PredictionCache:
     """Per-tile supplier-prediction store (dedicated array + L1-resident)."""
 
-    def __init__(
-        self, owner_tile: int, n_entries: int, assoc: int = 4, seed: int = 0
-    ) -> None:
+    def __init__(self, owner_tile: int, n_entries: int, assoc: int = 4) -> None:
         if n_entries % assoc:
             raise ValueError("entries must divide evenly into ways")
         self.owner_tile = owner_tile
@@ -55,7 +53,6 @@ class PredictionCache:
             n_sets=n_entries // assoc,
             n_ways=assoc,
             name=f"l1c[{owner_tile}]",
-            seed=seed,
         )
         #: predictions stored inside resident L1 entries (block -> tile)
         self._resident: Dict[int, int] = {}

@@ -153,9 +153,7 @@ class CoherenceProtocol(ABC):
         n = config.n_tiles
         bank_bits = (n - 1).bit_length()
         self.l1s: List[SetAssocCache[L1Line]] = [
-            SetAssocCache(
-                config.l1.n_sets, config.l1.assoc, name=f"l1[{t}]", seed=seed
-            )
+            SetAssocCache(config.l1.n_sets, config.l1.assoc, name=f"l1[{t}]")
             for t in range(n)
         ]
         # home-bank structures see only blocks with the same low bits
@@ -163,15 +161,15 @@ class CoherenceProtocol(ABC):
         self.l2s: List[SetAssocCache[L2Line]] = [
             SetAssocCache(
                 config.l2.n_sets, config.l2.assoc,
-                name=f"l2[{t}]", index_shift=bank_bits, seed=seed,
+                name=f"l2[{t}]", index_shift=bank_bits,
             )
             for t in range(n)
         ]
         self.l1cs: List[PredictionCache] = [
-            PredictionCache(t, config.l1c_entries, seed=seed) for t in range(n)
+            PredictionCache(t, config.l1c_entries) for t in range(n)
         ]
         self.l2cs: List[OwnerCache] = [
-            OwnerCache(t, config.l2c_entries, index_shift=bank_bits, seed=seed)
+            OwnerCache(t, config.l2c_entries, index_shift=bank_bits)
             for t in range(n)
         ]
         #: per-block busy-until time (transaction serialization)
@@ -207,13 +205,13 @@ class CoherenceProtocol(ABC):
 
     def _rebuild_l1_hot(self) -> None:
         """Refresh the per-tile L1 internals hoisted for the inlined
-        lookup in :meth:`access` (stats, set mask, block index, policy
-        slots, way frames — one tuple load instead of five attribute
+        lookup in :meth:`access` (stats, set mask, block index, LRU
+        stacks, way frames — one tuple load instead of five attribute
         chains), plus the per-structure eviction counters the fill
         paths bump.  Must rerun whenever the stats objects are
         replaced (``reset_stats``)."""
         self._l1_hot = [
-            (l1.stats, l1._set_mask, l1._index, l1._policy_slots, l1._ways)
+            (l1.stats, l1._set_mask, l1._index, l1._lru, l1._ways)
             for l1 in self.l1s
         ]
         self._l1_evictions = self.stats.structure("l1")
@@ -248,11 +246,10 @@ class CoherenceProtocol(ABC):
 
         # inlined l1.lookup(block): this is the hottest call site in a
         # run, and the L1s are built above with the default
-        # index_shift=0 (set index is just a mask) and the default LRU
-        # policy (touch is the age-stack move).  Counter and policy
-        # updates mirror SetAssocCache.lookup / LRU.touch exactly.
+        # index_shift=0 (set index is just a mask).  Counter and LRU
+        # updates mirror SetAssocCache.lookup exactly.
         l1 = self.l1s[tile]
-        l1stats, set_mask, l1_index, l1_policies, l1_ways = self._l1_hot[tile]
+        l1stats, set_mask, l1_index, l1_lru, l1_ways = self._l1_hot[tile]
         l1stats.tag_reads += 1
         s = block & set_mask
         way = l1_index[s].get(block)
@@ -261,7 +258,7 @@ class CoherenceProtocol(ABC):
             line = None
         else:
             l1stats.hits += 1
-            stack = l1_policies[s]._stack
+            stack = l1_lru[s]
             if stack[0] != way:
                 stack.remove(way)
                 stack.insert(0, way)

@@ -44,7 +44,6 @@ class DirectoryProtocol(CoherenceProtocol):
                 8,
                 name=f"dir[{t}]",
                 index_shift=bank_bits,
-                seed=seed,
             )
             for t in range(config.n_tiles)
         ]

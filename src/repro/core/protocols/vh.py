@@ -63,7 +63,6 @@ class VirtualHierarchyProtocol(CoherenceProtocol):
                 8,
                 name=f"vh2[{t}]",
                 index_shift=bank_bits,
-                seed=seed,
             )
             for t in range(config.n_tiles)
         ]

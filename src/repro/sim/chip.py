@@ -30,7 +30,7 @@ from ..stats.counters import RunStats
 from ..workloads.dynamics import ConsolidationEvent, ConsolidationPlan
 from ..workloads.generator import ConsolidatedWorkload, MemOp
 from ..workloads.placement import VMPlacement
-from .config import ChipConfig, DEFAULT_CHIP
+from .config import ChipConfig, ConfigError, DEFAULT_CHIP
 from .engine import LivelockError, ProgressWatchdog, Simulator
 
 __all__ = [
@@ -90,6 +90,19 @@ def paper_scaled_chip(
         l2c_entries=512,
         dir_cache_entries=512,
     )
+
+
+def _fast_path_from_env() -> bool:
+    """``REPRO_FAST_PATH``: ``"1"`` (the default when unset) selects
+    the inline-draining issue path, ``"0"`` the reference path.  Any
+    other value is an error, so a cross-check never runs the wrong
+    path by accident."""
+    value = os.environ.get("REPRO_FAST_PATH", "1")
+    if value not in ("0", "1"):
+        raise ConfigError(
+            "REPRO_FAST_PATH", f"must be '0' or '1', got {value!r}"
+        )
+    return value == "1"
 
 
 #: upper bound on memory operations one issue event may drain inline
@@ -181,9 +194,10 @@ class Core:
         pending = self._pending
         ops_done = self.ops_done
         ops_target = self.ops_target
-        # re-scheduling goes through an inlined schedule_fast — one
-        # heappush plus the seq bump — because this path runs once per
-        # completed op and the call overhead is measurable
+        # re-scheduling pushes onto the heap directly — one heappush
+        # plus the seq bump, skipping schedule_at's validation (every
+        # push here is at an integer time >= now) — because this path
+        # runs once per completed op and the call overhead is measurable
         try:
             for _ in range(_INLINE_OPS):
                 if deadline is not None and now >= deadline:
@@ -286,7 +300,7 @@ class Chip:
         self.sim = Simulator(watchdog=self._build_watchdog())
         #: inline-draining issue loop (bit-identical to the reference
         #: path); ``REPRO_FAST_PATH=0`` selects the reference path
-        self.fast_path = os.environ.get("REPRO_FAST_PATH", "1") != "0"
+        self.fast_path = _fast_path_from_env()
         self.cores = [Core(t, self) for t in core_tiles]
         self.deadline: Optional[int] = None
         self._cores_running = 0
@@ -300,20 +314,17 @@ class Chip:
 
     # ------------------------------------------------------------------
 
-    def _build_watchdog(self) -> Optional[ProgressWatchdog]:
-        """The default livelock watchdog (see ``docs/SIMULATOR.md``).
+    def _build_watchdog(self) -> ProgressWatchdog:
+        """The chip's livelock watchdog (see ``docs/SIMULATOR.md``).
 
-        On unless ``REPRO_WATCHDOG=0``; ``REPRO_WATCHDOG_WINDOW`` tunes
-        the event window.  A healthy run retires operations constantly,
-        so the watchdog only ever fires on a genuinely wedged
-        simulation — and purely *observes* otherwise (statistics stay
-        bit-identical, pinned by the determinism suite).
+        Always on, sampling every
+        :data:`~repro.sim.engine.WATCHDOG_WINDOW` events.  A healthy
+        run retires operations constantly, so the watchdog only ever
+        fires on a genuinely wedged simulation — and purely *observes*
+        otherwise (statistics do not depend on the window, pinned by
+        the watchdog tests).
         """
-        if os.environ.get("REPRO_WATCHDOG", "1") == "0":
-            return None
-        window = int(os.environ.get("REPRO_WATCHDOG_WINDOW", "200000"))
         return ProgressWatchdog(
-            window_events=window,
             progress_fn=self._ops_retired,
             diagnose_fn=self._livelock_diagnostic,
         )

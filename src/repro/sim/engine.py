@@ -17,6 +17,7 @@ callbacks (retries, unlock events).
 from __future__ import annotations
 
 import heapq
+import math
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 __all__ = [
@@ -25,6 +26,7 @@ __all__ = [
     "SimulationError",
     "StuckError",
     "Simulator",
+    "WATCHDOG_WINDOW",
 ]
 
 
@@ -37,10 +39,11 @@ class LivelockError(SimulationError):
 
     Raised by the :class:`ProgressWatchdog` instead of letting a
     livelocked run (cores re-issuing into a block that never frees,
-    a protocol bug cycling messages) silently burn its entire event
-    budget.  ``stalled`` carries the diagnostic collected at trip
-    time — typically ``{"tiles": [...], "blocks": [...]}`` naming the
-    cores stuck on a pending op and the blocks still marked busy.
+    a protocol bug cycling messages) spin silently until its window
+    ends, or forever when it has none.  ``stalled`` carries the
+    diagnostic collected at trip time — typically ``{"tiles": [...],
+    "blocks": [...]}`` naming the cores stuck on a pending op and the
+    blocks still marked busy.
     """
 
     def __init__(self, message: str, stalled: Optional[Dict[str, Any]] = None):
@@ -66,30 +69,38 @@ class StuckError(SimulationError):
         self.detail: Dict[str, Any] = detail or {}
 
 
+#: events between two progress samples of a :class:`ProgressWatchdog`
+#: built without an explicit window (every chip's watchdog)
+WATCHDOG_WINDOW = 200_000
+
+
 class ProgressWatchdog:
     """Detects no-forward-progress across a window of engine events.
 
-    Every ``window_events`` processed events the watchdog samples
+    Every ``window_events`` processed events (default
+    :data:`WATCHDOG_WINDOW`, read at construction) the watchdog samples
     ``progress_fn()`` (a monotonically non-decreasing count of retired
     operations, supplied by the chip).  Two consecutive samples with
     no movement mean the queue is churning — retries, re-issues —
     while no core completes anything: a livelock.  ``diagnose_fn``
     (optional) is then asked for a ``{"tiles": ..., "blocks": ...}``
-    style diagnostic to embed in the :class:`LivelockError`.
+    style diagnostic to embed in the :class:`LivelockError`.  Without
+    a ``progress_fn`` the watchdog never trips.
 
     The watchdog never perturbs results: it only counts events and
-    raises.  Fault-free statistics with a watchdog attached are
-    bit-identical to a bare run.
+    raises, so statistics do not depend on its window.
     """
 
     __slots__ = ("window_events", "_progress_fn", "_diagnose_fn", "_last")
 
     def __init__(
         self,
-        window_events: int = 200_000,
+        window_events: Optional[int] = None,
         progress_fn: Optional[Callable[[], int]] = None,
         diagnose_fn: Optional[Callable[[], Dict[str, Any]]] = None,
     ) -> None:
+        if window_events is None:
+            window_events = WATCHDOG_WINDOW
         if window_events < 1:
             raise ValueError(
                 f"window_events must be >= 1, got {window_events}"
@@ -136,37 +147,24 @@ class Simulator:
     [5, 10]
     """
 
-    __slots__ = (
-        "_queue", "_seq", "_now", "_running", "_max_events", "_run_until",
-        "_watchdog",
-    )
+    __slots__ = ("_queue", "_seq", "_now", "_run_until", "_watchdog")
 
-    def __init__(
-        self,
-        max_events: Optional[int] = None,
-        watchdog: Optional[ProgressWatchdog] = None,
-    ) -> None:
+    def __init__(self, watchdog: Optional[ProgressWatchdog] = None) -> None:
         self._queue: List[Tuple[int, int, Callable[[], None]]] = []
         self._seq = 0
         self._now = 0
-        self._running = False
-        self._max_events = max_events
         #: the ``until`` bound of the innermost active :meth:`run` call;
         #: the core fast path reads it to stop inline draining exactly at
         #: the window boundary (events beyond it must stay queued)
         self._run_until: Optional[int] = None
-        #: optional livelock detector; ``run`` dispatches to a separate
-        #: counting loop when set so the bare loops stay untouched
-        self._watchdog = watchdog
+        #: livelock detector sampled by :meth:`run`; the default one has
+        #: no progress source, so it never trips
+        self._watchdog = watchdog if watchdog is not None else ProgressWatchdog()
 
     @property
-    def watchdog(self) -> Optional[ProgressWatchdog]:
-        """The attached :class:`ProgressWatchdog`, if any."""
+    def watchdog(self) -> ProgressWatchdog:
+        """The attached :class:`ProgressWatchdog`."""
         return self._watchdog
-
-    @watchdog.setter
-    def watchdog(self, watchdog: Optional[ProgressWatchdog]) -> None:
-        self._watchdog = watchdog
 
     @property
     def now(self) -> int:
@@ -194,134 +192,34 @@ class Simulator:
         heapq.heappush(self._queue, (int(time), self._seq, callback))
         self._seq += 1
 
-    def schedule_fast(self, time: int, callback: Callable[[], None]) -> None:
-        """Unchecked absolute-time scheduling for the simulation hot path.
-
-        Identical queue semantics to :meth:`schedule_at` — same
-        ``(time, seq)`` ordering — minus the validation and ``int()``
-        coercion.  Callers must guarantee ``time >= now`` and an integer
-        ``time``; the core issue loop does, because it only ever
-        schedules its own next issue at ``now + delay`` with
-        ``delay >= 1``.
-        """
-        heapq.heappush(self._queue, (time, self._seq, callback))
-        self._seq += 1
-
-    def step(self) -> bool:
-        """Run the next event.  Returns False when the queue is empty."""
-        if not self._queue:
-            return False
-        time, _, callback = heapq.heappop(self._queue)
-        if time < self._now:
-            raise SimulationError("event queue went backwards in time")
-        self._now = time
-        callback()
-        return True
-
     def run(self, until: Optional[int] = None) -> int:
         """Run events until the queue drains or ``until`` cycles elapse.
 
         Returns the final simulation time.  When ``until`` is given,
         events scheduled beyond it remain queued and ``now`` is advanced
-        to exactly ``until``.
-
-        The event budget (``max_events``) is checked *before* each
-        event fires: exactly ``max_events`` events run, and the attempt
-        to process one more — whether or not ``until`` is given —
-        raises :class:`SimulationError`.
+        to exactly ``until``.  Every ``window_events`` events the
+        watchdog samples progress and raises :class:`LivelockError`
+        when nothing retired since the previous sample.
         """
-        if self._watchdog is not None:
-            return self._run_watched(until)
-        # the loop body inlines step() — one Python frame per event is
-        # measurable at millions of events — and publishes ``until`` so
-        # the core fast path can drain inline without crossing it
+        # one Python frame per event is measurable at millions of
+        # events, so the pop/dispatch is inlined here; ``until`` is
+        # published for the core fast path to drain inline without
+        # crossing it
         queue = self._queue
         pop = heapq.heappop
-        max_events = self._max_events
-        processed = 0
-        self._run_until = until
-        try:
-            if max_events is None and until is not None:
-                # the chip's steady-state shape: bounded run, unlimited
-                # budget.  Same semantics as the general loop below with
-                # the two per-event budget/None tests folded away.
-                while queue and queue[0][0] <= until:
-                    time, _, callback = pop(queue)
-                    if time < self._now:
-                        raise SimulationError("event queue went backwards in time")
-                    self._now = time
-                    callback()
-                if until > self._now:
-                    self._now = until
-                return self._now
-            while queue:
-                if until is not None and queue[0][0] > until:
-                    self._now = until
-                    return self._now
-                if max_events is not None and processed >= max_events:
-                    raise SimulationError(
-                        f"exceeded event budget of {max_events} events"
-                    )
-                time, _, callback = pop(queue)
-                if time < self._now:
-                    raise SimulationError("event queue went backwards in time")
-                self._now = time
-                callback()
-                processed += 1
-            if until is not None and until > self._now:
-                self._now = until
-            return self._now
-        finally:
-            self._run_until = None
-
-    def _run_watched(self, until: Optional[int]) -> int:
-        """:meth:`run` with a per-event progress-watchdog counter.
-
-        Identical event semantics to the bare loops — same pops, same
-        budget check, same ``until`` handling — plus one counter
-        increment per event and a watchdog sample every
-        ``window_events`` events.  Kept separate so the watchdog-off
-        hot loops pay nothing.
-        """
-        queue = self._queue
-        pop = heapq.heappop
-        max_events = self._max_events
+        bound = math.inf if until is None else until
         watchdog = self._watchdog
         window = watchdog.window_events
         since_check = 0
-        processed = 0
         watchdog.reset()
         self._run_until = until
         try:
-            if max_events is None and until is not None:
-                # the chip's steady-state shape (see run())
-                while queue and queue[0][0] <= until:
-                    time, _, callback = pop(queue)
-                    if time < self._now:
-                        raise SimulationError("event queue went backwards in time")
-                    self._now = time
-                    callback()
-                    since_check += 1
-                    if since_check >= window:
-                        watchdog.check(self._now)
-                        since_check = 0
-                if until > self._now:
-                    self._now = until
-                return self._now
-            while queue:
-                if until is not None and queue[0][0] > until:
-                    self._now = until
-                    return self._now
-                if max_events is not None and processed >= max_events:
-                    raise SimulationError(
-                        f"exceeded event budget of {max_events} events"
-                    )
+            while queue and queue[0][0] <= bound:
                 time, _, callback = pop(queue)
                 if time < self._now:
                     raise SimulationError("event queue went backwards in time")
                 self._now = time
                 callback()
-                processed += 1
                 since_check += 1
                 if since_check >= window:
                     watchdog.check(self._now)

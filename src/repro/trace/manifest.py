@@ -65,8 +65,10 @@ class RunManifest:
     engine: str = "object"
     #: attached instruments, e.g. ``["tracer", "checker"]``
     instruments: List[str] = field(default_factory=list)
-    #: progress-watchdog verdict: ``"ok"``, ``"off"``, or
+    #: progress-watchdog verdict: ``"ok"``, or
     #: ``"livelock: <diagnostic>"`` when the run was aborted stuck
+    #: (manifests written while the watchdog could be disabled may
+    #: also read ``"off"``)
     watchdog: Optional[str] = None
     trace_path: Optional[str] = None
     #: the full ``RunSpec`` document (``RunSpec.to_dict()``)

@@ -31,6 +31,20 @@ def test_eviction_returns_lru_victim():
     assert victim == (1, "b")
     assert 0 in c and 2 in c and 1 not in c
 
+    # 4-way: fills, hits and overwrites each make a block MRU
+    c = SetAssocCache(1, 4)
+    for b in range(4):
+        c.insert(b, b)
+    assert c.victim_for(4) == (0, 0)  # the oldest fill
+    c.lookup(0)
+    assert c.insert(4, 4) == (1, 1)
+    c.lookup(2)
+    c.insert(3, 33)  # overwrite
+    assert c.insert(5, 5) == (0, 0)
+    assert c.insert(6, 6) == (4, 4)
+    assert c.insert(7, 7) == (2, 2)
+    assert sorted(c) == [(3, 33), (5, 5), (6, 6), (7, 7)]
+
 
 def test_victim_for_previews_without_evicting():
     c = SetAssocCache(1, 2)

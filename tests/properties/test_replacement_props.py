@@ -1,70 +1,14 @@
-"""Property-based tests: replacement-policy internal-state invariants.
+"""Property-based tests: the LRU age stack of :class:`SetAssocCache`.
 
-The FIFO queue and LRU stack must remain a permutation of
-``range(n_ways)`` under *any* interleaving of touch/reset/victim —
-mixed invalidate/refill sequences must never leave a way listed twice
-(a duplicate would make a later ``list.remove`` silently strip the
-wrong occurrence) or missing (``list.remove`` would raise).  The same
-sequences are also replayed through :class:`SetAssocCache` so the
-policy calls come in the exact order real insert/invalidate traffic
-produces them.
+Every built set's stack must remain a permutation of ``range(n_ways)``
+under *any* interleaving of insert/invalidate/lookup — a duplicate
+would make a later ``list.remove`` silently strip the wrong occurrence,
+and a missing way would make it raise.
 """
 
 from hypothesis import given, settings, strategies as st
 
 from repro.cache.cache import SetAssocCache
-from repro.cache.replacement import FIFO, LRU, RandomRepl, TreePLRU, make_policy
-
-N_WAYS = st.sampled_from([1, 2, 4, 8])
-
-
-def policy_ops(n_ways_max: int = 8):
-    way = st.integers(min_value=0, max_value=n_ways_max - 1)
-    return st.lists(
-        st.one_of(
-            st.tuples(st.just("touch"), way),
-            st.tuples(st.just("reset"), way),
-            st.tuples(st.just("victim"), way),
-        ),
-        max_size=300,
-    )
-
-
-def check_permutation(policy, n_ways):
-    if isinstance(policy, LRU):
-        assert sorted(policy._stack) == list(range(n_ways))
-    elif isinstance(policy, FIFO):
-        assert sorted(policy._queue) == list(range(n_ways))
-
-
-@given(name=st.sampled_from(["lru", "fifo"]), n_ways=N_WAYS, ops=policy_ops())
-@settings(max_examples=200, deadline=None)
-def test_queue_stays_permutation_under_mixed_sequences(name, n_ways, ops):
-    policy = make_policy(name, n_ways)
-    for op, way in ops:
-        way %= n_ways
-        if op == "touch":
-            policy.touch(way)
-        elif op == "reset":
-            policy.reset(way)
-        else:
-            assert 0 <= policy.victim() < n_ways
-        check_permutation(policy, n_ways)
-
-
-@given(n_ways=N_WAYS, ops=policy_ops())
-@settings(max_examples=100, deadline=None)
-def test_plru_and_random_victims_stay_in_range(n_ways, ops):
-    for policy in (TreePLRU(n_ways), RandomRepl(n_ways, seed=5)):
-        for op, way in ops:
-            way %= n_ways
-            if op == "touch":
-                policy.touch(way)
-            elif op == "reset":
-                policy.reset(way)
-            else:
-                assert 0 <= policy.victim() < n_ways
-
 
 CACHE_OPS = st.lists(
     st.one_of(
@@ -76,17 +20,14 @@ CACHE_OPS = st.lists(
 )
 
 
-@given(
-    policy=st.sampled_from(["lru", "fifo", "plru", "random"]),
-    n_ways=st.sampled_from([1, 2, 4]),
-    ops=CACHE_OPS,
-)
+@given(n_ways=st.sampled_from([1, 2, 4]), ops=CACHE_OPS)
 @settings(max_examples=150, deadline=None)
-def test_cache_mediated_invalidate_refill_sequences(policy, n_ways, ops):
-    """Drive the policies through the cache array itself, so resets come
-    from invalidations and touches from hits/refills, and check the
-    permutation invariant plus set consistency after every operation."""
-    cache: SetAssocCache[int] = SetAssocCache(4, n_ways, policy=policy)
+def test_cache_mediated_invalidate_refill_sequences(n_ways, ops):
+    """Drive the age stacks through the cache array itself, so hits,
+    fills, overwrites, evictions and invalidations reach them in the
+    order real traffic does, and check the permutation invariant plus
+    set consistency after every operation."""
+    cache: SetAssocCache[int] = SetAssocCache(4, n_ways)
     for op, block in ops:
         if op == "insert":
             cache.insert(block, block * 7)
@@ -94,41 +35,8 @@ def test_cache_mediated_invalidate_refill_sequences(policy, n_ways, ops):
             cache.invalidate(block)
         else:
             cache.lookup(block)
-        for p in cache._policies:
-            check_permutation(p, n_ways)
+        for stack in cache._lru:
+            if stack is not None:
+                assert sorted(stack) == list(range(n_ways))
         for s in range(cache.n_sets):
             assert len(cache.blocks_in_set(s)) <= n_ways
-
-
-def test_random_policy_decorrelated_across_sets():
-    """Every set used to replay the identical seed-0 stream; per-set
-    seeds must give different victim sequences (and stay deterministic
-    run to run)."""
-    def victim_streams():
-        cache: SetAssocCache[int] = SetAssocCache(8, 4, policy="random")
-        return [
-            tuple(p.victim() for _ in range(16)) for p in cache._policies
-        ]
-
-    streams = victim_streams()
-    assert len(set(streams)) > 1, "all sets replayed one victim stream"
-    assert streams == victim_streams(), "per-set seeding must be stable"
-
-
-def test_random_policy_decorrelated_across_structures():
-    a = SetAssocCache(4, 4, policy="random", name="l1[0]")
-    b = SetAssocCache(4, 4, policy="random", name="l1[1]")
-    sa = [tuple(p.victim() for _ in range(16)) for p in a._policies]
-    sb = [tuple(p.victim() for _ in range(16)) for p in b._policies]
-    assert sa != sb
-
-
-def test_make_policy_seed_reaches_random():
-    x = make_policy("random", 8, seed=1)
-    y = make_policy("random", 8, seed=1)
-    z = make_policy("random", 8, seed=2)
-    sx = [x.victim() for _ in range(32)]
-    sy = [y.victim() for _ in range(32)]
-    sz = [z.victim() for _ in range(32)]
-    assert sx == sy
-    assert sx != sz

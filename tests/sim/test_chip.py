@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.sim.chip import Chip, PROTOCOLS, make_protocol, paper_scaled_chip
-from repro.sim.config import small_test_chip
+from repro.sim.chip import Chip, Core, PROTOCOLS, make_protocol, paper_scaled_chip
+from repro.sim.config import ConfigError, small_test_chip
 from repro.workloads.generator import ConsolidatedWorkload
 from repro.workloads.placement import VMPlacement
 
@@ -122,3 +122,26 @@ def test_run_cycles_initialises_running_count():
     # only the not-done cores were counted at the start of the window
     assert chip._cores_running <= len(chip.cores) - 1
     assert chip._cores_running >= 0
+
+
+@pytest.mark.parametrize("value, fast", [(None, True), ("1", True), ("0", False)])
+def test_fast_path_env_selects_issue_path(monkeypatch, value, fast):
+    if value is None:
+        monkeypatch.delenv("REPRO_FAST_PATH", raising=False)
+    else:
+        monkeypatch.setenv("REPRO_FAST_PATH", value)
+    chip = Chip("dico", "radix", config=small_test_chip())
+    assert chip.fast_path is fast
+    issue = chip.cores[0]._issue
+    assert issue.__func__ is (Core._issue_fast if fast else Core._issue_slow)
+
+
+@pytest.mark.parametrize("value", ["false", "true", "", "off", "2", " 1"])
+def test_fast_path_env_rejects_other_values(monkeypatch, value):
+    # a value read as "on" by mistake would make a reference-path
+    # cross-check compare the fast path with itself
+    monkeypatch.setenv("REPRO_FAST_PATH", value)
+    with pytest.raises(ConfigError) as exc_info:
+        Chip("dico", "radix", config=small_test_chip())
+    assert exc_info.value.key == "REPRO_FAST_PATH"
+    assert "'0' or '1'" in str(exc_info.value)

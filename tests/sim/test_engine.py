@@ -74,100 +74,12 @@ def test_run_until_advances_clock_even_without_events():
     assert sim.now == 100
 
 
-def test_step_returns_false_when_empty():
-    sim = Simulator()
-    assert sim.step() is False
-
-
-def test_event_budget_enforced():
-    sim = Simulator(max_events=10)
-
-    def rearm():
-        sim.schedule(1, rearm)
-
-    sim.schedule(1, rearm)
-    with pytest.raises(SimulationError):
-        sim.run()
-
-
 def test_zero_delay_event_fires_at_current_time():
     sim = Simulator()
     fired = []
     sim.schedule(5, lambda: sim.schedule(0, lambda: fired.append(sim.now)))
     sim.run()
     assert fired == [5]
-
-
-class TestEventBudget:
-    """Regressions for the event-budget off-by-one (exactly
-    ``max_events`` events may fire, never ``max_events + 1``)."""
-
-    def test_exactly_max_events_fire_before_raise(self):
-        sim = Simulator(max_events=3)
-        fired = []
-        for i in range(5):
-            sim.schedule(i + 1, lambda i=i: fired.append(i))
-        with pytest.raises(SimulationError):
-            sim.run()
-        assert fired == [0, 1, 2]  # budget events, not budget + 1
-
-    def test_budget_boundary_is_not_an_error(self):
-        sim = Simulator(max_events=3)
-        fired = []
-        for i in range(3):
-            sim.schedule(i + 1, lambda i=i: fired.append(i))
-        sim.run()
-        assert fired == [0, 1, 2]
-
-    def test_budget_enforced_with_until(self):
-        """The budget applies on the ``until`` path too: the 4th event
-        inside the window must not fire when the budget is 3."""
-        sim = Simulator(max_events=3)
-        fired = []
-        for i in range(5):
-            sim.schedule(i + 1, lambda i=i: fired.append(i))
-        with pytest.raises(SimulationError):
-            sim.run(until=100)
-        assert fired == [0, 1, 2]
-
-    def test_until_before_budget_returns_cleanly(self):
-        """Events beyond ``until`` stay queued and do not count against
-        the budget; the exact-budget run ends without raising."""
-        sim = Simulator(max_events=2)
-        fired = []
-        sim.schedule(1, lambda: fired.append(1))
-        sim.schedule(2, lambda: fired.append(2))
-        sim.schedule(50, lambda: fired.append(50))
-        assert sim.run(until=10) == 10
-        assert fired == [1, 2]
-        assert sim.pending == 1
-
-
-def test_schedule_fast_matches_schedule_at_ordering():
-    # schedule_fast skips validation but must keep (time, seq) ordering:
-    # interleaving it with schedule_at preserves insertion order at ties
-    sim = Simulator()
-    fired = []
-    sim.schedule_at(5, lambda: fired.append("at-5"))
-    sim.schedule_fast(5, lambda: fired.append("fast-5"))
-    sim.schedule_fast(3, lambda: fired.append("fast-3"))
-    sim.schedule_at(5, lambda: fired.append("at-5-late"))
-    sim.run()
-    assert fired == ["fast-3", "at-5", "fast-5", "at-5-late"]
-
-
-def test_bounded_run_without_budget_matches_general_loop():
-    # run(until=...) with no event budget takes a specialized loop; it
-    # must behave exactly like the general loop of a budgeted engine
-    def exercise(sim):
-        fired = []
-        sim.schedule(2, lambda: fired.append(sim.now))
-        sim.schedule(2, lambda: sim.schedule(3, lambda: fired.append(sim.now)))
-        sim.schedule(9, lambda: fired.append(sim.now))
-        end = sim.run(until=7)
-        return fired, end, sim.now, sim.pending
-
-    assert exercise(Simulator()) == exercise(Simulator(max_events=1000))
 
 
 def test_bounded_run_advances_to_until_and_keeps_future_events():

@@ -8,12 +8,8 @@ import pytest
 from repro.api import RunSpec, TraceOptions, simulate
 from repro.sim.chip import Chip
 from repro.sim.config import small_test_chip
-from repro.sim.engine import (
-    LivelockError,
-    ProgressWatchdog,
-    SimulationError,
-    Simulator,
-)
+from repro.sim import engine
+from repro.sim.engine import LivelockError, ProgressWatchdog, Simulator
 from repro.stats.io import stats_to_dict
 from repro.sweep.spec import config_to_dict
 
@@ -91,23 +87,6 @@ def test_watchdog_diagnostic_embedded():
     assert "tiles=[3, 7]" in str(exc_info.value)
 
 
-def test_watchdog_respects_event_budget():
-    # the budget check still fires first in the watched loop
-    sim = Simulator(
-        max_events=7,
-        watchdog=ProgressWatchdog(
-            window_events=1000, progress_fn=progress_holder([1] * 100)
-        ),
-    )
-
-    def spin():
-        sim.schedule(1, spin)
-
-    sim.schedule(0, spin)
-    with pytest.raises(SimulationError, match="event budget"):
-        sim.run()
-
-
 def test_watchdog_resets_between_runs():
     wd = ProgressWatchdog(window_events=3, progress_fn=lambda: 1)
     sim = Simulator(watchdog=wd)
@@ -130,6 +109,20 @@ def test_window_must_be_positive():
         ProgressWatchdog(window_events=0)
 
 
+def test_default_watchdog_never_trips(monkeypatch):
+    # a bare Simulator's watchdog has no progress source: an event
+    # storm that retires nothing runs to its bound
+    monkeypatch.setattr(engine, "WATCHDOG_WINDOW", 5)
+    sim = Simulator()
+    assert sim.watchdog.window_events == 5
+
+    def spin():
+        sim.schedule(1, spin)
+
+    sim.schedule(0, spin)
+    assert sim.run(until=1_000) == 1_000
+
+
 # ---------------------------------------------------------------- chip
 
 
@@ -147,7 +140,7 @@ def wedge(chip):
 
 
 def test_chip_watchdog_names_stalled_tiles_and_blocks(monkeypatch):
-    monkeypatch.setenv("REPRO_WATCHDOG_WINDOW", "500")
+    monkeypatch.setattr(engine, "WATCHDOG_WINDOW", 500)
     chip = Chip("dico", "radix", config=small_test_chip(), seed=1)
     wedge(chip)
     with pytest.raises(LivelockError) as exc_info:
@@ -157,23 +150,13 @@ def test_chip_watchdog_names_stalled_tiles_and_blocks(monkeypatch):
     assert stalled["tiles"], "expected at least one stalled tile"
 
 
-def test_chip_watchdog_env_off(monkeypatch):
-    monkeypatch.setenv("REPRO_WATCHDOG", "0")
-    chip = Chip("dico", "radix", config=small_test_chip(), seed=1)
-    assert chip.sim.watchdog is None
-
-
 def test_stats_bit_identical_watchdog_on_off(monkeypatch):
     spec = tiny_spec()
-    on = stats_to_dict(spec.execute())
-    monkeypatch.setenv("REPRO_WATCHDOG", "0")
-    off = stats_to_dict(spec.execute())
-    assert on == off
-    # a tight window changes nothing either
-    monkeypatch.setenv("REPRO_WATCHDOG", "1")
-    monkeypatch.setenv("REPRO_WATCHDOG_WINDOW", "50")
+    default = stats_to_dict(spec.execute())
+    # a tight window samples progress often and changes nothing
+    monkeypatch.setattr(engine, "WATCHDOG_WINDOW", 50)
     tight = stats_to_dict(spec.execute())
-    assert on == tight
+    assert default == tight
 
 
 # ------------------------------------------------------------ manifest
@@ -189,17 +172,8 @@ def test_manifest_records_ok_verdict(tmp_path):
     assert doc["watchdog"] == "ok"
 
 
-def test_manifest_records_off_verdict(tmp_path, monkeypatch):
-    monkeypatch.setenv("REPRO_WATCHDOG", "0")
-    result = simulate(
-        tiny_spec(), manifest_path=tmp_path / "run.manifest.json"
-    )
-    assert result.manifest.watchdog == "off"
-    assert "watchdog" not in result.manifest.instruments
-
-
 def test_manifest_survives_livelock(tmp_path, monkeypatch):
-    monkeypatch.setenv("REPRO_WATCHDOG_WINDOW", "500")
+    monkeypatch.setattr(engine, "WATCHDOG_WINDOW", 500)
     spec = tiny_spec()
     real_build = RunSpec.build_chip
 
@@ -218,7 +192,7 @@ def test_manifest_survives_livelock(tmp_path, monkeypatch):
 
 
 def test_traced_livelock_closes_trace(tmp_path, monkeypatch):
-    monkeypatch.setenv("REPRO_WATCHDOG_WINDOW", "500")
+    monkeypatch.setattr(engine, "WATCHDOG_WINDOW", 500)
     real_build = RunSpec.build_chip
 
     def wedged_build(self):

@@ -15,9 +15,9 @@ Quickstart::
     print(result.stats.summary())
 
 :func:`repro.api.simulate` is the single construction path for
-measured runs — the CLI, the benchmark suite, the sweep runner and the
-perf harness all dispatch through it, and it is where observability
-(event tracing, run manifests, the coherence checker) attaches.
+measured runs — the CLI, the benchmark suite and the sweep runner all
+dispatch through it, and it is where observability (event tracing, run
+manifests, the coherence checker) attaches.
 :class:`Chip` remains available for direct, low-level driving.
 """
 

@@ -1,8 +1,7 @@
 """The experiment facade: one construction path for every run.
 
 Every entry point — ``python -m repro run``, the benchmark scripts,
-the sweep runner, the perf harness — funnels through
-:func:`simulate`::
+the sweep runner — funnels through :func:`simulate`::
 
     from repro.api import RunSpec, TraceOptions, simulate
 

@@ -15,8 +15,6 @@ Commands:
   control, fair scheduling, restart-resume; see docs/SIMULATOR.md)
 * ``serve-bench`` — load/overload/chaos harness against a real daemon
   subprocess (``BENCH_SERVE.json`` report)
-* ``perf``     — benchmark the simulator itself on a pinned reference
-  subset (ops/sec per cell, ``BENCH_PERF.json`` report)
 * ``verify``   — differentially fuzz the coherence protocols under the
   invariant checker; failures shrink to minimal repro bundles that
   ``--replay`` re-executes deterministically
@@ -140,12 +138,6 @@ def cmd_compare(args) -> int:
             f"{row['cache']:7.3f} {row['links']:7.3f} {100 * predicted:6.1f}%"
         )
     return 0
-
-
-def cmd_perf(args) -> int:
-    from .perf import harness
-
-    return harness.main(args)
 
 
 _FILTER_KEYS = {
@@ -868,53 +860,6 @@ def main(argv=None) -> int:
         help="report path (default: BENCH_SERVE.json)",
     )
     p_sbench.set_defaults(func=cmd_serve_bench)
-
-    p_perf = sub.add_parser(
-        "perf", help="benchmark the simulator itself (ops/sec per cell)"
-    )
-    p_perf.add_argument(
-        "--quick", action="store_true",
-        help="CI-smoke windows instead of the 100k-cycle reference cells",
-    )
-    p_perf.add_argument(
-        "--protocols", default=None,
-        help="protocol selection for the cell grid (names, aliases, "
-        "family:* globs or 'all'; default: the pinned reference set)",
-    )
-    p_perf.add_argument(
-        "--repeat", type=int, default=1,
-        help="timing repeats per cell; the median wall time is reported",
-    )
-    p_perf.add_argument(
-        "--profile", type=int, default=0, metavar="N",
-        help="additionally cProfile the cell set and print the top N "
-        "entries by cumulative time",
-    )
-    p_perf.add_argument(
-        "--output", default="BENCH_PERF.json",
-        help="report path (default: BENCH_PERF.json; '' disables writing)",
-    )
-    p_perf.add_argument(
-        "--baseline", default=None,
-        help="prior BENCH_PERF.json to compare against (prints per-cell "
-        "speedups and their geomean)",
-    )
-    p_perf.add_argument(
-        "--trace", action="store_true",
-        help="attach a counting trace sink — measures instrumentation "
-        "overhead against a tracing-off run",
-    )
-    p_perf.add_argument(
-        "--min-geomean", type=float, default=None, metavar="RATIO",
-        help="fail (exit 1) when the measured geomean speedup vs the "
-        "--baseline report is below RATIO — a regression gate",
-    )
-    p_perf.add_argument(
-        "--comparison-output", default=None, metavar="PATH",
-        help="also write the per-cell speedup table to PATH (CI "
-        "uploads it as an artifact)",
-    )
-    p_perf.set_defaults(func=cmd_perf)
 
     p_verify = sub.add_parser(
         "verify",

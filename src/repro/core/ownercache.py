@@ -23,9 +23,6 @@ __all__ = ["OwnerCache"]
 @dataclass
 class _OwnerEntry:
     owner_tile: int
-    #: set while a Change_Owner is in flight: the new owner may not
-    #: transfer ownership again until the home's ack arrives (Sec. IV-A)
-    transfer_locked: bool = False
 
 
 class OwnerCache:
@@ -67,7 +64,6 @@ class OwnerCache:
         existing = self.array.lookup(block)
         if existing is not None:
             existing.owner_tile = tile
-            existing.transfer_locked = False
             return None
         victim = self.array.insert(block, _OwnerEntry(owner_tile=tile))
         if victim is not None:
@@ -78,17 +74,3 @@ class OwnerCache:
     def clear(self, block: int) -> None:
         """Ownership returned to the home L2 (or block left the chip)."""
         self.array.invalidate(block)
-
-    def lock_transfer(self, block: int) -> None:
-        entry = self.array.peek(block)
-        if entry is not None:
-            entry.transfer_locked = True
-
-    def unlock_transfer(self, block: int) -> None:
-        entry = self.array.peek(block)
-        if entry is not None:
-            entry.transfer_locked = False
-
-    def is_transfer_locked(self, block: int) -> bool:
-        entry = self.array.peek(block)
-        return bool(entry and entry.transfer_locked)

@@ -430,16 +430,6 @@ class CoherenceProtocol(ABC):
         if until > current:
             self._busy[block] = until
 
-    def l2_tag_latency(self) -> int:
-        return self.config.l2.tag_latency
-
-    def l2_access_latency(self) -> int:
-        return self.config.l2.access_latency
-
-    def l1c_latency(self) -> int:
-        """Latency of consulting the prediction cache after an L1 miss."""
-        return 1
-
     # -- memory ---------------------------------------------------------
 
     def mem_fetch(self, home: int, block: int) -> int:
@@ -511,9 +501,6 @@ class CoherenceProtocol(ABC):
                     tile, block, line.state.name, "I", "invalidated"
                 )
         return line
-
-    def l1_line(self, tile: int, block: int) -> Optional[L1Line]:
-        return self.l1s[tile].peek(block)
 
     # -- dynamic consolidation (VM migration / departure / dedup churn) --
 

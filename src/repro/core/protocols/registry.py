@@ -4,8 +4,9 @@ The paper's evaluation hard-wired four protocols; the protocol lab
 needs an extension seam.  Every protocol class registers itself here
 with capability metadata — its *family* (directory, dico, snoop, …),
 the *transport* it runs on (mesh or bus), and any aliases — and every
-consumer (CLI, sweeps, perf harness, verifier, ``make_protocol``)
-resolves names through the registry instead of a hard-coded dict.
+consumer (CLI, sweeps, the repo benchmark, verifier,
+``make_protocol``) resolves names through the registry instead of a
+hard-coded dict.
 
 Registration::
 

@@ -19,16 +19,13 @@ from __future__ import annotations
 
 import hashlib
 import random
-import traceback
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional
 
 __all__ = ["FailureRecord", "FaultPolicy", "failure_summary"]
 
 #: how a failed attempt ended
 FAILURE_KINDS = ("exception", "timeout", "crash", "interrupted")
-
-_TRACEBACK_TAIL_LINES = 15
 
 
 @dataclass
@@ -50,28 +47,6 @@ class FailureRecord:
             raise ValueError(
                 f"unknown failure kind {self.kind!r}; options: {FAILURE_KINDS}"
             )
-
-    @classmethod
-    def from_exception(
-        cls,
-        exc: BaseException,
-        *,
-        attempts: int = 1,
-        elapsed_s: float = 0.0,
-        fingerprint: str = "",
-        kind: str = "exception",
-    ) -> "FailureRecord":
-        tail = traceback.format_exception(type(exc), exc, exc.__traceback__)
-        tail = "".join(tail).strip().splitlines()[-_TRACEBACK_TAIL_LINES:]
-        return cls(
-            kind=kind,
-            exc_type=type(exc).__name__,
-            message=str(exc),
-            traceback_tail="\n".join(tail),
-            attempts=attempts,
-            elapsed_s=round(elapsed_s, 6),
-            fingerprint=fingerprint,
-        )
 
     def to_dict(self) -> Dict[str, Any]:
         return {

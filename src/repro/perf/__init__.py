@@ -1,34 +1,2 @@
-"""Performance measurement harness for the simulator itself.
-
-``python -m repro perf`` runs a pinned reference subset of the
-evaluation grid and reports simulator throughput (committed memory
-operations per wall-clock second) per (protocol, workload) cell, so
-optimisation work on the hot paths has a stable, comparable yardstick.
-See :mod:`repro.perf.harness` for the report schema.
-"""
-
-from .harness import (
-    BENCH_PERF_SCHEMA_VERSION,
-    QUICK_CELLS,
-    REFERENCE_CELLS,
-    CellResult,
-    config_fingerprint,
-    geomean,
-    git_rev,
-    load_report,
-    run_cells,
-    write_report,
-)
-
-__all__ = [
-    "BENCH_PERF_SCHEMA_VERSION",
-    "QUICK_CELLS",
-    "REFERENCE_CELLS",
-    "CellResult",
-    "config_fingerprint",
-    "geomean",
-    "git_rev",
-    "load_report",
-    "run_cells",
-    "write_report",
-]
+"""Helpers the repo benchmark (``perfbench/``) imports; see
+:mod:`repro.perf.harness`."""

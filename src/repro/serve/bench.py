@@ -40,9 +40,9 @@ from typing import Any, Dict, List, Optional, Sequence
 
 from ..faults import FaultPlan, FaultRule
 from ..sim.config import small_test_chip
-from ..stats.io import stats_to_dict
-from ..sweep.cache import stats_checksum
+from ..stats.io import stats_digest
 from ..sweep.spec import RunSpec, config_to_dict
+from ..trace.manifest import git_rev
 from .client import Backpressure, ServeClient, ServeError
 
 __all__ = ["DaemonProc", "main", "tiny_spec_docs"]
@@ -304,9 +304,7 @@ def _run_chaos(
     reference: Dict[str, str] = {}
     for doc in docs_a + docs_b:
         spec = RunSpec.from_dict(doc)
-        reference[spec.fingerprint()] = stats_checksum(
-            stats_to_dict(spec.execute())
-        )
+        reference[spec.fingerprint()] = stats_digest(spec.execute())
 
     quotas = ["alpha=64:3", "beta=64:1"]
     daemon = DaemonProc(
@@ -421,22 +419,11 @@ def _run_chaos(
 # ----------------------------------------------------------------------
 
 
-def _git_rev() -> str:
-    try:
-        return subprocess.run(
-            ["git", "rev-parse", "--short", "HEAD"],
-            capture_output=True, text=True, timeout=10,
-            cwd=Path(__file__).resolve().parents[3],
-        ).stdout.strip() or "unknown"
-    except (OSError, subprocess.SubprocessError):
-        return "unknown"
-
-
 def main(args) -> int:
     t_start = time.time()
     report: Dict[str, Any] = {
         "schema": "bench-serve/1",
-        "git_rev": _git_rev(),
+        "git_rev": git_rev(),
         "python": sys.version.split()[0],
         "config": {
             "tenants": args.tenants,

@@ -66,8 +66,8 @@ from typing import Any, AsyncIterator, Dict, List, Optional, Tuple
 from ..faults import FailureRecord, FaultPlan, FaultPolicy
 from ..sim.config import ConfigError
 from ..stats.counters import RunStats
-from ..stats.io import stats_to_dict
-from ..sweep.cache import ResultCache, stats_checksum
+from ..stats.io import stats_digest
+from ..sweep.cache import ResultCache
 from ..sweep.executor import AttemptRegistry, run_point
 from ..sweep.journal import SweepJournal, gc_journals
 from ..sweep.spec import RunSpec
@@ -417,13 +417,12 @@ class ExperimentServer:
     def _ok_outcome(
         self, stats: RunStats, *, cached: bool, attempts: int, elapsed: float
     ) -> Dict[str, Any]:
-        doc = stats_to_dict(stats)
         return {
             "status": "ok",
             "cached": cached,
             "attempts": attempts,
             "elapsed_s": round(elapsed, 6),
-            "stats_sha256": stats_checksum(doc),
+            "stats_sha256": stats_digest(stats),
             "summary": stats.summary(),
         }
 

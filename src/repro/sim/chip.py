@@ -245,8 +245,8 @@ class Core:
 class Chip:
     """One protocol + one workload, ready to run."""
 
-    #: engine label recorded in manifests and perf reports; there is
-    #: one engine, so it is always ``"object"``
+    #: engine label recorded in manifests and printed by the repo
+    #: benchmark; there is one engine, so it is always ``"object"``
     engine = "object"
 
     def __init__(

@@ -8,15 +8,16 @@ change move any result by more than x%?".
 
 from __future__ import annotations
 
+import hashlib
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Iterable, List, Mapping
+from typing import Dict, Iterable, List, Mapping, Union
 
 from .counters import MISS_CATEGORIES, LatencyAccumulator, RunStats
 
-__all__ = ["STATS_SCHEMA", "stats_to_dict", "stats_from_dict", "save_stats",
-           "load_stats", "MetricDelta", "compare_stats"]
+__all__ = ["STATS_SCHEMA", "stats_to_dict", "stats_from_dict", "stats_digest",
+           "save_stats", "load_stats", "MetricDelta", "compare_stats"]
 
 #: schema 2 adds ``network.flits_by_type`` and ``network.link_load``
 #: (schema-1 documents still load; the extra maps default to empty);
@@ -156,6 +157,18 @@ def stats_from_dict(data: Mapping) -> RunStats:
         src, _, dst = k.partition(">")
         stats.network.link_load[(int(src), int(dst))] = v
     return stats
+
+
+def stats_digest(stats: Union[RunStats, Mapping]) -> str:
+    """A run's ``stats_sha256``: sha256 over its canonical stats JSON.
+
+    Takes the :func:`stats_to_dict` document, or the :class:`RunStats`
+    to build it from.  Golden digests, result-cache entry checksums and
+    served points all use this one formula, so equal digests anywhere
+    mean bit-identical results.
+    """
+    doc = stats_to_dict(stats) if isinstance(stats, RunStats) else stats
+    return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
 
 
 def save_stats(stats: RunStats, path: str | Path) -> None:

@@ -11,12 +11,13 @@ hashing ~50 source files is not).
 
 Cache entries are small JSON documents written atomically (temp file +
 ``os.replace``), so concurrent sweeps sharing one cache directory
-never observe torn writes.  Every entry embeds a sha256 checksum over
-its stats document; a read validates it, and an entry that fails to
-parse or verify is *quarantined* — renamed to ``<name>.corrupt`` with
-a logged warning, never silently deleted — and reported as a miss, so
-a flipped bit on disk costs one re-simulation and leaves the evidence
-behind.  Only codec and OS errors are treated this way;
+never observe torn writes.  Every entry embeds its stats document's
+``stats_sha256`` (:func:`~repro.stats.io.stats_digest`) as a checksum;
+a read validates it, and an entry that fails to parse or verify is
+*quarantined* — renamed to ``<name>.corrupt`` with a logged warning,
+never silently deleted — and reported as a miss, so a flipped bit on
+disk costs one re-simulation and leaves the evidence behind.  Only
+codec and OS errors are treated this way;
 ``KeyboardInterrupt``/``SystemExit`` always propagate.
 """
 
@@ -31,20 +32,14 @@ from pathlib import Path
 from typing import Any, Dict, Optional
 
 from ..stats.counters import RunStats
-from ..stats.io import stats_from_dict, stats_to_dict
+from ..stats.io import stats_digest, stats_from_dict, stats_to_dict
 from .spec import RunSpec
 
-__all__ = ["ResultCache", "code_fingerprint", "stats_checksum"]
+__all__ = ["ResultCache", "code_fingerprint"]
 
 _log = logging.getLogger("repro.sweep.cache")
 
 _FINGERPRINT: Optional[str] = None
-
-
-def stats_checksum(stats_doc: Dict[str, Any]) -> str:
-    """sha256 over the canonical JSON of one stats document."""
-    payload = json.dumps(stats_doc, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(payload.encode()).hexdigest()
 
 
 def code_fingerprint() -> str:
@@ -126,7 +121,7 @@ class ResultCache:
             doc = json.loads(raw)
             recorded = doc["checksum"]
             stats_doc = doc["stats"]
-            if stats_checksum(stats_doc) != recorded:
+            if stats_digest(stats_doc) != recorded:
                 raise ValueError(
                     f"checksum mismatch (recorded {recorded[:12]}…)"
                 )
@@ -160,7 +155,7 @@ class ResultCache:
             "code_version": self.code_version,
             "elapsed_s": round(elapsed_s, 6),
             "stats": stats_doc,
-            "checksum": stats_checksum(stats_doc),
+            "checksum": stats_digest(stats_doc),
         }
         fd, tmp = tempfile.mkstemp(
             dir=path.parent, prefix=".tmp-", suffix=".json"

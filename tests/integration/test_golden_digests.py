@@ -16,8 +16,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.perf.harness import stats_digest
 from repro.sim.chip import PROTOCOLS, Chip
+from repro.stats.io import stats_digest
 from tests.conftest import tiny_chip
 from tests.sim.test_dynamics_chip import dynamic_chip, storyline
 

@@ -22,9 +22,9 @@ from repro.serve import (
 )
 from repro.sim.config import small_test_chip
 from repro.sweep import SweepJournal, SweepRunner, gc_journals
-from repro.sweep.cache import ResultCache, stats_checksum
+from repro.sweep.cache import ResultCache
 from repro.sweep.spec import RunSpec, config_to_dict
-from repro.stats.io import stats_to_dict
+from repro.stats.io import stats_digest
 
 TINY = config_to_dict(small_test_chip())
 
@@ -132,8 +132,20 @@ def test_results_are_bit_identical_to_direct_execution(server):
     client, _ = server
     doc = tiny_docs(1)[0]
     events = client.wait_job(client.submit([doc])["job_id"])
-    want = stats_checksum(stats_to_dict(RunSpec.from_dict(doc).execute()))
+    want = stats_digest(RunSpec.from_dict(doc).execute())
     assert events[0]["stats_sha256"] == want
+
+
+def test_served_digest_is_the_stats_digest_fresh_and_cached(server):
+    # one stats_sha256: a served point reports the digest the golden
+    # file and the repo benchmark record, whether it ran or was cached
+    client, _ = server
+    doc = tiny_docs(1, seed0=40)[0]
+    want = stats_digest(RunSpec.from_dict(doc).execute())
+    for cached in (False, True):
+        events = client.wait_job(client.submit([doc])["job_id"])
+        assert events[0]["cached"] is cached
+        assert events[0]["stats_sha256"] == want
 
 
 def test_cache_hit_on_resubmission(server):
@@ -189,6 +201,11 @@ def test_malformed_submissions_rejected(server):
     assert err.value.status == 400
     with pytest.raises(ServeError) as err:
         client.submit(tiny_docs(1), policy={"no_such_knob": 1})
+    assert err.value.status == 400
+    # an override value that is only invalid once applied
+    bad = dict(tiny_docs(1)[0], overrides=[["l1.assoc", 3]])
+    with pytest.raises(ServeError) as err:
+        client.submit([bad])
     assert err.value.status == 400
 
 
@@ -291,9 +308,7 @@ def test_transient_crash_retries_to_success(tmp_path):
         )
         assert events[0]["status"] == "ok"
         assert events[0]["attempts"] == 2
-        want = stats_checksum(
-            stats_to_dict(RunSpec.from_dict(doc).execute())
-        )
+        want = stats_digest(RunSpec.from_dict(doc).execute())
         assert events[0]["stats_sha256"] == want  # retry didn't perturb
         assert client.stats()["points"]["retries"] == 1
     finally:
@@ -336,7 +351,7 @@ def test_retried_points_report_as_a_sweep_does(tmp_path):
         if not r.ok:
             assert e["failure"]["kind"] == r.failure.kind == "crash"
             continue
-        assert e["stats_sha256"] == stats_checksum(stats_to_dict(r.stats))
+        assert e["stats_sha256"] == stats_digest(r.stats)
         # an ok point's elapsed_s is its successful attempt's simulation
         # seconds: the figure its cache entry stores
         entry = json.loads(runner.cache.path_for(r.spec).read_text())

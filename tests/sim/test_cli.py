@@ -1,6 +1,7 @@
 """Tests for the command-line interface."""
 
 import json
+import os
 
 import pytest
 
@@ -75,6 +76,21 @@ def test_sweep_rejects_unknown_override_key(capsys):
     err = capsys.readouterr().err
     assert "unknown config override key" in err
     assert "l1c_entries" in err  # the valid keys are listed
+
+
+def test_sweep_rejects_bad_override_value_at_any_jobs(capsys, monkeypatch):
+    # a valid key whose value fails once applied (8 KiB L1 is not a
+    # multiple of 3 ways x 64 B) exits 2 before any point runs, on the
+    # worker-process path too, not as one failed point per spec
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)  # keep --jobs 2
+    rc = main([
+        "sweep", "--protocols", "directory,dico", "--workloads", "radix",
+        "--cycles", "500", "--warmup", "100", "--no-cache", "--quiet",
+        "--jobs", "2", "--set", "l1.assoc=3",
+    ])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "invalid configuration — size_bytes" in err
 
 
 def test_run_checker_flag(capsys):

@@ -84,12 +84,14 @@ def test_checksum_mismatch_quarantined(tmp_path):
 
 
 def test_entries_carry_a_checksum(tmp_path):
-    from repro.sweep.cache import stats_checksum
+    from repro.stats.io import stats_digest
 
     cache = ResultCache(tmp_path)
     cache.put(SPEC, dummy_stats(), elapsed_s=0.1)
     doc = json.loads(cache.path_for(SPEC).read_text())
-    assert doc["checksum"] == stats_checksum(doc["stats"])
+    # the checksum is the run's stats_sha256, whichever form is hashed
+    assert doc["checksum"] == stats_digest(doc["stats"])
+    assert doc["checksum"] == stats_digest(dummy_stats())
 
 
 def test_missing_file_is_a_plain_miss(tmp_path):

@@ -1,13 +1,19 @@
-"""How a sweep's worker processes end, and where they fork from.
+"""The shared attempt executor, :mod:`repro.sweep.executor`.
 
-Every pending point of a ``jobs=2`` sweep runs through
-:mod:`repro.sweep.executor`.  These pin its exits (Ctrl-C from a
-progress callback, ``on_failure="raise"``), that it forks only from a
-parent with no other thread, and that importing the sweep API leaves
-``asyncio`` unimported.  ``os.cpu_count`` is pinned to 2 so ``jobs=2``
-is not clamped to one in-process worker on a single-core machine.
+Every pending point of a ``jobs=2`` sweep runs through it.  The first
+cases pin its exits (Ctrl-C from a progress callback,
+``on_failure="raise"``), that it forks only from a parent with no other
+thread, and that importing the sweep API leaves ``asyncio`` unimported.
+``os.cpu_count`` is pinned to 2 so ``jobs=2`` is not clamped to one
+in-process worker on a single-core machine.
+
+The rest drive one attempt as the daemon runs it, through
+:func:`run_attempt` and :class:`AttemptRegistry` directly, with the
+same tiny specs and fault plans as the sweep resilience suite:
+outcomes, deadlines and the registry.
 """
 
+import asyncio
 import multiprocessing
 import os
 import subprocess
@@ -20,6 +26,7 @@ import pytest
 import repro
 from repro.faults import FaultPlan, FaultRule
 from repro.sim.config import small_test_chip
+from repro.stats.io import stats_from_dict
 from repro.sweep import (
     RunSpec,
     SweepExecutionError,
@@ -27,6 +34,8 @@ from repro.sweep import (
     SweepJournal,
     SweepRunner,
 )
+from repro.sweep.executor import AttemptRegistry
+from repro.sweep.executor import run_attempt as _run_attempt
 from repro.sweep.spec import config_to_dict
 
 TINY = config_to_dict(small_test_chip())
@@ -123,3 +132,92 @@ def test_importing_the_sweep_api_leaves_asyncio_out():
         timeout=120,
     )
     assert out.stdout.strip() == "False"
+
+
+# ------------------------------------------------------------ one attempt
+
+
+def run_attempt(payload, timeout_s, registry=None):
+    return asyncio.run(_run_attempt(payload, timeout_s, registry))
+
+
+def tiny_payload(attempt=1, plan=None, seed=1):
+    spec = RunSpec(
+        protocol="dico",
+        workload="radix",
+        seed=seed,
+        cycles=1_500,
+        warmup=500,
+        config=TINY,
+    )
+    payload = spec.to_dict()
+    payload["__attempt__"] = attempt
+    if plan is not None:
+        payload["__fault_plan__"] = plan.to_dict()
+    return spec, payload
+
+
+def test_ok_attempt_returns_stats_doc():
+    spec, payload = tiny_payload()
+    kind, doc, elapsed = run_attempt(payload, timeout_s=60.0)
+    assert kind == "ok"
+    stats = stats_from_dict(doc)
+    assert stats.operations > 0
+    assert elapsed > 0
+
+
+def test_injected_crash_is_contained():
+    plan = FaultPlan(seed=3, rules=(FaultRule(kind="crash", rate=1.0),))
+    spec, payload = tiny_payload(plan=plan)
+    kind, message, _elapsed = run_attempt(payload, timeout_s=60.0)
+    assert kind == "crash"
+    assert "died" in message
+
+
+def test_injected_hang_hits_the_deadline():
+    plan = FaultPlan(
+        seed=3, rules=(FaultRule(kind="hang", rate=1.0),), hang_s=30.0
+    )
+    spec, payload = tiny_payload(plan=plan)
+    kind, message, elapsed = run_attempt(payload, timeout_s=1.0)
+    assert kind == "timeout"
+    assert elapsed < 15.0  # killed at the deadline, not after hang_s
+
+
+def test_bad_spec_is_an_exception_outcome():
+    _spec, payload = tiny_payload()
+    payload["protocol"] = "no-such-protocol"
+    kind, failure, _elapsed = run_attempt(payload, timeout_s=60.0)
+    assert kind == "exception"
+    assert failure["exc_type"]
+    assert failure["message"]
+
+
+def test_fault_only_on_matched_attempt():
+    plan = FaultPlan(
+        seed=3, rules=(FaultRule(kind="crash", rate=1.0, times=1),)
+    )
+    _spec, payload = tiny_payload(attempt=2, plan=plan)
+    kind, _doc, _elapsed = run_attempt(payload, timeout_s=60.0)
+    assert kind == "ok"  # times=1 leaves attempt 2 alone
+
+
+def test_registry_refuses_work_while_draining():
+    registry = AttemptRegistry()
+    assert registry.kill_all() == 0
+    _spec, payload = tiny_payload()
+    kind, message, elapsed = run_attempt(
+        payload, timeout_s=60.0, registry=registry
+    )
+    assert kind == "crash"
+    assert "shutting down" in message
+
+
+def test_registry_tracks_and_discards():
+    registry = AttemptRegistry()
+    _spec, payload = tiny_payload()
+    kind, _doc, _elapsed = run_attempt(
+        payload, timeout_s=60.0, registry=registry
+    )
+    assert kind == "ok"
+    assert len(registry) == 0  # discarded after completion

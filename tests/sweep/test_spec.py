@@ -217,6 +217,20 @@ def test_plan_label_mentions_event_count():
     assert "plan[3]" in tiny_spec(plan=PLAN_DOC).label
 
 
+def test_bad_config_rejected_at_construction():
+    from repro.sim.config import ConfigError
+
+    # the override is a valid key whose value only fails once applied
+    # (1 KiB L1 is not a multiple of 3 ways x 64 B): it must fail when
+    # the spec is built, not later in whichever worker builds the chip
+    with pytest.raises(ConfigError, match="size_bytes"):
+        tiny_spec(overrides=(("l1.assoc", 3),))
+    config = config_to_dict(small_test_chip())
+    config["l1"] = dict(config["l1"], assoc=3)
+    with pytest.raises(ConfigError, match="size_bytes"):
+        tiny_spec(config=config)
+
+
 def test_plan_validated_at_construction_names_event():
     from repro.sim.config import ConfigError
 

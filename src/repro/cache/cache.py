@@ -15,6 +15,11 @@ free ways first and move them to the front, so by the time the set is
 full again — the only time a victim is picked — the stack orders the
 valid ways by recency.
 
+A set's frame list, age stack and free list are built on its first
+fill, and one ``block -> way`` dict serves the whole cache: a 64-tile
+chip holds hundreds of caches and tens of thousands of sets, and a
+short run touches only a fraction of them.
+
 Access counting happens here so that the dynamic power model can charge
 tag and data array energies per structure (Fig. 8a categories).
 """
@@ -79,21 +84,17 @@ class SetAssocCache(Generic[E]):
         self.name = name
         self.index_shift = index_shift
         self._set_mask = n_sets - 1
-        # per set: way -> (block, entry); None when invalid
-        self._ways: List[List[Optional[Tuple[int, E]]]] = [
-            [None] * n_ways for _ in range(n_sets)
-        ]
-        # per set: block -> way, for O(1) lookup
-        self._index: List[Dict[int, int]] = [dict() for _ in range(n_sets)]
-        # per set: LRU age stack of way indices, MRU first.  Like the
-        # free lists below it is built on the set's first insert (as
-        # ``list(range(n_ways))``): a 64-tile chip holds tens of
-        # thousands of sets and short runs touch a fraction of them.
+        # per set: way -> (block, entry), None when invalid; the list
+        # itself is None until the set's first fill
+        self._ways: List[Optional[List[Optional[Tuple[int, E]]]]] = [None] * n_sets
+        # block -> way for every valid frame (a block maps to one set)
+        self._index: Dict[int, int] = {}
+        # per set: LRU age stack of way indices, MRU first, built as
+        # ``list(range(n_ways))`` on the set's first fill
         self._lru: List[Optional[List[int]]] = [None] * n_sets
         # per set: stack of free way indices (None until the first
-        # insert touches the set), so fills never scan the way array.
-        # Reversed so pops hand out ways in ascending order while the
-        # set is filling, like the scan this replaces did.
+        # fill), so fills never scan the way array.  Reversed so pops
+        # hand out ways in ascending order while the set is filling.
         self._free: List[Optional[List[int]]] = [None] * n_sets
         self.stats = CacheAccessStats()
         #: observability hook (:class:`repro.trace.Tracer`); only the
@@ -110,32 +111,34 @@ class SetAssocCache(Generic[E]):
         return (block >> self.index_shift) & (self.n_sets - 1)
 
     def __len__(self) -> int:
-        return sum(len(ix) for ix in self._index)
+        return len(self._index)
 
     def __contains__(self, block: int) -> bool:
-        return block in self._index[self.set_of(block)]
+        return block in self._index
 
     def __iter__(self) -> Iterator[Tuple[int, E]]:
-        """Iterates ``(block, entry)`` over all valid frames."""
-        for s in range(self.n_sets):
-            for frame in self._ways[s]:
-                if frame is not None:
-                    yield frame
+        """Iterates ``(block, entry)`` over all valid frames, set by
+        set and way by way."""
+        for ways in self._ways:
+            if ways is not None:
+                for frame in ways:
+                    if frame is not None:
+                        yield frame
 
     # ------------------------------------------------------------------
 
     def lookup(self, block: int, touch: bool = True) -> Optional[E]:
         """Tag lookup; returns the entry on hit, ``None`` on miss."""
-        # hot path: set math and attribute chains hoisted into locals,
-        # no asserts (``_index`` and ``_ways`` are maintained together)
-        s = (block >> self.index_shift) & self._set_mask
+        # hot path: attribute chains hoisted into locals, no asserts
+        # (``_index`` and ``_ways`` are maintained together)
         stats = self.stats
         stats.tag_reads += 1
-        way = self._index[s].get(block)
+        way = self._index.get(block)
         if way is None:
             stats.misses += 1
             return None
         stats.hits += 1
+        s = (block >> self.index_shift) & self._set_mask
         if touch:
             stack = self._lru[s]
             if stack[0] != way:  # already MRU: nothing to move
@@ -145,11 +148,10 @@ class SetAssocCache(Generic[E]):
 
     def peek(self, block: int) -> Optional[E]:
         """Lookup without touching LRU state or counting an access."""
-        s = (block >> self.index_shift) & self._set_mask
-        way = self._index[s].get(block)
+        way = self._index.get(block)
         if way is None:
             return None
-        return self._ways[s][way][1]
+        return self._ways[(block >> self.index_shift) & self._set_mask][way][1]
 
     def victim_for(self, block: int) -> Optional[Tuple[int, E]]:
         """What would be evicted if ``block`` were inserted now.
@@ -157,9 +159,9 @@ class SetAssocCache(Generic[E]):
         Returns ``None`` when the set has a free way or already holds
         the block.
         """
-        s = self.set_of(block)
-        if block in self._index[s]:
+        if block in self._index:
             return None
+        s = self.set_of(block)
         free = self._free[s]
         if free is None or free:
             return None
@@ -174,17 +176,18 @@ class SetAssocCache(Generic[E]):
         :meth:`insert` then reuses the freed way.  Saves the fill path
         one call and one set computation over the two-step form.
         """
-        s = (block >> self.index_shift) & self._set_mask
-        index = self._index[s]
+        index = self._index
         if block in index:
             return None
+        s = (block >> self.index_shift) & self._set_mask
         free = self._free[s]
         if free is None or free:
             return None
         way = self._lru[s][-1]
-        frame = self._ways[s][way]
+        ways = self._ways[s]
+        frame = ways[way]
         del index[frame[0]]
-        self._ways[s][way] = None
+        ways[way] = None
         free.append(way)
         self.stats.tag_writes += 1
         if self._trace is not None:
@@ -199,11 +202,10 @@ class SetAssocCache(Generic[E]):
         """
         s = (block >> self.index_shift) & self._set_mask
         self.stats.tag_writes += 1
-        index = self._index[s]
-        ways = self._ways[s]
+        index = self._index
         existing = index.get(block)
         if existing is not None:
-            ways[existing] = (block, entry)
+            self._ways[s][existing] = (block, entry)
             stack = self._lru[s]
             if stack[0] != existing:
                 stack.remove(existing)
@@ -213,15 +215,17 @@ class SetAssocCache(Generic[E]):
             return None
         free = self._free[s]
         if free is None:
-            # first insert into this set takes way 0, already the MRU
-            # way of the fresh age stack
-            self._free[s] = list(range(self.n_ways - 1, 0, -1))
-            self._lru[s] = list(range(self.n_ways))
-            ways[0] = (block, entry)
+            # first fill of this set builds its frames, age stack and
+            # free list, and takes way 0, already the MRU way
+            n_ways = self.n_ways
+            self._ways[s] = [(block, entry)] + [None] * (n_ways - 1)
+            self._lru[s] = list(range(n_ways))
+            self._free[s] = list(range(n_ways - 1, 0, -1))
             index[block] = 0
             if self._trace is not None:
                 self._trace.cache_event(self.name, "fill", block)
             return None
+        ways = self._ways[s]
         stack = self._lru[s]
         if free:
             way = free.pop()
@@ -248,20 +252,24 @@ class SetAssocCache(Generic[E]):
 
     def invalidate(self, block: int) -> Optional[E]:
         """Drop ``block``; returns its entry if it was present."""
-        s = (block >> self.index_shift) & self._set_mask
-        way = self._index[s].pop(block, None)
+        way = self._index.pop(block, None)
         if way is None:
             return None
         self.stats.tag_writes += 1  # state update on invalidation
-        frame = self._ways[s][way]
-        self._ways[s][way] = None
+        s = (block >> self.index_shift) & self._set_mask
+        ways = self._ways[s]
+        frame = ways[way]
+        ways[way] = None
         self._free[s].append(way)
         if self._trace is not None:
             self._trace.cache_event(self.name, "invalidate", block)
         return frame[1]
 
     def blocks_in_set(self, s: int) -> List[int]:
-        return list(self._index[s])
+        ways = self._ways[s]
+        if ways is None:
+            return []
+        return [frame[0] for frame in ways if frame is not None]
 
     # ------------------------------------------------------------------
     # power-model hooks: explicit data-array access charging

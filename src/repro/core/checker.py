@@ -29,6 +29,8 @@ checker-on hot paths unchanged.
 
 from __future__ import annotations
 
+import inspect
+import weakref
 from collections import defaultdict
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
@@ -99,7 +101,9 @@ class CoherenceChecker:
         self.reads_checked = 0
         self.writes_committed = 0
         self._protocol: Optional[str] = None
-        self._snapshot_fn: Optional[Callable[[int], List[Copy]]] = None
+        self._snapshot_fn: Optional[
+            Callable[[int], List[Copy]] | weakref.WeakMethod
+        ] = None
         self._commit_log: Optional[List[int]] = None
 
     def bind(self, protocol: str, snapshot_fn: Callable[[int], List[Copy]]) -> None:
@@ -110,10 +114,16 @@ class CoherenceChecker:
         offending block.  ``snapshot_fn`` must be side-effect free (the
         protocols pass ``live_copies``, which only peeks).  A checker
         shared between several protocol instances keeps the last
-        binding.
+        binding.  A bound method is held weakly: the protocol owns its
+        checker, and a strong reference back would make every protocol
+        a reference cycle.
         """
         self._protocol = protocol
-        self._snapshot_fn = snapshot_fn
+        self._snapshot_fn = (
+            weakref.WeakMethod(snapshot_fn)
+            if inspect.ismethod(snapshot_fn)
+            else snapshot_fn
+        )
 
     def record_commits(self, sink: Optional[List[int]]) -> None:
         """Append every committed block number to ``sink``.
@@ -135,9 +145,12 @@ class CoherenceChecker:
     ) -> None:
         """Raise a :class:`CoherenceViolation` enriched with bound context."""
         snapshot = None
-        if block is not None and self._snapshot_fn is not None:
+        snapshot_fn = self._snapshot_fn
+        if isinstance(snapshot_fn, weakref.WeakMethod):
+            snapshot_fn = snapshot_fn()
+        if block is not None and snapshot_fn is not None:
             try:
-                snapshot = self._snapshot_fn(block)
+                snapshot = snapshot_fn(block)
             except Exception:  # the snapshot must never mask the violation
                 snapshot = None
         raise CoherenceViolation(

@@ -251,13 +251,13 @@ class CoherenceProtocol(ABC):
         l1 = self.l1s[tile]
         l1stats, set_mask, l1_index, l1_lru, l1_ways = self._l1_hot[tile]
         l1stats.tag_reads += 1
-        s = block & set_mask
-        way = l1_index[s].get(block)
+        way = l1_index.get(block)
         if way is None:
             l1stats.misses += 1
             line = None
         else:
             l1stats.hits += 1
+            s = block & set_mask
             stack = l1_lru[s]
             if stack[0] != way:
                 stack.remove(way)

@@ -20,8 +20,9 @@ non-memory instructions in between.
 from __future__ import annotations
 
 import os
+import weakref
 from heapq import heappush
-from typing import Dict, Optional, Type
+from typing import Callable, Dict, Optional
 
 from ..core.checker import CoherenceChecker
 from ..core.protocols import PROTOCOLS, REGISTRY
@@ -112,14 +113,19 @@ _INLINE_OPS = 1024
 
 
 class Core:
-    """An in-order core draining one memory-reference stream."""
+    """An in-order core draining one memory-reference stream.
+
+    A core holds its chip through a weak reference and stores none of
+    its own bound methods: the chip owns its cores, and the chip's
+    event queue keeps their issue callbacks after a run, so a strong
+    back-reference would make every chip a reference cycle that only
+    the cyclic garbage collector frees."""
 
     __slots__ = (
         "tile",
-        "chip",
+        "_chip",
         "_trace",
         "_pending",
-        "_issue",
         "_access",
         "ops_done",
         "ops_target",
@@ -128,17 +134,24 @@ class Core:
 
     def __init__(self, tile: int, chip: "Chip") -> None:
         self.tile = tile
-        self.chip = chip
+        self._chip = weakref.ref(chip)
         self._trace = chip.workload.trace(tile)
         self._pending: Optional[MemOp] = None
-        # the issue callback is picked once: the inline-draining fast
-        # path, or the one-event-per-op reference path (REPRO_FAST_PATH=0)
-        self._issue = self._issue_fast if chip.fast_path else self._issue_slow
         # bound once: the protocol never changes over a chip's lifetime
         self._access = chip.protocol.access
         self.ops_done = 0
         self.ops_target: Optional[int] = None
         self.done = False
+
+    @property
+    def chip(self) -> "Chip":
+        return self._chip()
+
+    @property
+    def _issue(self) -> Callable[[], None]:
+        """The issue callback: the inline-draining fast path, or the
+        one-event-per-op reference path (``REPRO_FAST_PATH=0``)."""
+        return self._issue_fast if self.chip.fast_path else self._issue_slow
 
     def start(self) -> None:
         self.chip.sim.schedule(0, self._issue)
@@ -181,13 +194,13 @@ class Core:
         """
         if self.done:
             return
-        chip = self.chip
+        chip = self._chip()
         sim = chip.sim
         queue = sim._queue
         access = self._access
         trace = self._trace
         tile = self.tile
-        issue = self._issue
+        issue = self._issue_fast
         deadline = chip.deadline
         run_until = sim._run_until
         now = sim._now
@@ -324,9 +337,12 @@ class Chip:
         otherwise (statistics do not depend on the window, pinned by
         the watchdog tests).
         """
+        # the watchdog lives in this chip's simulator, so it reaches
+        # the chip weakly (see :class:`Core`)
+        chip = weakref.ref(self)
         return ProgressWatchdog(
-            progress_fn=self._ops_retired,
-            diagnose_fn=self._livelock_diagnostic,
+            progress_fn=lambda: chip()._ops_retired(),
+            diagnose_fn=lambda: chip()._livelock_diagnostic(),
         )
 
     def _ops_retired(self) -> int:
@@ -367,9 +383,11 @@ class Chip:
             {vm: self.placement.tiles_of(vm) for vm in self.placement.vms},
             self.config.n_tiles,
         )
+        # queued events reach the chip weakly, as the watchdog does
+        chip = weakref.ref(self)
         for ev in plan.events:
             self.sim.schedule_at(
-                warmup + ev.cycle, lambda ev=ev: self.apply_event(ev)
+                warmup + ev.cycle, lambda ev=ev: chip().apply_event(ev)
             )
 
     def run_cycles(self, cycles: int, warmup: int = 0) -> RunStats:

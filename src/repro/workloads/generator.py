@@ -5,15 +5,14 @@ multi-VM run — private, VM-shared and deduplicated pages, through the
 hypervisor model of :mod:`repro.mem.dedup` — and produces one memory
 reference stream per tile.
 
-Reference streams are generated in NumPy batches (the HPC guides'
-vectorize-the-hot-loop rule: page/offset/write draws for thousands of
-accesses cost one RNG call each) and then iterated one access at a
-time by the core model.  Page popularity follows a truncated Zipf
-distribution whose skew is a per-benchmark parameter; deduplicated
-pages share one popularity ranking across all VMs of the same
-benchmark, because they hold the *same* content (shared libraries,
-binaries), which maximizes the cross-VM read sharing the paper's
-protocols exploit.
+Reference streams draw their random numbers in NumPy batches (one RNG
+call covers thousands of accesses) and resolve them one access at a
+time, as the core model consumes them.  Page popularity follows a
+truncated Zipf distribution whose skew is a per-benchmark parameter;
+deduplicated pages share one popularity ranking across all VMs of the
+same benchmark, because they hold the *same* content (shared
+libraries, binaries), which maximizes the cross-VM read sharing the
+paper's protocols exploit.
 
 Writes to a deduplicated page go through
 :meth:`repro.mem.dedup.DedupPageTable.translate_write`, breaking the
@@ -22,21 +21,24 @@ sharing copy-on-write exactly like the hypervisor would.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, NamedTuple, Tuple
+from bisect import bisect_right
+from typing import Dict, Iterator, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
 from ..mem.address import AddressMap
-from ..mem.dedup import DedupPageTable
+from ..mem.dedup import CowEvent, DedupPageTable
 from .placement import VMPlacement
 from .spec import WorkloadSpec, workload_for_vm
 
 __all__ = ["MemOp", "ConsolidatedWorkload"]
 
+#: ops per batch of RNG draws; with the draw order in :meth:`trace`
+#: it defines every stream, so changing it changes every result
 _BATCH = 4096
-#: trace batches convert from ndarray to Python lists in chunks of this
-#: many ops, so a core that consumes only part of a batch (short runs,
-#: high think times) never pays for converting the rest
+#: the draws (nearly) every op reads convert from ndarray to Python
+#: lists in chunks of this many ops, so a core that consumes only part
+#: of a batch (short runs, high think times) never pays for the rest
 _CHUNK = 512
 
 
@@ -58,36 +60,16 @@ def _zipf_weights(n: int, s: float) -> np.ndarray:
     return w / w.sum()
 
 
-class _Region:
+class _Region(NamedTuple):
     """One class of pages (private / vm-shared / dedup) for one thread.
 
-    Instances are read-only after construction and may be shared by
-    every thread of a VM (the VM-shared and dedup regions are
-    identical across a VM's threads)."""
+    ``blocks`` lists the region's virtual block numbers in popularity
+    order and ``cdf`` is the cumulative Zipf distribution over them.
+    Read-only, so the VM-shared and dedup regions are shared by every
+    thread of a VM and equal-sized regions share one ``cdf``."""
 
-    __slots__ = ("vpages", "weights", "cdf", "_pairs")
-
-    def __init__(self, vpages: np.ndarray, weights: np.ndarray) -> None:
-        self.vpages = vpages
-        self.weights = weights
-        # ``rng.choice(n, p=w)`` internally draws uniforms and inverts
-        # the cumulative distribution; precomputing the cdf once lets
-        # the trace loop replicate it exactly (same RNG consumption,
-        # same values) without re-validating/re-accumulating ``w`` on
-        # every batch
-        if len(weights):
-            cdf = weights.cumsum()
-            cdf /= cdf[-1]
-            self.cdf = cdf
-        else:
-            self.cdf = weights
-        self._pairs: List[List[int]] | None = None
-
-    def pairs(self) -> List[List[int]]:
-        """``vpages`` as plain Python lists, converted once."""
-        if self._pairs is None:
-            self._pairs = self.vpages.tolist()
-        return self._pairs
+    blocks: Sequence[int]
+    cdf: List[float]
 
 
 class ConsolidatedWorkload:
@@ -135,7 +117,7 @@ class ConsolidatedWorkload:
         # the VM-shared/dedup regions are identical for all threads of
         # a VM — build (and convert) them once, not once per core
         self._region_cache: Dict[Tuple[int, str], _Region] = {}
-        self._zipf_cache: Dict[Tuple[int, float], np.ndarray] = {}
+        self._cdf_cache: Dict[Tuple[int, float], List[float]] = {}
         self._build_address_space()
 
     # ------------------------------------------------------------------
@@ -300,42 +282,37 @@ class ConsolidatedWorkload:
     def _regions_for(self, vm: int, thread: int) -> List[_Region]:
         """Block-granular regions with Zipf popularity.
 
-        Each region is a flat array of ``(vpage, block_in_page)`` pairs;
-        the Zipf ranking is permuted per VM for the VM-shared region (one
-        hot set per VM) and shared across VMs for the dedup region (the
-        pages hold identical content, so the hot blocks coincide —
+        The Zipf ranking is permuted per VM for the VM-shared region
+        (one hot set per VM) and shared across VMs for the dedup region
+        (the pages hold identical content, so the hot blocks coincide —
         which is what makes cross-VM providers useful).
         """
         spec = self.spec_by_vm[vm]
         bpp = self.addr.blocks_per_page
 
-        def blocks_of(page_lo: int, n_pages: int) -> np.ndarray:
-            pages = np.repeat(np.arange(page_lo, page_lo + n_pages), bpp)
-            offs = np.tile(np.arange(bpp), n_pages)
-            return np.stack([pages, offs], axis=1)
-
-        def make_region(blocks: np.ndarray, permute_seed) -> _Region:
-            n = len(blocks)
+        def make_region(first_page: int, n_pages: int, permute_seed) -> _Region:
+            lo, n = first_page * bpp, n_pages * bpp
             if n == 0:
-                return _Region(blocks, np.ones(0))
+                return _Region(range(0), [])
             key = (n, spec.zipf_s)
-            w = self._zipf_cache.get(key)
-            if w is None:
-                w = self._zipf_cache[key] = _zipf_weights(n, spec.zipf_s)
-            if permute_seed is not None:
-                perm = np.random.default_rng(
-                    (self.seed, permute_seed & 0xFFFF)
-                ).permutation(n)
-                blocks = blocks[perm]
-            return _Region(blocks, w)
+            cdf = self._cdf_cache.get(key)
+            if cdf is None:
+                # what ``rng.choice(n, p=w)`` inverts, computed once
+                w = _zipf_weights(n, spec.zipf_s).cumsum()
+                w /= w[-1]
+                cdf = self._cdf_cache[key] = w.tolist()
+            if permute_seed is None:
+                return _Region(range(lo, lo + n), cdf)
+            perm = np.random.default_rng(
+                (self.seed, permute_seed & 0xFFFF)
+            ).permutation(n)
+            return _Region((perm + lo).tolist(), cdf)
 
         # private: ranking is irrelevant; the page window is per thread
         regions = [
             make_region(
-                blocks_of(
-                    self._private_base[vm] + thread * spec.private_pages,
-                    spec.private_pages,
-                ),
+                self._private_base[vm] + thread * spec.private_pages,
+                spec.private_pages,
                 None,
             )
         ]
@@ -355,7 +332,7 @@ class ConsolidatedWorkload:
             cached = self._region_cache.get((vm, kind))
             if cached is None:
                 cached = self._region_cache[(vm, kind)] = make_region(
-                    blocks_of(base, n_pages), permute_seed
+                    base, n_pages, permute_seed
                 )
             regions.append(cached)
         return regions
@@ -368,67 +345,18 @@ class ConsolidatedWorkload:
         of the last ``spec.reuse_window`` distinct blocks; otherwise a
         fresh block is drawn from the Zipf-ranked region mix.
 
-        Implemented as a thin stage-b wrapper over
-        :meth:`trace_chunks`: the chunk stream resolves everything that
-        draws from the per-thread RNG (stage a), and this wrapper
-        performs the virtual-to-physical translation per consumed op
-        (stage b).  The split matters for ordering: ``translate_write``
-        mutates the shared copy-on-write table, so translations must
-        happen in global *consumption* order — which a generator
-        guarantees — while the RNG-driven stage can safely run a chunk
-        ahead.
-        """
-        vm = self.placement.vm_of(tile)
-        translate = self.table.translate
-        translate_write = self.table.translate_write
-        # read translations are memoized locally; any copy-on-write
-        # event anywhere (this thread's or a sibling's — they share the
-        # (vm, vpage) namespace) flushes the memo, detected by the
-        # length of the table's event log
-        cow_events = self.table.cow_events
-        cow_seen = len(cow_events)
-        tcache: Dict[int, int] = {}
-        tcache_get = tcache.get
-        # construct ops through tuple.__new__ directly (what
-        # MemOp._make does) — skips the generated __new__'s Python frame
-        op_new = tuple.__new__
-        op_cls = MemOp
-        page_shift = self.addr.page_offset_bits - self.addr.block_offset_bits
-        block_shift = self.addr.block_offset_bits
-        for vpages, offs, writes, thinks in self.trace_chunks(tile):
-            for i in range(_CHUNK):
-                vpage = vpages[i]
-                is_write = writes[i]
-                if is_write:
-                    ppage, _ = translate_write(vm, vpage)
-                else:
-                    if len(cow_events) != cow_seen:
-                        tcache.clear()
-                        cow_seen = len(cow_events)
-                    ppage = tcache_get(vpage)
-                    if ppage is None:
-                        ppage = tcache[vpage] = translate(vm, vpage)
-                yield op_new(
-                    op_cls,
-                    (
-                        ((ppage << page_shift) | offs[i]) << block_shift,
-                        is_write,
-                        thinks[i],
-                    ),
-                )
-
-    def trace_chunks(
-        self, tile: int
-    ) -> Iterator[Tuple[List[int], List[int], List[bool], List[int]]]:
-        """Stage a of the reference stream: RNG-resolved op chunks.
-
-        Yields ``(vpages, offs, is_writes, thinks)`` parallel lists of
-        ``_CHUNK`` ops each — everything about an op except its
-        physical translation, which consumers perform per op (stage b)
-        so copy-on-write breaks land in consumption order.  All RNG
-        consumption (batch draws, reuse-window picks, scan sweeps)
-        happens here, in exactly the draw order the original one-op-at-
-        a-time generator used.
+        Every :data:`_BATCH` ops the thread's generator draws all the
+        random numbers of the next batch, array by array in a fixed
+        order; that size and order define the stream.  Each op is then
+        resolved only when the core consumes it, so a core pays for the
+        ops it uses.  The reuse, pick, write and think draws, which
+        (nearly) every op reads, convert to Python lists a
+        :data:`_CHUNK` at a time; the region, block and scan draws are
+        read one element at a time, and looked up, only for a fresh
+        draw.  The virtual-to-physical translation also runs per
+        consumed op: ``translate_write`` mutates the copy-on-write
+        table all threads share, so it must happen in global
+        consumption order.
         """
         vm = self.placement.vm_of(tile)
         thread = self.placement.thread_of(tile)
@@ -439,92 +367,104 @@ class ConsolidatedWorkload:
             [spec.frac_private, spec.frac_vm_shared, spec.frac_dedup], dtype=float
         )
         for i, r in enumerate(regions):
-            if len(r.vpages) == 0:
+            if not r.blocks:
                 fracs[i] = 0.0
         fracs = fracs / fracs.sum()
+        fracs_cdf = fracs.cumsum()
+        fracs_cdf /= fracs_cdf[-1]
+        # bisect_right over the cdf as a list of the same floats returns
+        # exactly what ``searchsorted(side="right")`` does over the array
+        fracs_cdf = fracs_cdf.tolist()
+        region_blocks = [r.blocks for r in regions]
+        region_cdfs = [r.cdf for r in regions]
         wprobs = (spec.write_private, spec.write_vm_shared, spec.write_dedup)
         think_lo, think_hi = spec.think
-        window: List[Tuple[int, int, int]] = []  # (region, vpage, block_off)
+        reuse_prob = spec.reuse_prob
+        reuse_window = spec.reuse_window
+        window: List[Tuple[int, int]] = []  # (region, virtual block)
         wpos = 0
         # cyclic sweep over the leading dedup pages (hot shared content)
         bpp = self.addr.blocks_per_page
         scan_blocks = (
             min(spec.dedup_scan_pages, self.os_pages + spec.dedup_pages) * bpp
         )
-        scan_base = self._dedup_base[vm]
+        scan_base = self._dedup_base[vm] * bpp
+        scan_frac = spec.dedup_scan_frac
         scan_pos = int(
             np.random.default_rng((self.seed, vm, thread, 7)).integers(
                 0, max(1, scan_blocks)
             )
         )
 
-        # inner-loop hoists: scalar indexing into ndarrays and attribute
-        # chains dominate the per-op cost, so batches convert to plain
-        # Python lists (one ``_CHUNK`` at a time, so a partly-consumed
-        # batch never converts its unused tail) and the loop touches
-        # only locals.  The ``rng.choice(n, p=w)`` draws are replicated
-        # as cdf.searchsorted(rng.random(...)) — numpy's own
-        # implementation with the cdf hoisted out of the loop — so the
-        # RNG consumption, draw order and values are untouched and
-        # traces stay bit-identical.
-        reuse_prob = spec.reuse_prob
-        reuse_window = spec.reuse_window
-        scan_frac = spec.dedup_scan_frac
-        region_pairs = [r.pairs() for r in regions]
-        fracs_cdf = fracs.cumsum()
-        fracs_cdf /= fracs_cdf[-1]
+        translate = self.table.translate
+        translate_write = self.table.translate_write
+        # read translations are memoized per virtual page; any
+        # copy-on-write event anywhere (this thread's or a sibling's —
+        # they share the (vm, vpage) namespace) flushes the memo,
+        # detected by the length of the table's event log
+        cow_events = self.table.cow_events
+        cow_seen = len(cow_events)
+        tcache: Dict[int, int] = {}
+        tcache_get = tcache.get
+        # construct ops through tuple.__new__ directly (what
+        # MemOp._make does) — skips the generated __new__'s Python frame
+        op_new = tuple.__new__
+        op_cls = MemOp
+        page_shift = self.addr.page_offset_bits - self.addr.block_offset_bits
+        off_mask = bpp - 1
+        block_shift = self.addr.block_offset_bits
 
         while True:
-            region_ids_a = fracs_cdf.searchsorted(
-                rng.random(size=_BATCH), side="right"
-            )
-            reuse_draw_a = rng.random(size=_BATCH)
-            reuse_pick_a = rng.integers(0, max(1, reuse_window), size=_BATCH)
-            wdraw_a = rng.random(size=_BATCH)
-            thinks_a = rng.integers(think_lo, think_hi + 1, size=_BATCH)
-            fresh_a = [
-                r.cdf.searchsorted(rng.random(size=_BATCH), side="right")
-                if len(r.vpages)
-                else None
-                for r in regions
-            ]
-            scan_draw_a = rng.random(size=_BATCH)
+            region_u = rng.random(size=_BATCH)
+            reuse_u = rng.random(size=_BATCH)
+            picks = rng.integers(0, max(1, reuse_window), size=_BATCH)
+            write_u = rng.random(size=_BATCH)
+            thinks = rng.integers(think_lo, think_hi + 1, size=_BATCH)
+            fresh_u = [rng.random(size=_BATCH) if b else None for b in region_blocks]
+            scan_u = rng.random(size=_BATCH)
             for lo in range(0, _BATCH, _CHUNK):
                 hi = lo + _CHUNK
-                region_ids = region_ids_a[lo:hi].tolist()
-                reuse_draw = reuse_draw_a[lo:hi].tolist()
-                reuse_pick = reuse_pick_a[lo:hi].tolist()
-                wdraw = wdraw_a[lo:hi].tolist()
-                thinks = thinks_a[lo:hi].tolist()
-                fresh_draws = [
-                    a[lo:hi].tolist() if a is not None else None for a in fresh_a
-                ]
-                scan_draw = scan_draw_a[lo:hi].tolist()
-                out_vpages: List[int] = []
-                out_offs: List[int] = []
-                out_writes: List[bool] = []
-                vpages_append = out_vpages.append
-                offs_append = out_offs.append
-                writes_append = out_writes.append
-                for i in range(_CHUNK):
-                    if window and reuse_draw[i] < reuse_prob:
-                        rid, vpage, off = window[reuse_pick[i] % len(window)]
+                for i, reuse, pick, wu, think in zip(
+                    range(lo, hi),
+                    reuse_u[lo:hi].tolist(),
+                    picks[lo:hi].tolist(),
+                    write_u[lo:hi].tolist(),
+                    thinks[lo:hi].tolist(),
+                ):
+                    if window and reuse < reuse_prob:
+                        rid, vblock = window[pick % len(window)]
                     else:
-                        rid = region_ids[i]
-                        if rid == 2 and scan_blocks and scan_draw[i] < scan_frac:
+                        rid = bisect_right(fracs_cdf, region_u.item(i))
+                        if rid == 2 and scan_blocks and scan_u.item(i) < scan_frac:
                             # streaming sweep: no reuse-window insertion
-                            vpage = scan_base + scan_pos // bpp
-                            off = scan_pos % bpp
+                            vblock = scan_base + scan_pos
                             scan_pos = (scan_pos + 1) % scan_blocks
                         else:
-                            vpage, off = region_pairs[rid][fresh_draws[rid][i]]
-                            item = (rid, vpage, off)
+                            vblock = region_blocks[rid][
+                                bisect_right(region_cdfs[rid], fresh_u[rid].item(i))
+                            ]
                             if len(window) < reuse_window:
-                                window.append(item)
+                                window.append((rid, vblock))
                             else:
-                                window[wpos] = item
+                                window[wpos] = (rid, vblock)
                                 wpos = (wpos + 1) % reuse_window
-                    vpages_append(vpage)
-                    offs_append(off)
-                    writes_append(wdraw[i] < wprobs[rid])
-                yield out_vpages, out_offs, out_writes, thinks
+                    vpage = vblock >> page_shift
+                    is_write = wu < wprobs[rid]
+                    if is_write:
+                        ppage = translate_write(vm, vpage)[0]
+                    else:
+                        if len(cow_events) != cow_seen:
+                            tcache.clear()
+                            cow_seen = len(cow_events)
+                        ppage = tcache_get(vpage)
+                        if ppage is None:
+                            ppage = tcache[vpage] = translate(vm, vpage)
+                    yield op_new(
+                        op_cls,
+                        (
+                            ((ppage << page_shift) | (vblock & off_mask))
+                            << block_shift,
+                            is_write,
+                            think,
+                        ),
+                    )

@@ -1,17 +1,24 @@
 """Property-based tests: the cache array against a reference model."""
 
+from collections import OrderedDict
+
 from hypothesis import given, settings, strategies as st
 
-from repro.cache.cache import SetAssocCache
+from repro.cache.cache import CacheAccessStats, SetAssocCache
 
 BLOCKS = st.integers(min_value=0, max_value=255)
+#: few enough blocks, and long enough op lists, that hits, overwrites
+#: and evictions interleave within a set, so a wrong recency order
+#: shows up as a wrong victim
+HOT_BLOCKS = st.integers(min_value=0, max_value=11)
 
 ops = st.lists(
     st.one_of(
-        st.tuples(st.just("insert"), BLOCKS, st.integers()),
-        st.tuples(st.just("lookup"), BLOCKS, st.none()),
-        st.tuples(st.just("invalidate"), BLOCKS, st.none()),
+        st.tuples(st.just("insert"), HOT_BLOCKS, st.integers()),
+        st.tuples(st.just("lookup"), HOT_BLOCKS, st.none()),
+        st.tuples(st.just("invalidate"), HOT_BLOCKS, st.none()),
     ),
+    min_size=10,
     max_size=200,
 )
 
@@ -19,39 +26,47 @@ ops = st.lists(
 @given(ops=ops, n_sets=st.sampled_from([1, 2, 4]), n_ways=st.sampled_from([1, 2, 4]))
 @settings(max_examples=100, deadline=None)
 def test_cache_agrees_with_reference_dict(ops, n_sets, n_ways):
-    """Whatever the cache holds must match a per-set bounded dict model:
-    same keys present, same values, sets never overfull."""
+    """The cache is an exact per-set LRU: against a model holding one
+    ``OrderedDict`` per set (least recently used first), every victim,
+    lookup result, membership test, occupancy and access counter
+    matches after every operation."""
     cache: SetAssocCache[int] = SetAssocCache(n_sets, n_ways)
-    model = {}  # block -> value for blocks we *know* should be present
+    model = [OrderedDict() for _ in range(n_sets)]
+    expect = CacheAccessStats()
 
     for op, block, value in ops:
+        lru = model[block % n_sets]
         if op == "insert":
-            victim = cache.insert(block, value)
-            model[block] = value
-            if victim is not None:
-                vb, _ = victim
-                assert vb != block
-                assert cache.set_of(vb) == cache.set_of(block)
-                model.pop(vb, None)
+            expect.tag_writes += 1
+            want = None
+            if block in lru:
+                lru.move_to_end(block)
+            elif len(lru) == n_ways:
+                want = lru.popitem(last=False)
+                expect.evictions += 1
+            lru[block] = value
+            assert cache.insert(block, value) == want
         elif op == "lookup":
-            got = cache.lookup(block)
-            if block in model:
-                assert got == model[block]
+            expect.tag_reads += 1
+            if block in lru:
+                expect.hits += 1
+                lru.move_to_end(block)
             else:
-                assert got is None
+                expect.misses += 1
+            assert cache.lookup(block) == lru.get(block)
         else:
-            got = cache.invalidate(block)
-            if block in model:
-                assert got == model[block]
-                del model[block]
-            else:
-                assert got is None
+            want = lru.pop(block, None)
+            if want is not None:
+                expect.tag_writes += 1
+            assert cache.invalidate(block) == want
+        assert len(cache) == sum(len(m) for m in model)
+        assert (block in cache) == (block in lru)
+        assert sorted(cache.blocks_in_set(block % n_sets)) == sorted(lru)
 
-    # final state agrees exactly
-    assert dict(iter(cache)) == model
-    # no set exceeds its associativity
+    assert dict(iter(cache)) == {b: v for m in model for b, v in m.items()}
     for s in range(n_sets):
-        assert len(cache.blocks_in_set(s)) <= n_ways
+        assert sorted(cache.blocks_in_set(s)) == sorted(model[s])
+    assert cache.stats == expect
 
 
 @given(

@@ -1,11 +1,16 @@
 """Unit tests for the full-chip driver."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.sim.chip import Chip, Core, PROTOCOLS, make_protocol, paper_scaled_chip
 from repro.sim.config import ConfigError, small_test_chip
 from repro.workloads.generator import ConsolidatedWorkload
 from repro.workloads.placement import VMPlacement
+from tests.conftest import tiny_chip
+from tests.sim.test_dynamics_chip import dynamic_chip, storyline
 
 
 def test_protocols_registry_complete():
@@ -145,3 +150,31 @@ def test_fast_path_env_rejects_other_values(monkeypatch, value):
         Chip("dico", "radix", config=small_test_chip())
     assert exc_info.value.key == "REPRO_FAST_PATH"
     assert "'0' or '1'" in str(exc_info.value)
+
+
+@pytest.mark.parametrize("armed", (False, True), ids=("static", "plan"))
+@pytest.mark.parametrize("protocol", sorted(PROTOCOLS))
+def test_finished_chip_is_freed_without_the_cyclic_gc(protocol, armed):
+    """A chip holds no reference cycle: once dropped after a run, it is
+    freed with its protocol and workload by reference counting alone,
+    so no full collection has to find it."""
+    was_enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        if armed:
+            chip = dynamic_chip(protocol, plan=storyline())
+            chip.run_cycles(4_000, warmup=1_000)
+        else:
+            chip = Chip(protocol, "apache", config=tiny_chip())
+            chip.run_cycles(2_000, warmup=500)
+        refs = {
+            "chip": weakref.ref(chip),
+            "protocol": weakref.ref(chip.protocol),
+            "workload": weakref.ref(chip.workload),
+        }
+        del chip
+        assert [name for name, ref in refs.items() if ref() is not None] == []
+    finally:
+        if was_enabled:
+            gc.enable()

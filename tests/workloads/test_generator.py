@@ -145,3 +145,54 @@ def test_write_fractions_roughly_respected(setup):
     write_frac = sum(o.is_write for o in ops) / len(ops)
     # radix: ~0.3 private / 0.12 shared weighted -> ~0.2 overall
     assert 0.1 < write_frac < 0.35
+
+
+#: tiles of the 8x8 chip whose streams are pinned: two threads of VM 0,
+#: one of VM 1, one of VM 2 and one of VM 3 (area-aligned quadrants)
+PINNED_TILES = (0, 9, 12, 35, 63)
+#: ops per pinned tile: past the second 4,096-op batch boundary
+PINNED_OPS = 9_000
+#: sha256 of the pinned streams, recorded before the generator resolved
+#: ops lazily; any change to the draws or their order moves them
+PINNED_STREAMS = {
+    ("mixed-com", 3): "58fef690852507a6135c64e9a83d4bf7531f999002d8f6e75a0887d5ed63f44a",
+    ("mixed-com", 11): "59611869bbd9911ee7f38fe3d4b8c047a07399811985b2d0f11db9a16a732e3f",
+    ("tomcatv", 3): "6cb8327b4b48897a52cfab10c92115d20c53c5d17abc48e3df142317c3eec02c",
+    ("tomcatv", 11): "59b09e37b6488c25f2986d2be91ae759c7dc27626166b5a46afa05f207fe123e",
+    ("apache", 3): "0ce77fb31797a5d646487cc72080f7100ccefbf71389da83a54c3b6fc143639b",
+    ("apache", 11): "42363848b64d49cf371162183628d4801861bcd265f036c44a6f6d9b486d506e",
+}
+
+
+def _stream_digest(name: str, seed: int) -> str:
+    """Hash ``PINNED_OPS`` ops from each pinned tile of one 8x8 chip,
+    consumed round-robin so that one thread's copy-on-write breaks land
+    in the middle of its siblings' streams."""
+    import hashlib
+
+    placement = VMPlacement.area_aligned(AreaMap(8, 8, 4), 4)
+    w = ConsolidatedWorkload(name, placement, AddressMap(n_tiles=64), seed=seed)
+    streams = [w.trace(t) for t in PINNED_TILES]
+    h = hashlib.sha256()
+    for _ in range(PINNED_OPS):
+        for tile, stream in zip(PINNED_TILES, streams):
+            op = next(stream)
+            h.update(f"{tile}:{op.addr:x}:{int(op.is_write)}:{op.think};".encode())
+    h.update(f"cow={w.cow_breaks}".encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("seed", (3, 11))
+@pytest.mark.parametrize("name", ("mixed-com", "tomcatv", "apache"))
+def test_reference_stream_pinned_past_a_batch_boundary(name, seed):
+    """The 8x8 chip's streams stay the same op for op across three
+    4,096-op batches: jbb's 14,080-block regions, the dedup scan,
+    reuse-window picks and copy-on-write breaks all included."""
+    assert _stream_digest(name, seed) == PINNED_STREAMS[(name, seed)]
+
+
+def test_break_dedup_annotations_resolve():
+    import typing
+
+    hints = typing.get_type_hints(ConsolidatedWorkload.break_dedup)
+    assert hints["pages"] is int

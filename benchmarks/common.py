@@ -6,7 +6,7 @@ simulation sweep — every workload of Table IV run under all four
 protocols — so the sweep is computed once per pytest session and
 memoized here.
 
-All simulations route through :class:`repro.sweep.SweepRunner`; seven
+All simulations route through :class:`repro.sweep.SweepRunner`; six
 environment knobs apply:
 
 * ``REPRO_SWEEP_JOBS``  — worker processes (default ``1`` = serial
@@ -20,11 +20,6 @@ environment knobs apply:
   simulation and leave no trace).  Every run dispatches through
   :func:`repro.api.simulate` either way, so tracing never changes
   the statistics;
-* ``REPRO_FAST_PATH``   — ``0`` selects the one-event-per-op reference
-  issue path inside the simulator (default ``1``, the inline-draining
-  fast path; any other value is a ``ConfigError``).  The two are
-  bit-identical — pinned by ``tests/integration/test_determinism.py``
-  — so this knob exists for cross-checking, not for changing results;
 * ``REPRO_SWEEP_TIMEOUT`` / ``REPRO_SWEEP_RETRIES`` — resilience
   policy for the benchmark sweep: per-point wall-clock timeout in
   seconds and retry count with seeded exponential backoff (defaults:

@@ -243,8 +243,6 @@ def simulate(
             stats_schema=STATS_SCHEMA,
             wall_time_s=round(wall, 6),
             created_unix=time.time(),
-            fast_path=chip.fast_path,
-            engine=chip.engine,
             instruments=instruments,
             watchdog=watchdog_verdict,
             trace_path=None if trace_path is None else str(trace_path),

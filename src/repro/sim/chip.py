@@ -19,7 +19,6 @@ non-memory instructions in between.
 
 from __future__ import annotations
 
-import os
 import weakref
 from heapq import heappush
 from typing import Callable, Dict, Optional
@@ -32,7 +31,7 @@ from ..workloads.dynamics import ConsolidationEvent, ConsolidationPlan
 from ..workloads.generator import ConsolidatedWorkload, MemOp
 from ..workloads.placement import VMPlacement
 from .config import ChipConfig, ConfigError, DEFAULT_CHIP
-from .engine import LivelockError, ProgressWatchdog, Simulator
+from .engine import LivelockError, ProgressWatchdog, SimulationError, Simulator
 
 __all__ = [
     "PROTOCOLS",
@@ -93,27 +92,8 @@ def paper_scaled_chip(
     )
 
 
-def _fast_path_from_env() -> bool:
-    """``REPRO_FAST_PATH``: ``"1"`` (the default when unset) selects
-    the inline-draining issue path, ``"0"`` the reference path.  Any
-    other value is an error, so a cross-check never runs the wrong
-    path by accident."""
-    value = os.environ.get("REPRO_FAST_PATH", "1")
-    if value not in ("0", "1"):
-        raise ConfigError(
-            "REPRO_FAST_PATH", f"must be '0' or '1', got {value!r}"
-        )
-    return value == "1"
-
-
-#: upper bound on memory operations one issue event may drain inline
-#: before handing control back to the event loop (guards against a
-#: single event monopolising a run with a huge quiet window)
-_INLINE_OPS = 1024
-
-
 class Core:
-    """An in-order core draining one memory-reference stream.
+    """A blocking, in-order core issuing one memory-reference stream.
 
     A core holds its chip through a weak reference and stores none of
     its own bound methods: the chip owns its cores, and the chip's
@@ -147,119 +127,55 @@ class Core:
     def chip(self) -> "Chip":
         return self._chip()
 
-    @property
-    def _issue(self) -> Callable[[], None]:
-        """The issue callback: the inline-draining fast path, or the
-        one-event-per-op reference path (``REPRO_FAST_PATH=0``)."""
-        return self._issue_fast if self.chip.fast_path else self._issue_slow
-
     def start(self) -> None:
-        self.chip.sim.schedule(0, self._issue)
-
-    def _issue_slow(self) -> None:
-        """Reference issue path: one event-queue round trip per op."""
-        if self.done:
-            return
-        sim = self.chip.sim
-        if self.chip.deadline is not None and sim.now >= self.chip.deadline:
-            return
-        if self._pending is None:
-            self._pending = next(self._trace)
-        op = self._pending
-        result = self.chip.protocol.access(self.tile, op.addr, op.is_write, sim.now)
-        if result.needs_retry:
-            sim.schedule_at(max(result.retry_at, sim.now + 1), self._issue)
-            return
-        self._pending = None
-        self.ops_done += 1
-        if self.ops_target is not None and self.ops_done >= self.ops_target:
-            self.done = True
-            self.chip._core_finished(sim.now)
-            return
-        sim.schedule(max(1, result.latency + op.think), self._issue)
+        self.chip.sim.schedule(0, self._issue_fast)
 
     def _issue_fast(self) -> None:
-        """Issue path that drains consecutive ops inline.
+        """Issue the core's next memory operation: one event per op.
 
-        Semantically identical to :meth:`_issue_slow` — verified
-        bit-identical by the determinism suite.  After completing an op
-        whose next issue falls at ``t2``, the loop advances the clock to
-        ``t2`` and issues inline instead of round-tripping through the
-        heap, but **only** when no queued event fires at or before
-        ``t2`` and ``t2`` does not cross the active ``run(until=...)``
-        boundary.  Under those conditions no other callback can run (or
-        schedule anything) between the two issues, so the global
-        sequence of ``protocol.access`` calls — and with it every RNG
-        draw and statistic — is exactly the event-queue order.
+        The core is blocking and in-order, so it has one operation in
+        flight and one queued event.  A busy block re-queues the same
+        op at its ``retry_at`` (never before the next cycle); a
+        completed op queues the next issue ``latency + think`` cycles
+        later (at least one).  Either is pushed onto the heap directly —
+        one ``heappush`` plus the seq bump, skipping ``schedule_at``'s
+        validation (every push here is at an integer time after now) —
+        because this runs once per op and the call overhead is
+        measurable.
         """
         if self.done:
             return
         chip = self._chip()
         sim = chip.sim
-        queue = sim._queue
-        access = self._access
-        trace = self._trace
-        tile = self.tile
-        issue = self._issue_fast
-        deadline = chip.deadline
-        run_until = sim._run_until
         now = sim._now
-        pending = self._pending
-        ops_done = self.ops_done
-        ops_target = self.ops_target
-        # re-scheduling pushes onto the heap directly — one heappush
-        # plus the seq bump, skipping schedule_at's validation (every
-        # push here is at an integer time >= now) — because this path
-        # runs once per completed op and the call overhead is measurable
-        try:
-            for _ in range(_INLINE_OPS):
-                if deadline is not None and now >= deadline:
-                    return
-                if pending is None:
-                    pending = next(trace)
-                result = access(tile, pending[0], pending[1], now)
-                if result.retry_at is not None:
-                    retry_at = result.retry_at
-                    heappush(
-                        queue,
-                        (retry_at if retry_at > now else now + 1, sim._seq, issue),
-                    )
-                    sim._seq += 1
-                    return
-                think = pending[2]
-                pending = None
-                ops_done += 1
-                if ops_target is not None and ops_done >= ops_target:
-                    self.done = True
-                    chip._core_finished(now)
-                    return
-                delay = result.latency + think
-                t2 = now + (delay if delay > 1 else 1)
-                if (queue and queue[0][0] <= t2) or (
-                    run_until is not None and t2 > run_until
-                ):
-                    # another event fires first (it would also win the
-                    # (time, seq) tie at t2, having the older seq), or
-                    # the run window ends before t2: go through the heap
-                    heappush(queue, (t2, sim._seq, issue))
-                    sim._seq += 1
-                    return
-                # nothing can run before t2: advance the clock inline
-                sim._now = now = t2
-            # inline budget exhausted; continue via an event at ``now``
-            # (the queue head is strictly later, so it fires next)
-            heappush(queue, (now, sim._seq, issue))
-            sim._seq += 1
-        finally:
-            self._pending = pending
-            self.ops_done = ops_done
+        deadline = chip.deadline
+        if deadline is not None and now >= deadline:
+            return
+        op = self._pending
+        if op is None:
+            op = self._pending = next(self._trace)
+        result = self._access(self.tile, op[0], op[1], now)
+        retry_at = result.retry_at
+        if retry_at is None:
+            self._pending = None
+            self.ops_done += 1
+            if self.ops_target is not None and self.ops_done >= self.ops_target:
+                self.done = True
+                chip._core_finished(now)
+                return
+            delay = result.latency + op[2]
+            when = now + (delay if delay > 1 else 1)
+        else:
+            when = retry_at if retry_at > now else now + 1
+        heappush(sim._queue, (when, sim._seq, self._issue_fast))
+        sim._seq += 1
 
 
 class Chip:
     """One protocol + one workload, ready to run."""
 
-    #: engine label recorded in manifests and printed by the repo
-    #: benchmark; there is one engine, so it is always ``"object"``
+    #: engine label printed by the repo benchmark; there is one
+    #: engine, so it is always ``"object"``
     engine = "object"
 
     def __init__(
@@ -311,13 +227,11 @@ class Chip:
         if default_placement and hasattr(self.workload, "tiles"):
             core_tiles = tuple(self.workload.tiles)
         self.sim = Simulator(watchdog=self._build_watchdog())
-        #: inline-draining issue loop (bit-identical to the reference
-        #: path); ``REPRO_FAST_PATH=0`` selects the reference path
-        self.fast_path = _fast_path_from_env()
         self.cores = [Core(t, self) for t in core_tiles]
         self.deadline: Optional[int] = None
-        self._cores_running = 0
         self._finish_time = 0
+        #: set by the chip's one run (see :meth:`_begin_run`)
+        self._ran = False
         if plan is not None and len(plan) == 0:
             plan = None
         self.plan = plan
@@ -363,18 +277,24 @@ class Chip:
         return {"tiles": tiles[:16], "blocks": blocks[:16]}
 
     def _core_finished(self, now: int) -> None:
-        if self._cores_running > 0:
-            self._cores_running -= 1
         self._finish_time = max(self._finish_time, now)
+
+    def _begin_run(self) -> None:
+        """Claim the chip's one run.  A second run would report
+        garbage: the deadline is absolute, and the warmup rebase would
+        subtract from the op counts a second time."""
+        if self._ran:
+            raise SimulationError(
+                "this chip has already run; build a new Chip for another run"
+            )
+        self._ran = True
 
     def _schedule_plan(self, cycles: int, warmup: int) -> None:
         """Arm the consolidation plan: validate it against the window
         and the initial placement, then schedule each event at its
-        absolute cycle (``warmup + event.cycle``).
-
-        Scheduled events force the cores' inline-draining fast path
-        back through the event heap around the fire cycle, so an event
-        never interleaves with a half-drained issue loop.
+        absolute cycle (``warmup + event.cycle``).  An event is one
+        more entry in the event queue, ordered against the cores'
+        issue events by (cycle, insertion sequence) like any other.
         """
         plan = self.plan
         assert plan is not None
@@ -395,31 +315,17 @@ class Chip:
 
         ``warmup`` cycles run first with statistics discarded, so the
         measurement window starts with warm caches (the paper measures
-        from checkpoints taken after warmup).
+        from checkpoints taken after warmup).  This is
+        :meth:`run_cycles_windowed` with one window and no observer.
         """
-        self.deadline = warmup + cycles
-        # cores normally have no ops_target here, but a caller may pin
-        # one; initialise the running count so _core_finished stays sane
-        self._cores_running = sum(1 for c in self.cores if not c.done)
-        if self.plan is not None:
-            self._schedule_plan(cycles, warmup)
-        for core in self.cores:
-            core.start()
-        if warmup:
-            self.sim.run(until=warmup)
-            self.protocol.reset_stats()
-            ops_at_warmup = [c.ops_done for c in self.cores]
-        self.sim.run(until=warmup + cycles)
-        if warmup:
-            # cores admitted mid-run sit past the end of ops_at_warmup;
-            # zip leaves them whole (they committed nothing in warmup)
-            for c, base_ops in zip(self.cores, ops_at_warmup):
-                c.ops_done -= base_ops
-            self.protocol.stats.operations = sum(c.ops_done for c in self.cores)
-        return self._finalize(cycles)
+        return self.run_cycles_windowed(cycles, warmup, max(cycles, 1))
 
     def run_cycles_windowed(
-        self, cycles: int, warmup: int, window: int, observe
+        self,
+        cycles: int,
+        warmup: int,
+        window: int,
+        observe: Optional[Callable[[int], None]] = None,
     ) -> RunStats:
         """:meth:`run_cycles` with a periodic observation callback.
 
@@ -429,10 +335,13 @@ class Chip:
         benchmark uses it to resolve per-event recovery spikes.  A
         priming call ``observe(0)`` fires right after the warmup reset
         so samplers can baseline counters (core op counts survive the
-        reset) before the first window.
+        reset) before the first window.  Statistics do not depend on
+        ``window``, which must be at least one cycle.
         """
-        self.deadline = warmup + cycles
-        self._cores_running = sum(1 for c in self.cores if not c.done)
+        if window < 1:
+            raise ValueError(f"window must be >= 1 cycle, got {window}")
+        self._begin_run()
+        self.deadline = end = warmup + cycles
         if self.plan is not None:
             self._schedule_plan(cycles, warmup)
         for core in self.cores:
@@ -441,14 +350,17 @@ class Chip:
             self.sim.run(until=warmup)
             self.protocol.reset_stats()
             ops_at_warmup = [c.ops_done for c in self.cores]
-        observe(0)
+        if observe is not None:
+            observe(0)
         t = warmup
-        end = warmup + cycles
         while t < end:
             t = min(end, t + window)
             self.sim.run(until=t)
-            observe(t - warmup)
+            if observe is not None:
+                observe(t - warmup)
         if warmup:
+            # cores admitted mid-run sit past the end of ops_at_warmup;
+            # zip leaves them whole (they committed nothing in warmup)
             for c, base_ops in zip(self.cores, ops_at_warmup):
                 c.ops_done -= base_ops
             self.protocol.stats.operations = sum(c.ops_done for c in self.cores)
@@ -509,7 +421,6 @@ class Chip:
             for tile in ev.tiles:
                 core = Core(tile, self)
                 self.cores.append(core)
-                self._cores_running += 1
                 core.start()
         elif ev.kind == "dedup_break":
             if hasattr(self.workload, "break_dedup"):
@@ -543,8 +454,18 @@ class Chip:
             )
 
     def run_ops(self, ops_per_core: int) -> RunStats:
-        """Fixed work per core; the metric is elapsed cycles."""
-        self._cores_running = len(self.cores)
+        """Fixed work per core; the metric is elapsed cycles.
+
+        A consolidation plan is validated against, and fires within, a
+        cycle window, which this run has none of: a plan-armed chip
+        raises :class:`ConfigError` instead of silently dropping it."""
+        if self.plan is not None:
+            raise ConfigError(
+                "plan",
+                "a consolidation plan needs a cycle window; "
+                "use run_cycles, not run_ops",
+            )
+        self._begin_run()
         for core in self.cores:
             core.ops_target = ops_per_core
             core.start()

@@ -147,16 +147,12 @@ class Simulator:
     [5, 10]
     """
 
-    __slots__ = ("_queue", "_seq", "_now", "_run_until", "_watchdog")
+    __slots__ = ("_queue", "_seq", "_now", "_watchdog")
 
     def __init__(self, watchdog: Optional[ProgressWatchdog] = None) -> None:
         self._queue: List[Tuple[int, int, Callable[[], None]]] = []
         self._seq = 0
         self._now = 0
-        #: the ``until`` bound of the innermost active :meth:`run` call;
-        #: the core fast path reads it to stop inline draining exactly at
-        #: the window boundary (events beyond it must stay queued)
-        self._run_until: Optional[int] = None
         #: livelock detector sampled by :meth:`run`; the default one has
         #: no progress source, so it never trips
         self._watchdog = watchdog if watchdog is not None else ProgressWatchdog()
@@ -197,14 +193,15 @@ class Simulator:
 
         Returns the final simulation time.  When ``until`` is given,
         events scheduled beyond it remain queued and ``now`` is advanced
-        to exactly ``until``.  Every ``window_events`` events the
-        watchdog samples progress and raises :class:`LivelockError`
-        when nothing retired since the previous sample.
+        to exactly ``until``.  No callback can see ``until``, so
+        splitting one run into several bounded ones (as
+        ``Chip.run_cycles_windowed`` does) fires the same events in the
+        same order.  Every ``window_events`` events the watchdog
+        samples progress and raises :class:`LivelockError` when nothing
+        retired since the previous sample.
         """
         # one Python frame per event is measurable at millions of
-        # events, so the pop/dispatch is inlined here; ``until`` is
-        # published for the core fast path to drain inline without
-        # crossing it
+        # events, so the pop/dispatch is inlined here
         queue = self._queue
         pop = heapq.heappop
         bound = math.inf if until is None else until
@@ -212,20 +209,16 @@ class Simulator:
         window = watchdog.window_events
         since_check = 0
         watchdog.reset()
-        self._run_until = until
-        try:
-            while queue and queue[0][0] <= bound:
-                time, _, callback = pop(queue)
-                if time < self._now:
-                    raise SimulationError("event queue went backwards in time")
-                self._now = time
-                callback()
-                since_check += 1
-                if since_check >= window:
-                    watchdog.check(self._now)
-                    since_check = 0
-            if until is not None and until > self._now:
-                self._now = until
-            return self._now
-        finally:
-            self._run_until = None
+        while queue and queue[0][0] <= bound:
+            time, _, callback = pop(queue)
+            if time < self._now:
+                raise SimulationError("event queue went backwards in time")
+            self._now = time
+            callback()
+            since_check += 1
+            if since_check >= window:
+                watchdog.check(self._now)
+                since_check = 0
+        if until is not None and until > self._now:
+            self._now = until
+        return self._now

@@ -4,10 +4,10 @@ A :class:`RunManifest` is the "what exactly produced these numbers"
 document written alongside a run's results: the canonical-config
 fingerprint and full spec document, the seed, the git revision of the
 simulator tree, both schema versions (manifest + stats), the measured
-wall time, the active ``REPRO_FAST_PATH`` setting, and which
-instruments (tracer, checker) were attached.  Two runs with equal
-fingerprints and seeds are bit-identical by the determinism suite, so
-the manifest is sufficient to reproduce or cache a result.
+wall time, and which instruments (tracer, checker, watchdog) were
+attached.  Two runs with equal fingerprints and seeds are bit-identical
+by the determinism suite, so the manifest is sufficient to reproduce or
+cache a result.
 """
 
 from __future__ import annotations
@@ -21,11 +21,13 @@ from typing import Any, Dict, List, Mapping, Optional, Union
 __all__ = ["MANIFEST_SCHEMA_VERSION", "RunManifest", "git_rev"]
 
 #: bump when the manifest document shape changes
-MANIFEST_SCHEMA_VERSION = 2
+MANIFEST_SCHEMA_VERSION = 3
 
-#: loadable document versions (2 added the ``watchdog`` verdict; a
-#: version-1 document simply has no verdict recorded)
-_LOADABLE_SCHEMAS = (1, 2)
+#: loadable document versions (2 added the ``watchdog`` verdict, so a
+#: version-1 document simply has no verdict recorded; 3 dropped the
+#: ``fast_path`` and ``engine`` fields, which older documents carry and
+#: loading ignores)
+_LOADABLE_SCHEMAS = (1, 2, 3)
 
 
 def git_rev(repo_dir: Optional[Union[str, Path]] = None) -> str:
@@ -59,10 +61,6 @@ class RunManifest:
     stats_schema: int
     wall_time_s: float
     created_unix: float
-    fast_path: bool
-    #: simulation engine label; always ``"object"`` now, kept because
-    #: older manifests carry it
-    engine: str = "object"
     #: attached instruments, e.g. ``["tracer", "checker"]``
     instruments: List[str] = field(default_factory=list)
     #: progress-watchdog verdict: ``"ok"``, or
@@ -96,8 +94,6 @@ class RunManifest:
             stats_schema=doc["stats_schema"],
             wall_time_s=doc["wall_time_s"],
             created_unix=doc["created_unix"],
-            fast_path=doc["fast_path"],
-            engine=doc.get("engine", "object"),
             instruments=list(doc.get("instruments", [])),
             watchdog=doc.get("watchdog"),
             trace_path=doc.get("trace_path"),

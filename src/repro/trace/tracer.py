@@ -10,8 +10,7 @@ test when tracing is off, and nothing at all on the L1 read-hit path
 Timing note: protocol helpers sometimes pass ``now=0`` into the
 network (e.g. ``mem_fetch`` scheduling), so the tracer never trusts a
 caller-supplied ``now`` — it stamps every event from a *clock
-callable* that reads the simulator's current cycle (accurate under
-both ``REPRO_FAST_PATH`` settings).
+callable* that reads the simulator's current cycle.
 
 Address attribution: ``Network.send`` has no address parameter, so the
 protocol sets ``tracer.ctx = (tile, block)`` when it starts servicing

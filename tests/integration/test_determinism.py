@@ -69,28 +69,3 @@ def test_miss_categories_account_for_every_l1_miss(protocol):
     assert sum(stats.miss_categories.values()) == stats.l1_misses
     # the links accumulator samples exactly the classified misses
     assert stats.miss_latency.count == stats.l1_misses
-
-
-@pytest.mark.parametrize("protocol", sorted(PROTOCOLS))
-def test_fast_path_is_bit_identical_to_reference_path(protocol, monkeypatch):
-    # the inline-draining core loop and the specialized engine loop
-    # must reproduce the one-event-per-op reference path exactly —
-    # every counter, latency accumulator and RNG draw
-    spec = spec_for(protocol)
-    monkeypatch.setenv("REPRO_FAST_PATH", "0")
-    reference = spec.execute()
-    monkeypatch.setenv("REPRO_FAST_PATH", "1")
-    fast = spec.execute()
-    assert stats_to_dict(fast) == stats_to_dict(reference)
-
-
-def test_fast_path_reference_agreement_through_pool(monkeypatch):
-    # reference stats computed serially must match fast-path stats
-    # coming back from worker processes (the env propagates via fork)
-    grid = [spec_for(p) for p in sorted(PROTOCOLS)]
-    monkeypatch.setenv("REPRO_FAST_PATH", "0")
-    reference = [stats_to_dict(spec.execute()) for spec in grid]
-    monkeypatch.setenv("REPRO_FAST_PATH", "1")
-    pooled = SweepRunner(jobs=2).run(grid)
-    for doc, res in zip(reference, pooled):
-        assert stats_to_dict(res.stats) == doc

@@ -2,11 +2,12 @@
 
 Every cell's full statistics (``stats_to_dict``) hash to a
 ``stats_sha256`` digest.  ``golden_digests.json`` holds the digests of
-24 small cells — every protocol on a miss-heavy and a hit-heavy
-workload, plus every protocol under the five-kind consolidation
-storyline.  A change that moves any simulation result changes a digest
-here.  After an intentional change (a new stats field, a protocol fix),
-regenerate the file with::
+32 small cells — every protocol on a miss-heavy and a hit-heavy
+workload, every protocol under the five-kind consolidation storyline,
+and every protocol run to a fixed op count (``run_ops``).  A change
+that moves any simulation result changes a digest here.  After an
+intentional change (a new stats field, a protocol fix), regenerate the
+file with::
 
     PYTHONPATH=src python -m tests.integration.test_golden_digests
 """
@@ -30,6 +31,7 @@ def cells():
         for workload in STATIC_WORKLOADS:
             yield f"{protocol}/{workload}"
         yield f"{protocol}/storyline"
+        yield f"{protocol}/run_ops"
 
 
 def run_cell(cell: str) -> str:
@@ -38,6 +40,8 @@ def run_cell(cell: str) -> str:
         stats = dynamic_chip(protocol, plan=storyline()).run_cycles(
             4_000, warmup=1_000
         )
+    elif workload == "run_ops":
+        stats = Chip(protocol, "tomcatv", config=tiny_chip()).run_ops(300)
     else:
         stats = Chip(protocol, workload, config=tiny_chip()).run_cycles(
             3_000, warmup=1_000

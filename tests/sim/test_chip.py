@@ -5,8 +5,9 @@ import weakref
 
 import pytest
 
-from repro.sim.chip import Chip, Core, PROTOCOLS, make_protocol, paper_scaled_chip
-from repro.sim.config import ConfigError, small_test_chip
+from repro.sim.chip import Chip, PROTOCOLS, make_protocol, paper_scaled_chip
+from repro.sim.config import small_test_chip
+from repro.sim.engine import SimulationError
 from repro.workloads.generator import ConsolidatedWorkload
 from repro.workloads.placement import VMPlacement
 from tests.conftest import tiny_chip
@@ -108,48 +109,39 @@ def test_per_vm_operations_fairness():
     assert max(per_vm.values()) < 2 * max(1, min(per_vm.values()))
 
 
+def test_windowed_run_rejects_a_window_under_one_cycle():
+    chip = Chip("directory", "apache", config=tiny_chip())
+    for window in (0, -400):
+        with pytest.raises(ValueError, match="window must be >= 1"):
+            chip.run_cycles_windowed(3_000, 1_000, window, lambda t: None)
+    # a rejected window does not use up the chip's run
+    assert chip.run_cycles(3_000, warmup=1_000).operations > 0
+
+
+def test_a_chip_runs_once():
+    chip = Chip("directory", "apache", config=tiny_chip())
+    assert chip.run_cycles(3_000, warmup=1_000).operations > 0
+    ops_done = [c.ops_done for c in chip.cores]
+    reruns = (
+        lambda: chip.run_cycles(3_000, warmup=1_000),
+        lambda: chip.run_cycles_windowed(3_000, 1_000, 400, lambda t: None),
+        lambda: chip.run_ops(10),
+    )
+    for rerun in reruns:
+        with pytest.raises(SimulationError, match="already run"):
+            rerun()
+    # the refused runs left the first run's counts alone
+    assert [c.ops_done for c in chip.cores] == ops_done
+
+
 def test_core_finished_guard_never_underflows():
     chip = Chip("directory", "mixed-sci", config=small_test_chip(), seed=3)
-    chip._cores_running = 1
     chip._core_finished(10)
-    assert chip._cores_running == 0
     # a stray extra notification (e.g. a core finishing after the
-    # window closed) must not drive the count negative
+    # window closed) keeps the latest finish time
     chip._core_finished(11)
-    assert chip._cores_running == 0
+    chip._core_finished(7)
     assert chip._finish_time == 11
-
-
-def test_run_cycles_initialises_running_count():
-    chip = Chip("directory", "mixed-sci", config=small_test_chip(), seed=3)
-    chip.cores[0].done = True  # e.g. pinned ops_target already met
-    chip.run_cycles(200, warmup=100)
-    # only the not-done cores were counted at the start of the window
-    assert chip._cores_running <= len(chip.cores) - 1
-    assert chip._cores_running >= 0
-
-
-@pytest.mark.parametrize("value, fast", [(None, True), ("1", True), ("0", False)])
-def test_fast_path_env_selects_issue_path(monkeypatch, value, fast):
-    if value is None:
-        monkeypatch.delenv("REPRO_FAST_PATH", raising=False)
-    else:
-        monkeypatch.setenv("REPRO_FAST_PATH", value)
-    chip = Chip("dico", "radix", config=small_test_chip())
-    assert chip.fast_path is fast
-    issue = chip.cores[0]._issue
-    assert issue.__func__ is (Core._issue_fast if fast else Core._issue_slow)
-
-
-@pytest.mark.parametrize("value", ["false", "true", "", "off", "2", " 1"])
-def test_fast_path_env_rejects_other_values(monkeypatch, value):
-    # a value read as "on" by mistake would make a reference-path
-    # cross-check compare the fast path with itself
-    monkeypatch.setenv("REPRO_FAST_PATH", value)
-    with pytest.raises(ConfigError) as exc_info:
-        Chip("dico", "radix", config=small_test_chip())
-    assert exc_info.value.key == "REPRO_FAST_PATH"
-    assert "'0' or '1'" in str(exc_info.value)
 
 
 @pytest.mark.parametrize("armed", (False, True), ids=("static", "plan"))

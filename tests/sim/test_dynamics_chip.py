@@ -5,6 +5,7 @@ statistics, and the empty-plan bit-identity contract."""
 import pytest
 
 from repro.sim.chip import PROTOCOLS, Chip
+from repro.sim.config import ConfigError
 from repro.stats.io import stats_to_dict
 from repro.workloads.dynamics import ConsolidationEvent, ConsolidationPlan
 from repro.workloads.placement import VMPlacement
@@ -155,11 +156,11 @@ def test_per_vm_operations_keeps_departed_vm_of_record():
 
 
 # ---------------------------------------------------------------------------
-# the bit-identity contract: no plan == empty plan, on both issue paths
+# the bit-identity contract: no plan == empty plan
 
 
 @pytest.mark.parametrize("protocol", sorted(PROTOCOLS))
-def test_empty_plan_is_bit_identical_on_both_engines(protocol, monkeypatch):
+def test_empty_plan_is_bit_identical_on_both_engines(protocol):
     spec = dict(config=tiny_chip(), n_vms=3, seed=2)
     reference = Chip(protocol, "mixed-com", **spec).run_cycles(
         3_000, warmup=500
@@ -167,21 +168,28 @@ def test_empty_plan_is_bit_identical_on_both_engines(protocol, monkeypatch):
     empty = Chip(
         protocol, "mixed-com", plan=ConsolidationPlan(), **spec
     ).run_cycles(3_000, warmup=500)
-    # and on the one-event-per-op reference issue path
-    monkeypatch.setenv("REPRO_FAST_PATH", "0")
-    empty_reference_path = Chip(
-        protocol, "mixed-com", plan=ConsolidationPlan(), **spec
-    ).run_cycles(3_000, warmup=500)
     assert stats_to_dict(empty) == stats_to_dict(reference)
-    assert stats_to_dict(empty_reference_path) == stats_to_dict(reference)
 
 
 def test_invalid_plan_rejected_at_run_time():
-    from repro.sim.config import ConfigError
-
     plan = ConsolidationPlan(seed=0, events=(
         ConsolidationEvent(9_999, "dedup_break", 0, pages=1),
     ))
     chip = dynamic_chip("directory", plan=plan)
     with pytest.raises(ConfigError, match="outside the measurement"):
         chip.run_cycles(4_000, warmup=1_000)
+
+
+def test_run_ops_rejects_an_armed_plan():
+    """A plan fires within a cycle window, which ``run_ops`` has none
+    of: the chip refuses it instead of running without its events."""
+    chip = dynamic_chip("directory", plan=storyline())
+    with pytest.raises(ConfigError, match="cycle window") as exc_info:
+        chip.run_ops(300)
+    assert exc_info.value.key == "plan"
+    # the refusal used up nothing: the chip still runs its window
+    stats = chip.run_cycles(4_000, warmup=1_000)
+    assert stats.consolidation["vm_arrive"] == 1
+    # an empty plan is no plan, so run_ops accepts it
+    empty = dynamic_chip("directory", plan=ConsolidationPlan())
+    assert empty.run_ops(50).operations == 50 * len(empty.cores)

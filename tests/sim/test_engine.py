@@ -90,12 +90,3 @@ def test_bounded_run_advances_to_until_and_keeps_future_events():
     assert sim.now == 4 and fired == [] and sim.pending == 1
     sim.run(until=12)
     assert fired == [10] and sim.now == 12
-
-
-def test_run_until_is_published_during_run_only():
-    sim = Simulator()
-    seen = []
-    sim.schedule(1, lambda: seen.append(sim._run_until))
-    sim.run(until=6)
-    assert seen == [6]
-    assert sim._run_until is None  # reset even on normal exit

@@ -1,11 +1,9 @@
-"""Trace determinism: identical event streams across engine paths and
-process boundaries, and unchanged statistics when tracing is on."""
+"""Trace determinism: identical event streams across process
+boundaries, and unchanged statistics when tracing is on."""
 
 import json
 
-import pytest
-
-from repro.api import RunSpec, TraceOptions, simulate, spec_fingerprint
+from repro.api import RunSpec, spec_fingerprint
 from repro.stats.io import stats_to_dict
 from repro.sweep import SweepRunner
 from repro.sweep.spec import config_to_dict
@@ -21,19 +19,6 @@ def tiny_spec(protocol="dico-providers", **kwargs):
     )
     defaults.update(kwargs)
     return RunSpec(**defaults)
-
-
-@pytest.mark.parametrize("protocol", ("directory", "dico-arin"))
-def test_trace_identical_across_fast_and_reference_paths(
-    protocol, monkeypatch
-):
-    spec = tiny_spec(protocol)
-    monkeypatch.setenv("REPRO_FAST_PATH", "0")
-    reference = simulate(spec, trace=TraceOptions(capacity=None))
-    monkeypatch.setenv("REPRO_FAST_PATH", "1")
-    fast = simulate(spec, trace=TraceOptions(capacity=None))
-    assert stats_to_dict(fast.stats) == stats_to_dict(reference.stats)
-    assert fast.events == reference.events
 
 
 def test_trace_files_identical_serial_vs_pooled(tmp_path, monkeypatch):

@@ -19,7 +19,6 @@ def sample_manifest(**kwargs):
         stats_schema=4,
         wall_time_s=1.25,
         created_unix=1_700_000_000.0,
-        fast_path=True,
         instruments=["tracer", "checker"],
         trace_path="trace.jsonl",
         spec={"protocol": "dico-arin", "workload": "apache"},
@@ -59,10 +58,21 @@ def test_watchdog_verdict_round_trips():
 
 
 def test_schema_1_documents_still_load():
-    # pre-watchdog manifests have schema=1 and no watchdog key
+    # pre-watchdog manifests have schema=1, no watchdog key and the
+    # retired fast_path field
     doc = sample_manifest().to_dict()
-    doc["schema"] = 1
+    doc.update(schema=1, fast_path=True)
     del doc["watchdog"]
     m = RunManifest.from_dict(doc)
     assert m.schema == 1
     assert m.watchdog is None
+
+
+def test_schema_2_documents_still_load():
+    # schema-2 manifests carry the retired fast_path and engine fields
+    doc = sample_manifest(watchdog="ok").to_dict()
+    doc.update(schema=2, fast_path=True, engine="object")
+    m = RunManifest.from_dict(doc)
+    assert m.schema == 2
+    assert m.watchdog == "ok"
+    assert "fast_path" not in m.to_dict() and "engine" not in m.to_dict()

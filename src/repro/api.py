@@ -336,15 +336,14 @@ def connect(host: str = "127.0.0.1", port: int = 8047, **kwargs):
 
         client = connect(port=8047)
         job = client.submit(
-            [RunSpec(protocol="dico", workload="radix").to_dict()],
-            tenant="alice",
+            [RunSpec(protocol="dico", workload="radix").to_dict()]
         )
         for event in client.results(job["job_id"]):
             print(event["index"], event["status"])
 
     Returns a :class:`repro.serve.ServeClient`; submissions refused by
-    admission control raise :class:`repro.serve.Backpressure` with the
-    daemon's ``Retry-After``.
+    the daemon's queue cap raise :class:`repro.serve.Backpressure`
+    with the daemon's ``Retry-After``.
     """
     from .serve import ServeClient
 

@@ -11,9 +11,9 @@ Commands:
   processes with an on-disk result cache (``--trace-dir`` adds a
   trace + manifest per executed spec)
 * ``serve``    — run the experiment daemon: an asyncio HTTP job queue
-  in front of the same sweep machinery (multi-tenant admission
-  control, fair scheduling, restart-resume; see docs/SIMULATOR.md)
-* ``serve-bench`` — load/overload/chaos harness against a real daemon
+  in front of the same sweep machinery (a queue cap with ``429``
+  backpressure, cancellation, restart-resume; see docs/SIMULATOR.md)
+* ``serve-bench`` — load/chaos harness against a real daemon
   subprocess (``BENCH_SERVE.json`` report)
 * ``verify``   — differentially fuzz the coherence protocols under the
   invariant checker; failures shrink to minimal repro bundles that
@@ -393,36 +393,11 @@ def cmd_sweep(args) -> int:
     return 3 if any(not res.ok for res in results) else 0
 
 
-def _parse_quota(text: str):
-    """``tenant=max_pending[:weight[:rate[:burst]]]`` -> (tenant, quota)."""
-    from .serve import TenantQuota
-
-    tenant, sep, raw = text.partition("=")
-    if not sep or not tenant:
-        raise ValueError(
-            f"quota {text!r} is not of the form "
-            "tenant=max_pending[:weight[:rate[:burst]]]"
-        )
-    parts = raw.split(":")
-    if not 1 <= len(parts) <= 4:
-        raise ValueError(f"quota {text!r} has too many ':' fields")
-    try:
-        quota = TenantQuota(
-            max_pending=int(parts[0]),
-            weight=int(parts[1]) if len(parts) > 1 else 1,
-            rate=float(parts[2]) if len(parts) > 2 else 0.0,
-            burst=float(parts[3]) if len(parts) > 3 else 0.0,
-        )
-    except ValueError as exc:
-        raise ValueError(f"bad quota {text!r}: {exc}")
-    return tenant, quota
-
-
 def cmd_serve(args) -> int:
     import logging
 
     from .faults import FaultPlan, FaultPolicy
-    from .serve import ServeConfig, TenantQuota
+    from .serve import ServeConfig
     from .serve.daemon import serve
 
     logging.basicConfig(
@@ -430,21 +405,6 @@ def cmd_serve(args) -> int:
         format="%(asctime)s %(name)s %(levelname)s %(message)s",
         stream=sys.stderr,
     )
-    try:
-        quotas = dict(_parse_quota(q) for q in args.quota or ())
-        default_quota = TenantQuota(
-            max_pending=args.default_max_pending,
-            weight=1,
-            rate=args.default_rate,
-        )
-        policy = FaultPolicy(
-            timeout_s=args.timeout,
-            max_retries=args.retries,
-            on_failure="skip",
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     fault_plan = None
     if args.fault_plan:
         try:
@@ -453,21 +413,27 @@ def cmd_serve(args) -> int:
             print(f"error: bad fault plan {args.fault_plan!r}: {exc}",
                   file=sys.stderr)
             return 2
-    config = ServeConfig(
-        cache_dir=args.cache_dir,
-        host=args.host,
-        port=args.port,
-        workers=args.workers,
-        max_queue_points=args.max_queue,
-        default_quota=default_quota,
-        quotas=quotas,
-        default_policy=policy,
-        fault_plan=fault_plan,
-        journal_gc_days=args.journal_gc_days,
-        gc_interval_s=args.gc_interval_s,
-        drain_s=args.drain_s,
-        port_file=args.port_file,
-    )
+    try:
+        config = ServeConfig(
+            cache_dir=args.cache_dir,
+            host=args.host,
+            port=args.port,
+            workers=args.workers,
+            max_queue_points=args.max_queue,
+            default_policy=FaultPolicy(
+                timeout_s=args.timeout,
+                max_retries=args.retries,
+                on_failure="skip",
+            ),
+            fault_plan=fault_plan,
+            journal_gc_days=args.journal_gc_days,
+            gc_interval_s=args.gc_interval_s,
+            drain_s=args.drain_s,
+            port_file=args.port_file,
+        )
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     return serve(config)
 
 
@@ -768,22 +734,6 @@ def main(argv=None) -> int:
         "429 + Retry-After (default: 1024)",
     )
     p_serve.add_argument(
-        "--quota", action="append",
-        metavar="TENANT=MAX[:WEIGHT[:RATE[:BURST]]]",
-        help="per-tenant quota: max pending points, WRR weight, "
-        "points/sec rate, burst (repeatable)",
-    )
-    p_serve.add_argument(
-        "--default-max-pending", type=int, default=512,
-        help="pending-point quota for tenants without --quota "
-        "(default: 512)",
-    )
-    p_serve.add_argument(
-        "--default-rate", type=float, default=0.0,
-        help="submission rate limit for unlisted tenants, points/sec "
-        "(default: 0 = unlimited)",
-    )
-    p_serve.add_argument(
         "--timeout", type=float, default=300.0, metavar="SECONDS",
         help="default per-attempt timeout; jobs may lower/raise via "
         "their policy (default: 300)",
@@ -814,20 +764,15 @@ def main(argv=None) -> int:
 
     p_sbench = sub.add_parser(
         "serve-bench",
-        help="drive a real serve daemon through load/overload/chaos "
+        help="drive a real serve daemon through load and chaos "
         "phases and write BENCH_SERVE.json",
     )
     p_sbench.add_argument(
-        "--mode", default="all",
-        choices=("all", "load", "overload", "chaos"),
+        "--mode", default="all", choices=("all", "load", "chaos"),
     )
     p_sbench.add_argument(
-        "--tenants", type=int, default=4,
-        help="concurrent tenants in the load phase (default: 4)",
-    )
-    p_sbench.add_argument(
-        "--jobs", type=int, default=25,
-        help="jobs per tenant in the load phase (default: 25)",
+        "--jobs", type=int, default=100,
+        help="jobs in the load phase (default: 100)",
     )
     p_sbench.add_argument(
         "--points", type=int, default=4,
@@ -848,7 +793,7 @@ def main(argv=None) -> int:
     )
     p_sbench.add_argument(
         "--chaos-points", type=int, default=10,
-        help="points per tenant in the chaos phase (default: 10)",
+        help="points per job in the chaos phase (default: 10)",
     )
     p_sbench.add_argument(
         "--kill-after-s", type=float, default=2.5,

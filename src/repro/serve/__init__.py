@@ -4,9 +4,10 @@
 HTTP daemon (stdlib only) in front of the sweep machinery: submit a
 grid, poll or stream per-point results, cancel, observe.  Concurrent
 clients dedupe work through the shared content-addressed
-:class:`~repro.sweep.cache.ResultCache`; per-tenant admission control
-and weighted-fair scheduling keep the daemon healthy under load; the
-journal-backed lifecycle makes a daemon restart a resume, not a loss.
+:class:`~repro.sweep.cache.ResultCache`; one queue cap with ``429``
+backpressure and a fixed number of worker slots keep the daemon
+healthy under load; the journal-backed lifecycle makes a daemon
+restart a resume, not a loss.
 
 ``python -m repro serve-bench`` is the load/chaos harness
 (``BENCH_SERVE.json``).
@@ -15,28 +16,16 @@ journal-backed lifecycle makes a daemon restart a resume, not a loss.
 from .client import Backpressure, ServeClient, ServeError
 from .daemon import ExperimentServer, ServeConfig, spec_from_doc
 from .models import Job, PointState
-from .scheduling import (
-    AdmissionController,
-    AdmissionError,
-    FairWorkerPool,
-    TenantQuota,
-    TokenBucket,
-)
 from .store import JobStore
 
 __all__ = [
-    "AdmissionController",
-    "AdmissionError",
     "Backpressure",
     "ExperimentServer",
-    "FairWorkerPool",
     "Job",
     "JobStore",
     "PointState",
     "ServeClient",
     "ServeConfig",
     "ServeError",
-    "TenantQuota",
-    "TokenBucket",
     "spec_from_doc",
 ]

@@ -1,18 +1,15 @@
 """``python -m repro serve-bench`` — load/chaos harness for the daemon.
 
 Drives a real ``repro serve`` subprocess through its HTTP API and
-writes a machine-readable report (``BENCH_SERVE.json``).  Four phases:
+writes a machine-readable report (``BENCH_SERVE.json``).  Three phases:
 
-* **load** — T tenants fire J jobs of P points each, drawn from D
-  distinct tiny specs, against a cold cache.  Submissions run from a
-  thread pool and honour 429 backpressure; the report records wall
-  time, submit latency percentiles, retry counts, and how few actual
-  simulations the content-addressed dedup let through.
+* **load** — 16 client threads fire J jobs of P points each, drawn
+  from D distinct tiny specs, against a cold cache.  Submissions honour
+  429 backpressure; the report records wall time, submit latency
+  percentiles, retry counts, and how few actual simulations the
+  content-addressed dedup let through.
 * **warm** — the same offered load again, same daemon: every point
   should now be a cache hit.
-* **overload** — a deliberately tiny queue (``--max-queue``) takes a
-  burst of no-retry submissions; the report shows 429s with usable
-  ``Retry-After`` and that polite clients still finish.
 * **chaos** — a seeded :class:`~repro.faults.FaultPlan` (worker
   crashes + cache corruption, plus a few permanently-failing specs)
   runs under the daemon, which is then **SIGKILLed mid-run** and
@@ -43,7 +40,7 @@ from ..sim.config import small_test_chip
 from ..stats.io import stats_digest
 from ..sweep.spec import RunSpec, config_to_dict
 from ..trace.manifest import git_rev
-from .client import Backpressure, ServeClient, ServeError
+from .client import ServeClient, ServeError
 
 __all__ = ["DaemonProc", "main", "tiny_spec_docs"]
 
@@ -97,10 +94,7 @@ class DaemonProc:
         *,
         workers: int = 2,
         max_queue: int = 512,
-        quotas: Sequence[str] = (),
         fault_plan: Optional[str] = None,
-        drain_s: float = 5.0,
-        extra: Sequence[str] = (),
     ) -> None:
         self.cache_dir = cache_dir
         self.port_file = os.path.join(cache_dir, "serve.port")
@@ -111,14 +105,11 @@ class DaemonProc:
             "--port-file", self.port_file,
             "--workers", str(workers),
             "--max-queue", str(max_queue),
-            "--drain-s", str(drain_s),
+            "--drain-s", "5",
             "--gc-interval-s", "3600",
         ]
-        for quota in quotas:
-            self.cmd += ["--quota", quota]
         if fault_plan:
             self.cmd += ["--fault-plan", fault_plan]
-        self.cmd += list(extra)
         self.proc: Optional[subprocess.Popen] = None
 
     def start(self, timeout_s: float = 30.0) -> ServeClient:
@@ -177,7 +168,6 @@ class DaemonProc:
 def _run_load(
     client: ServeClient,
     *,
-    tenants: int,
     jobs: int,
     points: int,
     distinct: int,
@@ -191,14 +181,13 @@ def _run_load(
 
     def one_job(k: int) -> List[Dict[str, Any]]:
         nonlocal retries_429
-        tenant = f"tenant{k % tenants}"
         picked = [
             spec_pool[(k * points + j) % len(spec_pool)]
             for j in range(points)
         ]
         t0 = time.monotonic()
         doc = client.submit_with_retry(
-            picked, tenant=tenant, policy=policy, max_wait_s=600.0
+            picked, policy=policy, max_wait_s=600.0
         )
         submit_latency.append(time.monotonic() - t0)
         retries_429 += doc.get("submit_retries", 0)
@@ -206,7 +195,7 @@ def _run_load(
 
     t0 = time.monotonic()
     with ThreadPoolExecutor(max_workers=16) as pool:
-        for result in pool.map(one_job, range(tenants * jobs)):
+        for result in pool.map(one_job, range(jobs)):
             events.extend(result)
     wall = time.monotonic() - t0
 
@@ -216,12 +205,11 @@ def _run_load(
     stats = client.stats()
     return {
         "label": label,
-        "tenants": tenants,
-        "jobs": tenants * jobs,
-        "points_submitted": tenants * jobs * points,
+        "jobs": jobs,
+        "points_submitted": jobs * points,
         "distinct_specs": distinct,
         "wall_s": round(wall, 3),
-        "points_per_s": round(tenants * jobs * points / wall, 1),
+        "points_per_s": round(jobs * points / wall, 1),
         "submit_latency": _latency_stats(submit_latency),
         "submit_429_retries": retries_429,
         "events_by_status": by_status,
@@ -230,56 +218,8 @@ def _run_load(
     }
 
 
-def _run_overload(cache_dir: str) -> Dict[str, Any]:
-    """Tiny queue, burst of submissions: backpressure must be explicit."""
-    daemon = DaemonProc(
-        cache_dir, workers=1, max_queue=8, drain_s=2.0
-    )
-    client = daemon.start()
-    try:
-        specs = tiny_spec_docs(4, tag_seed=7)
-        raw_429 = 0
-        accepted = []
-        retry_afters = []
-        # burst without retrying: count the refusals
-        for i in range(40):
-            try:
-                doc = client.submit(
-                    [specs[i % len(specs)]], tenant="burst"
-                )
-                accepted.append(doc["job_id"])
-            except Backpressure as exc:
-                raw_429 += 1
-                retry_afters.append(exc.retry_after_s)
-        # polite pass: with Retry-After honoured everything lands
-        polite = [
-            client.submit_with_retry(
-                [specs[i % len(specs)]], tenant="polite", max_wait_s=300.0
-            )
-            for i in range(8)
-        ]
-        for doc in accepted + [d for d in polite]:
-            job_id = doc if isinstance(doc, str) else doc["job_id"]
-            client.wait_job(job_id, timeout_s=300.0)
-        stats = client.stats()
-        return {
-            "burst_submissions": 40,
-            "accepted": len(accepted),
-            "rejected_429": raw_429,
-            "retry_after_present": all(r > 0 for r in retry_afters),
-            "polite_submissions": len(polite),
-            "polite_429_retries": sum(
-                d.get("submit_retries", 0) for d in polite
-            ),
-            "daemon_admission_rejected": stats["admission"]["rejected"],
-            "all_completed": True,
-        }
-    finally:
-        daemon.stop()
-
-
 def _run_chaos(
-    cache_dir: str, *, points_per_tenant: int, kill_after_s: float
+    cache_dir: str, *, points_per_job: int, kill_after_s: float
 ) -> Dict[str, Any]:
     """Faults + mid-run SIGKILL + resume; verify bit-identity."""
     plan = FaultPlan(
@@ -296,8 +236,8 @@ def _run_chaos(
     plan_path = os.path.join(cache_dir, "fault-plan.json")
     plan.dump(plan_path)
 
-    docs_a = tiny_spec_docs(points_per_tenant, tag_seed=21)
-    docs_b = tiny_spec_docs(points_per_tenant, tag_seed=22)
+    docs_a = tiny_spec_docs(points_per_job, tag_seed=21)
+    docs_b = tiny_spec_docs(points_per_job, tag_seed=22)
     policy = {"timeout_s": 60.0, "max_retries": 2, "backoff_base_s": 0.05}
 
     # fault-free reference, computed in-process
@@ -306,13 +246,10 @@ def _run_chaos(
         spec = RunSpec.from_dict(doc)
         reference[spec.fingerprint()] = stats_digest(spec.execute())
 
-    quotas = ["alpha=64:3", "beta=64:1"]
-    daemon = DaemonProc(
-        cache_dir, workers=2, quotas=quotas, fault_plan=plan_path
-    )
+    daemon = DaemonProc(cache_dir, workers=2, fault_plan=plan_path)
     client = daemon.start()
-    job_a = client.submit(docs_a, tenant="alpha", policy=policy)["job_id"]
-    job_b = client.submit(docs_b, tenant="beta", policy=policy)["job_id"]
+    job_a = client.submit(docs_a, policy=policy)["job_id"]
+    job_b = client.submit(docs_b, policy=policy)["job_id"]
     # kill mid-run: wait until at least a couple of points completed
     # (tiny specs finish fast — a fixed sleep can land after the whole
     # grid is done, which would leave nothing to resume)
@@ -329,25 +266,23 @@ def _run_chaos(
     daemon.kill_hard()
 
     # restart on the same cache dir, same fault plan still active
-    daemon2 = DaemonProc(
-        cache_dir, workers=2, quotas=quotas, fault_plan=plan_path
-    )
+    daemon2 = DaemonProc(cache_dir, workers=2, fault_plan=plan_path)
     client2 = daemon2.start()
     try:
-        def events_for(job_id: str, docs: List[Dict[str, Any]], tenant: str):
+        def events_for(job_id: str, docs: List[Dict[str, Any]]):
             try:
                 return client2.wait_job(job_id, timeout_s=600.0), True
             except ServeError:
                 # the job went terminal before the kill, so the restart
                 # had nothing to resume; re-submit — every completed
                 # point must come back from the shared cache
-                resub = client2.submit(docs, tenant=tenant, policy=policy)
+                resub = client2.submit(docs, policy=policy)
                 return client2.wait_job(
                     resub["job_id"], timeout_s=600.0
                 ), False
 
-        events_a, resumed_a = events_for(job_a, docs_a, "alpha")
-        events_b, resumed_b = events_for(job_b, docs_b, "beta")
+        events_a, resumed_a = events_for(job_a, docs_a)
+        events_b, resumed_b = events_for(job_b, docs_b)
         checks = {
             "no_lost_or_duplicated_points": True,
             "ok_bit_identical_to_fault_free": True,
@@ -355,19 +290,19 @@ def _run_chaos(
         }
         mismatches: List[Dict[str, Any]] = []
         for name, docs, events in (
-            ("alpha", docs_a, events_a), ("beta", docs_b, events_b)
+            ("a", docs_a, events_a), ("b", docs_b, events_b)
         ):
             indexes = sorted(e["index"] for e in events)
             if indexes != list(range(len(docs))):
                 checks["no_lost_or_duplicated_points"] = False
-                mismatches.append({"tenant": name, "indexes": indexes})
+                mismatches.append({"job": name, "indexes": indexes})
             for event in events:
                 if event["status"] == "ok":
                     want = reference[event["fingerprint"]]
                     if event.get("stats_sha256") != want:
                         checks["ok_bit_identical_to_fault_free"] = False
                         mismatches.append({
-                            "tenant": name,
+                            "job": name,
                             "index": event["index"],
                             "got": event.get("stats_sha256"),
                             "want": want,
@@ -379,14 +314,14 @@ def _run_chaos(
                     ):
                         checks["failed_are_structured"] = False
                         mismatches.append({
-                            "tenant": name,
+                            "job": name,
                             "index": event["index"],
                             "failure": failure,
                         })
                 else:
                     checks["no_lost_or_duplicated_points"] = False
                     mismatches.append({
-                        "tenant": name, "index": event["index"],
+                        "job": name, "index": event["index"],
                         "status": event["status"],
                     })
         stats = client2.stats()
@@ -422,64 +357,50 @@ def _run_chaos(
 def main(args) -> int:
     t_start = time.time()
     report: Dict[str, Any] = {
-        "schema": "bench-serve/1",
+        "schema": "bench-serve/2",
         "git_rev": git_rev(),
         "python": sys.version.split()[0],
         "config": {
-            "tenants": args.tenants,
-            "jobs_per_tenant": args.jobs,
+            "jobs": args.jobs,
             "points_per_job": args.points,
             "distinct_specs": args.distinct,
             "workers": args.workers,
             "modes": args.mode,
         },
     }
-    modes = (
-        ("load", "overload", "chaos") if args.mode == "all"
-        else (args.mode,)
-    )
+    modes = ("load", "chaos") if args.mode == "all" else (args.mode,)
 
     with tempfile.TemporaryDirectory(prefix="repro-serve-bench-") as tmp:
         if "load" in modes:
-            cache_dir = os.path.join(tmp, "load")
-            quotas = [
-                f"tenant{i}=512:{1 + i % 3}" for i in range(args.tenants)
-            ]
             daemon = DaemonProc(
-                cache_dir,
+                os.path.join(tmp, "load"),
                 workers=args.workers,
                 max_queue=args.max_queue,
-                quotas=quotas,
             )
             client = daemon.start()
             try:
                 print("bench: load (cold cache) ...", file=sys.stderr)
                 report["load_cold"] = _run_load(
                     client,
-                    tenants=args.tenants, jobs=args.jobs,
+                    jobs=args.jobs,
                     points=args.points, distinct=args.distinct,
                     label="cold",
                 )
                 print("bench: load (warm cache) ...", file=sys.stderr)
                 report["load_warm"] = _run_load(
                     client,
-                    tenants=args.tenants, jobs=args.jobs,
+                    jobs=args.jobs,
                     points=args.points, distinct=args.distinct,
                     label="warm",
                 )
             finally:
                 daemon.stop()
-        if "overload" in modes:
-            print("bench: overload ...", file=sys.stderr)
-            report["overload"] = _run_overload(
-                os.path.join(tmp, "overload")
-            )
         if "chaos" in modes:
             print("bench: chaos (faults + kill + resume) ...",
                   file=sys.stderr)
             report["chaos"] = _run_chaos(
                 os.path.join(tmp, "chaos"),
-                points_per_tenant=args.chaos_points,
+                points_per_job=args.chaos_points,
                 kill_after_s=args.kill_after_s,
             )
 

@@ -121,10 +121,9 @@ class ServeClient:
     def submit(
         self,
         specs: Sequence[Dict[str, Any]],
-        tenant: str = "default",
         policy: Optional[Dict[str, Any]] = None,
     ) -> Dict[str, Any]:
-        body: Dict[str, Any] = {"tenant": tenant, "specs": list(specs)}
+        body: Dict[str, Any] = {"specs": list(specs)}
         if policy:
             body["policy"] = policy
         return self._request("POST", "/jobs", body)
@@ -132,7 +131,6 @@ class ServeClient:
     def submit_with_retry(
         self,
         specs: Sequence[Dict[str, Any]],
-        tenant: str = "default",
         policy: Optional[Dict[str, Any]] = None,
         max_wait_s: float = 120.0,
         sleep=time.sleep,
@@ -142,7 +140,7 @@ class ServeClient:
         attempts = 0
         while True:
             try:
-                doc = self.submit(specs, tenant=tenant, policy=policy)
+                doc = self.submit(specs, policy=policy)
                 doc["submit_retries"] = attempts
                 return doc
             except Backpressure as exc:

@@ -1,4 +1,4 @@
-"""``python -m repro serve`` — the multi-tenant experiment daemon.
+"""``python -m repro serve`` — the experiment daemon: one job queue.
 
 :class:`ExperimentServer` puts an asyncio HTTP control plane in front
 of the existing sweep machinery.  Every result still flows through the
@@ -7,24 +7,26 @@ execution, :class:`~repro.sweep.cache.ResultCache` for
 content-addressed dedup, :class:`~repro.sweep.journal.SweepJournal`
 for crash-safe per-point progress — so a grid served over HTTP is
 bit-identical to the same grid run by ``repro sweep``.  The daemon
-itself adds tenancy, admission, single-flight dedup, cancellation and
-HTTP, all on one event-loop thread: attempts fork from it, and file
-I/O runs on it, so no helper thread is alive at any fork.
+itself adds a queue cap, single-flight dedup, cancellation and HTTP,
+all on one event-loop thread: attempts fork from it, and file I/O runs
+on it, so no helper thread is alive at any fork.
 
 The robustness contract:
 
-* **Admission control** — submissions are bounded by a global queue
-  cap, per-tenant pending quotas and per-tenant token-bucket rates.
-  A refused submission gets ``429`` with ``Retry-After``; daemon
-  memory never grows unboundedly with offered load.
-* **Fair scheduling** — worker slots are granted weighted round-robin
-  across tenants (:class:`~repro.serve.scheduling.FairWorkerPool`).
+* **Backpressure** — the unfinished points of all jobs count against
+  one queue cap (``max_queue_points``).  A submission that would
+  exceed it gets ``429`` with ``Retry-After``; daemon memory never
+  grows unboundedly with offered load.
+* **Worker slots** — each attempt holds one of ``workers`` slots of
+  one ``asyncio.Semaphore``, granted in arrival order.
 * **Graceful degradation** — each point runs through the sweep
-  executor's :func:`~repro.sweep.executor.run_point`, holding a
-  tenant's worker slot per attempt: crashes/hangs/timeouts become
-  retries with seeded backoff that holds no slot and, when exhausted,
-  structured :class:`~repro.faults.FailureRecord` events — never
-  daemon death.
+  executor's :func:`~repro.sweep.executor.run_point`, holding a worker
+  slot per attempt: crashes/hangs/timeouts become retries with seeded
+  backoff that holds no slot and, when exhausted, structured
+  :class:`~repro.faults.FailureRecord` events — never daemon death.
+* **Cancellation** — cancelling a job ends its unfinished points, and
+  an execution no other job still waits on is cancelled with them,
+  which kills its attempt process.
 * **Restart = resume** — job records persist in the
   :class:`~repro.serve.store.JobStore`; completed points persist in
   the journal + result cache.  A daemon killed hard and restarted
@@ -37,7 +39,7 @@ The robustness contract:
 
 HTTP API (all JSON; NDJSON for result streams)::
 
-    POST   /jobs                 {"tenant", "specs": [...], "policy"?}
+    POST   /jobs                 {"specs": [...], "policy"?}
                                  -> 202 {"job_id", ...} | 429 backpressure
     GET    /jobs                 -> job summaries
     GET    /jobs/<id>            -> one job's status/counts
@@ -54,7 +56,6 @@ import asyncio
 import json
 import logging
 import os
-import re
 import signal
 import sys
 import tempfile
@@ -82,19 +83,15 @@ from .http import (
     write_response,
 )
 from .models import Job, PointState
-from .scheduling import (
-    AdmissionController,
-    AdmissionError,
-    FairWorkerPool,
-    TenantQuota,
-)
 from .store import JobStore
 
 __all__ = ["ExperimentServer", "ServeConfig", "serve", "spec_from_doc"]
 
 _log = logging.getLogger("repro.serve")
 
-_TENANT_RE = re.compile(r"[A-Za-z0-9._-]{1,64}")
+#: ``Retry-After`` of a refused submission: the queue drains at a speed
+#: the daemon cannot know, so this is the poll interval it suggests
+_RETRY_AFTER_S = 1
 
 
 @dataclass
@@ -104,10 +101,10 @@ class ServeConfig:
     cache_dir: str
     host: str = "127.0.0.1"
     port: int = 0
+    #: worker slots: attempt processes running at once
     workers: int = 2
+    #: bound on the unfinished points of all jobs; beyond it, ``429``
     max_queue_points: int = 1024
-    default_quota: TenantQuota = field(default_factory=TenantQuota)
-    quotas: Dict[str, TenantQuota] = field(default_factory=dict)
     #: baseline per-job policy; a job's ``policy`` document overlays it
     default_policy: FaultPolicy = field(
         default_factory=lambda: FaultPolicy(
@@ -121,7 +118,15 @@ class ServeConfig:
     drain_s: float = 10.0
     #: written with the bound port once listening (for ``--port 0``)
     port_file: Optional[str] = None
-    allow_shutdown_endpoint: bool = True
+
+    def __post_init__(self) -> None:
+        if self.workers < 1:
+            raise ValueError(f"workers must be >= 1, got {self.workers}")
+        if self.max_queue_points < 1:
+            raise ValueError(
+                "max_queue_points must be >= 1, "
+                f"got {self.max_queue_points}"
+            )
 
 
 def spec_from_doc(doc: Any) -> RunSpec:
@@ -157,8 +162,18 @@ def spec_from_doc(doc: Any) -> RunSpec:
         raise HttpError(400, f"malformed spec: {exc}")
 
 
+class _Flight:
+    """One in-progress execution and how many points wait on it."""
+
+    __slots__ = ("task", "waiters")
+
+    def __init__(self, task: asyncio.Task) -> None:
+        self.task = task
+        self.waiters = 0
+
+
 class ExperimentServer:
-    """The daemon: admission, fair scheduling, execution, persistence."""
+    """The daemon: queue cap, execution, cancellation, persistence."""
 
     def __init__(self, config: ServeConfig) -> None:
         if not config.cache_dir:
@@ -166,21 +181,15 @@ class ExperimentServer:
         self.config = config
         self.cache = ResultCache(config.cache_dir)
         self.store = JobStore(config.cache_dir)
-        self.admission = AdmissionController(
-            config.max_queue_points,
-            config.default_quota,
-            config.quotas,
-        )
-        self.pool = FairWorkerPool(
-            config.workers,
-            lambda tenant: self.admission.quota_for(tenant).weight,
-        )
+        self._slots = asyncio.Semaphore(config.workers)
+        #: unfinished points of all jobs, bounded by max_queue_points
+        self._pending = 0
         self.jobs: Dict[str, Job] = {}
         self._journals: Dict[str, SweepJournal] = {}
         self._tasks: set = set()
         self._point_tasks: Dict[Tuple[str, int], asyncio.Task] = {}
         #: single-flight map: spec fingerprint -> in-progress execution
-        self._inflight: Dict[str, asyncio.Task] = {}
+        self._inflight: Dict[str, _Flight] = {}
         self._attempts = AttemptRegistry()
         self._jobs_seq = 0
         self.counters: Dict[str, int] = {
@@ -194,6 +203,7 @@ class ExperimentServer:
             "cache_hits": 0,
             "dedup": 0,
             "retries": 0,
+            "rejected": 0,
             "gc_pruned": 0,
         }
         self._server: Optional[asyncio.AbstractServer] = None
@@ -303,11 +313,7 @@ class ExperimentServer:
                              "record on disk", job_id, exc)
                 continue
             job = Job(
-                job_id,
-                doc.get("tenant", "default"),
-                specs,
-                policy,
-                created_unix=doc.get("created_unix"),
+                job_id, specs, policy, created_unix=doc.get("created_unix")
             )
             self.jobs[job_id] = job
             journal = SweepJournal.for_grid(self.config.cache_dir, specs)
@@ -341,9 +347,9 @@ class ExperimentServer:
                 journal.finish([p.status == "ok" for p in job.points])
                 self.store.save(self._job_record(job))
                 continue
-            # resumed work was admitted before the restart; it must not
-            # be bounced by admission control now
-            self.admission.admit(job.tenant, len(pending), force=True)
+            # resumed work was admitted before the restart; the queue
+            # cap must not bounce it now
+            self._pending += len(pending)
             for point in pending:
                 self._spawn_point(job, point)
             _log.info("resume: job %s — %d point(s) already ok, %d to run",
@@ -387,32 +393,47 @@ class ExperimentServer:
     async def _outcome_for(
         self, job: Job, point: PointState
     ) -> Dict[str, Any]:
-        """Single-flight execution keyed by content fingerprint."""
+        """Single-flight execution keyed by content fingerprint.
+
+        A cancelled point that was the last to wait on an unfinished
+        execution cancels it, which kills its attempt process.
+        """
         fp = point.fingerprint
-        inner = self._inflight.get(fp)
-        if inner is None or inner.done():
-            inner = asyncio.create_task(
-                self._execute_fp(job.tenant, point.spec, fp, job.policy)
+        flight = self._inflight.get(fp)
+        if flight is None or flight.task.done():
+            task = asyncio.create_task(
+                self._execute_fp(point.spec, fp, job.policy)
             )
-            self._inflight[fp] = inner
-
-            def _pop(task: asyncio.Task, fp: str = fp) -> None:
-                if self._inflight.get(fp) is task:
-                    del self._inflight[fp]
-
-            inner.add_done_callback(_pop)
-            self._track(inner)
+            flight = self._inflight[fp] = _Flight(task)
+            task.add_done_callback(
+                lambda _task, fp=fp, flight=flight: self._forget(fp, flight)
+            )
+            self._track(task)
             shared = False
         else:
             shared = True
             self.counters["dedup"] += 1
-        # shield: cancelling one subscriber (job cancel) must not kill
-        # the execution other jobs are waiting on
-        base = await asyncio.shield(inner)
+        flight.waiters += 1
+        try:
+            # shield: one point's cancel must not cancel the execution
+            # points of other jobs still wait on
+            base = await asyncio.shield(flight.task)
+        except asyncio.CancelledError:
+            flight.waiters -= 1
+            if not flight.waiters and not flight.task.done():
+                flight.task.cancel()
+                # forget it now, not when the cancel lands: a later
+                # submission of this spec must start a fresh execution
+                self._forget(fp, flight)
+            raise
         outcome = dict(base)
         if shared:
             outcome["dedup"] = True
         return outcome
+
+    def _forget(self, fp: str, flight: _Flight) -> None:
+        if self._inflight.get(fp) is flight:
+            del self._inflight[fp]
 
     def _ok_outcome(
         self, stats: RunStats, *, cached: bool, attempts: int, elapsed: float
@@ -427,7 +448,7 @@ class ExperimentServer:
         }
 
     async def _execute_fp(
-        self, tenant: str, spec: RunSpec, fp: str, policy: FaultPolicy
+        self, spec: RunSpec, fp: str, policy: FaultPolicy
     ) -> Dict[str, Any]:
         stats = self.cache.get(spec)
         if stats is not None:
@@ -440,7 +461,7 @@ class ExperimentServer:
             spec.to_dict(),
             fp,
             policy,
-            lambda: self.pool.slot(tenant),
+            self._slots,
             plan=self.config.fault_plan,
             cache=self.cache,
             registry=self._attempts,
@@ -471,7 +492,7 @@ class ExperimentServer:
             **outcome,
         }
         job.mark_terminal(point, event)
-        self.admission.release(job.tenant)
+        self._pending -= 1
         status = outcome["status"]
         self.counters[f"points_{status}"] += 1
         journal = self._journals[job.job_id]
@@ -498,7 +519,6 @@ class ExperimentServer:
     def _job_record(self, job: Job) -> Dict[str, Any]:
         return {
             "job_id": job.job_id,
-            "tenant": job.tenant,
             "created_unix": round(job.created_unix, 3),
             "status": job.status if job.terminal else "active",
             "policy": job.policy.to_dict(),
@@ -565,9 +585,11 @@ class ExperimentServer:
         if req.path == "/stats" and req.method == "GET":
             return json_response(self.stats())
         if req.path == "/shutdown" and req.method == "POST":
-            if not self.config.allow_shutdown_endpoint:
-                raise HttpError(405, "shutdown endpoint disabled")
-            doc = req.json() or {}
+            doc = req.json()
+            if doc is None:
+                doc = {}
+            elif not isinstance(doc, dict):
+                raise HttpError(400, "shutdown body must be a JSON object")
             self._shutdown_drain = bool(doc.get("drain", True))
             self._closing.set()
             return json_response(
@@ -611,11 +633,6 @@ class ExperimentServer:
         doc = req.json()
         if not isinstance(doc, dict):
             raise HttpError(400, "submission must be a JSON object")
-        tenant = str(doc.get("tenant") or "default")
-        if not _TENANT_RE.fullmatch(tenant):
-            raise HttpError(
-                400, "tenant must match [A-Za-z0-9._-]{1,64}"
-            )
         raw_specs = doc.get("specs")
         if not isinstance(raw_specs, list) or not raw_specs:
             raise HttpError(400, "submission needs a non-empty 'specs' list")
@@ -638,22 +655,23 @@ class ExperimentServer:
             policy = FaultPolicy.from_dict(policy_doc)
         except (TypeError, ValueError) as exc:
             raise HttpError(400, f"invalid policy: {exc}")
-        try:
-            self.admission.admit(tenant, len(specs))
-        except AdmissionError as exc:
-            retry_after = max(1, int(exc.retry_after_s + 0.999))
+        cap = self.config.max_queue_points
+        if self._pending + len(specs) > cap:
+            self.counters["rejected"] += 1
             return Response(
                 429,
                 error_body(
-                    429, str(exc),
-                    reason=exc.reason,
-                    retry_after_s=round(exc.retry_after_s, 3),
+                    429,
+                    f"queue full: {self._pending} of {cap} points pending",
+                    reason="queue-full",
+                    retry_after_s=_RETRY_AFTER_S,
                 ),
-                headers={"Retry-After": str(retry_after)},
+                headers={"Retry-After": str(_RETRY_AFTER_S)},
             )
+        self._pending += len(specs)
         self._jobs_seq += 1
         job_id = f"{self._jobs_seq:04d}-{os.urandom(4).hex()}"
-        job = Job(job_id, tenant, specs, policy)
+        job = Job(job_id, specs, policy)
         self.jobs[job_id] = job
         journal = SweepJournal.for_grid(self.config.cache_dir, specs)
         self._journals[job_id] = journal
@@ -665,7 +683,6 @@ class ExperimentServer:
         return json_response(
             {
                 "job_id": job_id,
-                "tenant": tenant,
                 "points": len(specs),
                 "status_url": f"/jobs/{job_id}",
                 "results_url": f"/jobs/{job_id}/results",
@@ -710,8 +727,16 @@ class ExperimentServer:
         return {
             "uptime_s": round(time.monotonic() - self._started_monotonic, 3),
             "started_unix": round(self._started_unix, 3),
-            "workers": self.pool.snapshot(),
-            "admission": self.admission.snapshot(),
+            # every running attempt holds a worker slot
+            "workers": {
+                "slots": self.config.workers,
+                "busy": len(self._attempts),
+            },
+            "admission": {
+                "max_queue_points": self.config.max_queue_points,
+                "total_pending": self._pending,
+                "rejected": self.counters["rejected"],
+            },
             "jobs": {"total": len(self.jobs), "by_status": jobs_by_status},
             "points": {
                 key: self.counters[key]

@@ -105,14 +105,19 @@ def ndjson_response(chunks: AsyncIterator[bytes]) -> Response:
     )
 
 
+async def _read_line(reader: asyncio.StreamReader, what: str) -> bytes:
+    # a line past the stream's limit raises ValueError from readline
+    try:
+        return await reader.readline()
+    except (asyncio.LimitOverrunError, ValueError):
+        raise HttpError(400, f"{what} too long")
+
+
 async def read_request(
     reader: asyncio.StreamReader,
 ) -> Optional[Request]:
     """Parse one request; ``None`` on a cleanly closed connection."""
-    try:
-        line = await reader.readline()
-    except (asyncio.LimitOverrunError, ValueError):
-        raise HttpError(400, "request line too long")
+    line = await _read_line(reader, "request line")
     if not line:
         return None
     try:
@@ -122,7 +127,7 @@ async def read_request(
     headers: Dict[str, str] = {}
     header_bytes = 0
     while True:
-        line = await reader.readline()
+        line = await _read_line(reader, "header line")
         header_bytes += len(line)
         if header_bytes > MAX_HEADER_BYTES:
             raise HttpError(400, "headers too large")

@@ -1,7 +1,7 @@
 """Job and point bookkeeping for the experiment daemon.
 
-A :class:`Job` is one admitted grid submission: a tenant, a list of
-:class:`~repro.sweep.spec.RunSpec` points, and a
+A :class:`Job` is one admitted grid submission: a list of
+:class:`~repro.sweep.spec.RunSpec` points and a
 :class:`~repro.faults.FaultPolicy` governing retries/timeouts.  Each
 point moves ``pending -> running -> ok | failed | cancelled``; a
 terminal point appends one *event document* (the NDJSON line clients
@@ -23,10 +23,9 @@ from typing import Any, Dict, List, Optional, Sequence
 from ..faults import FaultPolicy
 from ..sweep.spec import RunSpec
 
-__all__ = ["Job", "PointState", "POINT_STATES", "JOB_STATES"]
+__all__ = ["Job", "PointState", "POINT_STATES"]
 
 POINT_STATES = ("pending", "running", "ok", "failed", "cancelled")
-JOB_STATES = ("queued", "running", "done", "partial", "cancelled")
 
 
 class PointState:
@@ -53,13 +52,11 @@ class Job:
     def __init__(
         self,
         job_id: str,
-        tenant: str,
         specs: Sequence[RunSpec],
         policy: FaultPolicy,
         created_unix: Optional[float] = None,
     ) -> None:
         self.job_id = job_id
-        self.tenant = tenant
         self.policy = policy
         self.created_unix = (
             time.time() if created_unix is None else created_unix
@@ -103,18 +100,14 @@ class Job:
 
     # ------------------------------------------------------------------
 
-    def to_doc(self, include_events: bool = False) -> Dict[str, Any]:
-        doc: Dict[str, Any] = {
+    def to_doc(self) -> Dict[str, Any]:
+        return {
             "job_id": self.job_id,
-            "tenant": self.tenant,
             "created_unix": round(self.created_unix, 3),
             "status": self.status,
             "points": len(self.points),
             "counts": self.counts(),
         }
-        if include_events:
-            doc["events"] = list(self.events)
-        return doc
 
     def mark_terminal(self, point: PointState, event: Dict[str, Any]) -> None:
         """Set ``point`` terminal with ``event``, without publishing it.

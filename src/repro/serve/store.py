@@ -1,8 +1,8 @@
 """Durable job records: ``<cache-dir>/serve/jobs/<job-id>.json``.
 
 The store is the daemon's restart memory.  One small JSON document per
-job records the submission itself — tenant, the full spec documents,
-the retry policy — plus a coarse ``status``: ``active`` while any
+job records the submission itself — the full spec documents and the
+retry policy — plus a coarse ``status``: ``active`` while any
 point is outstanding, then ``done``/``partial``/``cancelled``.
 
 Per-*point* progress is deliberately **not** duplicated here: that is
@@ -15,7 +15,10 @@ finished, serves those from the cache, and re-enqueues the rest — the
 same resume semantics the sweep CLI has had since the resilience PR.
 
 Writes are atomic (temp file + ``os.replace``), so a crash mid-update
-leaves the previous consistent record, never a torn one.
+leaves the previous consistent record, never a torn one.  The daemon
+ignores record keys it does not read, so records written by older
+daemons, which carry more keys, still resume under the same
+``SCHEMA``.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ import logging
 import os
 import tempfile
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Union
+from typing import Any, Dict, List, Union
 
 __all__ = ["JobStore"]
 
@@ -69,15 +72,6 @@ class JobStore:
                 except OSError:
                     pass
 
-    def load(self, job_id: str) -> Optional[Dict[str, Any]]:
-        try:
-            return json.loads(self.path_for(job_id).read_text())
-        except FileNotFoundError:
-            return None
-        except (OSError, json.JSONDecodeError) as exc:
-            _log.warning("unreadable job record %s (%s)", job_id, exc)
-            return None
-
     def load_all(self) -> List[Dict[str, Any]]:
         """Every readable job record, oldest submission first."""
         if not self.root.is_dir():
@@ -97,10 +91,3 @@ class JobStore:
 
     def load_active(self) -> List[Dict[str, Any]]:
         return [d for d in self.load_all() if d.get("status") == "active"]
-
-    def delete(self, job_id: str) -> bool:
-        try:
-            self.path_for(job_id).unlink()
-            return True
-        except FileNotFoundError:
-            return False

@@ -38,9 +38,7 @@ import multiprocessing
 import os
 import time
 import traceback
-from typing import (
-    Any, AsyncContextManager, Callable, Dict, Optional, Sequence, Tuple,
-)
+from typing import Any, Callable, Dict, Optional, Sequence, Tuple
 
 # the workload generator's first run imports numpy.random; every attempt
 # forks from this process, so import it once here, not once per worker
@@ -264,7 +262,7 @@ async def run_point(
     payload: Dict[str, Any],
     fp: str,
     policy: FaultPolicy,
-    slot: Callable[[], AsyncContextManager[Any]],
+    slots: asyncio.Semaphore,
     *,
     plan: Optional[FaultPlan] = None,
     cache: Optional[ResultCache] = None,
@@ -273,10 +271,9 @@ async def run_point(
     """Attempt ``spec`` until it succeeds or ``policy`` runs out of
     retries.
 
-    ``slot()`` gives the async context manager an attempt holds while
-    its process runs (an ``asyncio.Semaphore`` for a sweep, a tenant's
-    :class:`~repro.serve.scheduling.FairWorkerPool` slot for the
-    daemon); the backoff between attempts is awaited outside it.  An
+    Each attempt holds one of ``slots`` (the worker slots of a sweep
+    batch or of the daemon) while its process runs; the backoff between
+    attempts is awaited outside it.  An
     ok result's ``elapsed_s`` is the successful attempt's simulation
     seconds, the figure the cache entry stores; a failed result's is
     the wall time of all its attempts.
@@ -287,7 +284,7 @@ async def run_point(
         doc = dict(payload, __attempt__=attempt)
         if plan is not None:
             doc["__fault_plan__"] = plan.to_dict()
-        async with slot():
+        async with slots:
             started = time.monotonic()
             kind, data, sim_s = await run_attempt(
                 doc, policy.timeout_s, registry
@@ -366,7 +363,7 @@ def run_points(
         for i, spec, payload, fp in points:
             task = loop.create_task(
                 run_point(
-                    spec, payload, fp, policy, lambda: sem,
+                    spec, payload, fp, policy, sem,
                     plan=plan, cache=cache, registry=registry,
                 )
             )

@@ -6,20 +6,25 @@ own event loop; tests talk to it over actual HTTP through
 are tiny (~0.1 s of simulation), so the whole module stays fast.
 """
 
+import asyncio
 import json
+import socket
 import threading
+import time
 
 import pytest
 
+from repro.cli import main
 from repro.faults import FaultPlan, FaultPolicy, FaultRule
 from repro.serve import (
     Backpressure,
     ExperimentServer,
+    JobStore,
     ServeClient,
     ServeConfig,
     ServeError,
-    TenantQuota,
 )
+from repro.serve.http import Request
 from repro.sim.config import small_test_chip
 from repro.sweep import SweepJournal, SweepRunner, gc_journals
 from repro.sweep.cache import ResultCache
@@ -53,8 +58,6 @@ class ServerThread:
         self._thread = None
 
     def start(self) -> ServeClient:
-        import asyncio
-
         def run():
             async def main():
                 self.server = ExperimentServer(self.config)
@@ -110,7 +113,7 @@ def server(tmp_path):
 def test_submit_execute_stream(server, tmp_path):
     client, st = server
     docs = tiny_docs(2)
-    sub = client.submit(docs, tenant="alice")
+    sub = client.submit(docs)
     assert sub["points"] == 2
     events = client.wait_job(sub["job_id"])
     assert [e["index"] for e in events] == [0, 1]
@@ -151,8 +154,8 @@ def test_served_digest_is_the_stats_digest_fresh_and_cached(server):
 def test_cache_hit_on_resubmission(server):
     client, st = server
     docs = tiny_docs(1, seed0=50)
-    client.wait_job(client.submit(docs, tenant="a")["job_id"])
-    events = client.wait_job(client.submit(docs, tenant="b")["job_id"])
+    client.wait_job(client.submit(docs)["job_id"])
+    events = client.wait_job(client.submit(docs)["job_id"])
     assert events[0]["status"] == "ok"
     assert events[0]["cached"] is True
     stats = client.stats()
@@ -163,7 +166,7 @@ def test_cache_hit_on_resubmission(server):
 def test_concurrent_identical_submissions_dedupe(server):
     client, st = server
     docs = tiny_docs(1, seed0=60)
-    subs = [client.submit(docs, tenant=t) for t in ("a", "b", "c")]
+    subs = [client.submit(docs) for _ in range(3)]
     for sub in subs:
         events = client.wait_job(sub["job_id"])
         assert events[0]["status"] == "ok"
@@ -197,9 +200,6 @@ def test_malformed_submissions_rejected(server):
         client.submit([{"workload": "radix"}])  # no protocol
     assert err.value.status == 400
     with pytest.raises(ServeError) as err:
-        client.submit(tiny_docs(1), tenant="bad tenant!")
-    assert err.value.status == 400
-    with pytest.raises(ServeError) as err:
         client.submit(tiny_docs(1), policy={"no_such_knob": 1})
     assert err.value.status == 400
     # an override value that is only invalid once applied
@@ -207,6 +207,57 @@ def test_malformed_submissions_rejected(server):
     with pytest.raises(ServeError) as err:
         client.submit([bad])
     assert err.value.status == 400
+
+
+def test_oversized_header_line_is_400(server):
+    client, _ = server
+    request = (
+        b"GET /healthz HTTP/1.1\r\nX-Big: " + b"x" * 70_000 + b"\r\n\r\n"
+    )
+    reply = b""
+    with socket.create_connection(
+        (client.host, client.port), timeout=30
+    ) as sock:
+        sock.sendall(request)
+        try:
+            while True:
+                chunk = sock.recv(65536)
+                if not chunk:
+                    break
+                reply += chunk
+        except ConnectionResetError:
+            # the daemon closes with the rest of the header unread
+            pass
+    assert reply.startswith(b"HTTP/1.1 400 "), reply[:80]
+    assert b"header line too long" in reply
+
+
+@pytest.mark.parametrize("body", [[1], "x"])
+def test_shutdown_with_non_object_body_is_400(server, body):
+    client, _ = server
+    with pytest.raises(ServeError) as err:
+        client._request("POST", "/shutdown", body)
+    assert err.value.status == 400
+    assert client.health()["status"] == "ok"
+
+
+@pytest.mark.parametrize(
+    "flag, field",
+    [("--workers", "workers"), ("--max-queue", "max_queue_points")],
+)
+def test_zero_workers_or_queue_fail_at_start(
+    tmp_path, capsys, monkeypatch, flag, field
+):
+    # a zero-slot semaphore would accept jobs and never run them
+    with pytest.raises(ValueError, match=field):
+        make_config(tmp_path, **{field: 0})
+    monkeypatch.setattr(
+        "repro.serve.daemon.serve",
+        lambda config: pytest.fail("the daemon started"),
+    )
+    rc = main(["serve", "--cache-dir", str(tmp_path), flag, "0"])
+    assert rc == 2
+    assert f"error: {field} must be >= 1, got 0" in capsys.readouterr().err
 
 
 def test_unknown_routes_and_jobs_are_404(server):
@@ -228,42 +279,43 @@ def test_queue_full_gives_429_with_retry_after(tmp_path):
     ))
     client = st.start()
     try:
-        accepted = client.submit(tiny_docs(2, seed0=80), tenant="a")
+        accepted = client.submit(tiny_docs(2, seed0=80))
         with pytest.raises(Backpressure) as err:
-            client.submit(tiny_docs(1, seed0=90), tenant="b")
+            client.submit(tiny_docs(1, seed0=90))
         assert err.value.status == 429
         assert err.value.reason == "queue-full"
         assert err.value.retry_after_s > 0
         # the refused submission reserved nothing: after the queue
-        # drains the tenant can come back
+        # drains the client can come back
         client.wait_job(accepted["job_id"])
-        again = client.submit(tiny_docs(1, seed0=90), tenant="b")
+        again = client.submit(tiny_docs(1, seed0=90))
         client.wait_job(again["job_id"])
     finally:
         st.stop(client)
 
 
-def test_tenant_quota_and_rate_limits(tmp_path):
-    st = ServerThread(make_config(
-        tmp_path,
-        workers=1,
-        max_queue_points=100,
-        quotas={
-            "small": TenantQuota(max_pending=1),
-            "rated": TenantQuota(max_pending=50, rate=0.001, burst=2.0),
-        },
-    ))
+def test_submit_with_retry_waits_out_a_full_queue(tmp_path):
+    st = ServerThread(make_config(tmp_path, workers=1, max_queue_points=1))
     client = st.start()
     try:
-        client.submit(tiny_docs(1, seed0=100), tenant="small")
-        with pytest.raises(Backpressure) as err:
-            client.submit(tiny_docs(1, seed0=101), tenant="small")
-        assert err.value.reason == "tenant-quota"
-        client.submit(tiny_docs(2, seed0=110), tenant="rated")
-        with pytest.raises(Backpressure) as err:
-            client.submit(tiny_docs(1, seed0=112), tenant="rated")
-        assert err.value.reason == "rate-limited"
-        assert err.value.retry_after_s > 10  # 1 token at 0.001/s
+        # a longer first point keeps the one queue place taken while
+        # the second submission knocks
+        longer = dict(tiny_docs(1, seed0=100)[0], cycles=20_000)
+        first = client.submit([longer])
+        slept = []
+
+        def sleep(delay):
+            slept.append(delay)
+            time.sleep(0.05)
+
+        second = client.submit_with_retry(
+            tiny_docs(1, seed0=101), sleep=sleep
+        )
+        assert second["submit_retries"] == len(slept) >= 1
+        assert set(slept) == {1.0}  # the daemon's Retry-After
+        for sub in (first, second):
+            assert client.wait_job(sub["job_id"])[0]["status"] == "ok"
+        assert client.stats()["admission"]["rejected"] == len(slept)
     finally:
         st.stop(client)
 
@@ -364,13 +416,15 @@ def test_retried_points_report_as_a_sweep_does(tmp_path):
 
 
 def test_cancel_queued_points(tmp_path):
+    # one worker slot: the cancel lands while at most one point runs,
+    # and every other execution still waits on the semaphore
     st = ServerThread(make_config(tmp_path, workers=1))
     client = st.start()
     try:
-        # 4 points through 1 worker: cancel lands while most are queued
-        sub = client.submit(tiny_docs(4, seed0=140), tenant="c")
+        sub = client.submit(tiny_docs(6, seed0=140))
         client.cancel(sub["job_id"])
         events = client.wait_job(sub["job_id"])
+        assert len(events) == 6
         statuses = {e["status"] for e in events}
         assert statuses <= {"ok", "cancelled"}
         assert "cancelled" in statuses
@@ -379,8 +433,74 @@ def test_cancel_queued_points(tmp_path):
             e["failure"]["kind"] == "interrupted" for e in cancelled
         )
         assert client.job(sub["job_id"])["status"] == "cancelled"
+        # the cancel stopped the work: a fresh job gets the slot, and
+        # of the cancelled job's points at most one ever ran
+        fresh = client.submit(tiny_docs(1, seed0=170))
+        assert client.wait_job(fresh["job_id"])[0]["status"] == "ok"
+        stats = client.stats()
+        assert stats["points"]["executed"] <= 2
+        assert stats["admission"]["total_pending"] == 0
+        assert stats["workers"]["busy"] == 0
     finally:
         st.stop(client)
+
+
+def in_loop(tmp_path, scenario):
+    """Run ``scenario(server, call)`` against a daemon on this thread's
+    loop, so a test decides which requests land in one loop step;
+    ``call(method, path, doc)`` dispatches one request."""
+
+    async def main():
+        server = ExperimentServer(make_config(tmp_path, workers=1))
+        await server.start()
+
+        async def call(method, path, doc=None):
+            body = b"" if doc is None else json.dumps(doc).encode()
+            resp = await server._dispatch(Request(method, path, {}, {}, body))
+            return json.loads(resp.body)
+
+        try:
+            return await scenario(server, call)
+        finally:
+            await server.shutdown(drain=False)
+
+    return asyncio.run(main())
+
+
+async def statuses_when_terminal(job, timeout_s=30.0):
+    deadline = time.monotonic() + timeout_s
+    while not job.terminal and time.monotonic() < deadline:
+        await asyncio.sleep(0.02)
+    return [p.status for p in job.points]
+
+
+def test_resubmission_does_not_join_a_cancelled_execution(tmp_path):
+    async def scenario(server, call):
+        docs = tiny_docs(1, seed0=180)
+        first = await call("POST", "/jobs", {"specs": docs})
+        await asyncio.sleep(0)  # its point starts the execution
+        # cancel and resubmit in one loop step: the new point looks its
+        # spec up before the cancelled execution has ended
+        await call("DELETE", f"/jobs/{first['job_id']}")
+        again = await call("POST", "/jobs", {"specs": docs})
+        return await statuses_when_terminal(server.jobs[again["job_id"]])
+
+    assert in_loop(tmp_path, scenario) == ["ok"]
+
+
+def test_cancel_keeps_an_execution_another_job_waits_on(tmp_path):
+    async def scenario(server, call):
+        docs = tiny_docs(1, seed0=185)
+        first = await call("POST", "/jobs", {"specs": docs})
+        second = await call("POST", "/jobs", {"specs": docs})
+        await asyncio.sleep(0)  # both points wait on one execution
+        await call("DELETE", f"/jobs/{first['job_id']}")
+        statuses = await statuses_when_terminal(
+            server.jobs[second["job_id"]]
+        )
+        return statuses, server.counters["executed"]
+
+    assert in_loop(tmp_path, scenario) == (["ok"], 1)
 
 
 # ----------------------------------------------------------------- resume
@@ -404,7 +524,7 @@ def test_restart_resumes_active_job(tmp_path):
     st = ServerThread(config)
     client = st.start()
     docs = tiny_docs(3, seed0=150)
-    sub = client.submit(docs, tenant="r")
+    sub = client.submit(docs)
     events = client.wait_job(sub["job_id"])
     assert all(e["status"] == "ok" for e in events)
     st.stop(client)
@@ -416,6 +536,8 @@ def test_restart_resumes_active_job(tmp_path):
     )
     record = json.loads(record_path.read_text())
     record["status"] = "active"
+    # records written while the daemon had tenants still resume
+    record["tenant"] = "r"
     record_path.write_text(json.dumps(record))
     cache = ResultCache(tmp_path / "cache")
     lost_fp = events[1]["fingerprint"]
@@ -441,3 +563,25 @@ def test_restart_resumes_active_job(tmp_path):
         assert client2.job(sub["job_id"])["status"] == "done"
     finally:
         st2.stop(client2)
+
+
+def test_resumed_job_is_admitted_past_the_queue_cap(tmp_path):
+    # work admitted before a restart is never bounced by the cap of
+    # the daemon that resumes it
+    config = make_config(tmp_path, max_queue_points=1)
+    docs = tiny_docs(3, seed0=175)
+    JobStore(config.cache_dir).save({
+        "job_id": "0001-resume",
+        "created_unix": 1.0,
+        "status": "active",
+        "policy": config.default_policy.to_dict(),
+        "specs": docs,
+    })
+    st = ServerThread(config)
+    client = st.start()
+    try:
+        events = client.wait_job("0001-resume")
+        assert [e["status"] for e in events] == ["ok"] * 3
+        assert client.stats()["admission"]["total_pending"] == 0
+    finally:
+        st.stop(client)

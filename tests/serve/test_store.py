@@ -10,7 +10,6 @@ from repro.serve.store import JobStore
 def doc(job_id="0001-abcd", status="active", created=100.0):
     return {
         "job_id": job_id,
-        "tenant": "t",
         "status": status,
         "created_unix": created,
         "specs": [],
@@ -21,20 +20,16 @@ def doc(job_id="0001-abcd", status="active", created=100.0):
 def test_save_load_roundtrip(tmp_path):
     store = JobStore(tmp_path)
     store.save(doc())
-    got = store.load("0001-abcd")
+    [got] = store.load_all()
     assert got["status"] == "active"
     assert got["schema"] == 1
-
-
-def test_load_missing_is_none(tmp_path):
-    assert JobStore(tmp_path).load("nope") is None
 
 
 def test_save_overwrites_atomically(tmp_path):
     store = JobStore(tmp_path)
     store.save(doc(status="active"))
     store.save(doc(status="done"))
-    assert store.load("0001-abcd")["status"] == "done"
+    assert [d["status"] for d in store.load_all()] == ["done"]
     # no temp droppings left behind
     leftovers = [
         p.name for p in store.root.iterdir()
@@ -65,14 +60,6 @@ def test_bad_job_ids_rejected(tmp_path):
     for bad in ("", "../escape", "a/b", ".hidden"):
         with pytest.raises(ValueError):
             store.path_for(bad)
-
-
-def test_delete(tmp_path):
-    store = JobStore(tmp_path)
-    store.save(doc())
-    assert store.delete("0001-abcd") is True
-    assert store.delete("0001-abcd") is False
-    assert store.load("0001-abcd") is None
 
 
 def test_empty_store_dir(tmp_path):

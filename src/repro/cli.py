@@ -345,7 +345,8 @@ def cmd_sweep(args) -> int:
             print("error: --resume needs the result cache (drop --no-cache)",
                   file=sys.stderr)
             return 2
-        journal = SweepJournal.for_grid(cache_dir, specs)
+        fps = [spec.fingerprint() for spec in specs]
+        journal = SweepJournal.for_grid(cache_dir, fps)
         if not journal.exists():
             print(
                 f"error: nothing to resume — no journal for this grid "
@@ -353,7 +354,7 @@ def cmd_sweep(args) -> int:
                 file=sys.stderr,
             )
             return 2
-        standing = journal.summarize(specs)
+        standing = journal.summarize(fps)
         print(
             f"resume: {len(standing['ok'])} ok, "
             f"{len(standing['failed'])} failed, "

@@ -187,6 +187,8 @@ class ExperimentServer:
         self.jobs: Dict[str, Job] = {}
         self._journals: Dict[str, SweepJournal] = {}
         self._tasks: set = set()
+        #: open client connections' handler tasks, ended at shutdown
+        self._conns: set = set()
         self._point_tasks: Dict[Tuple[str, int], asyncio.Task] = {}
         #: single-flight map: spec fingerprint -> in-progress execution
         self._inflight: Dict[str, _Flight] = {}
@@ -207,6 +209,8 @@ class ExperimentServer:
             "gc_pruned": 0,
         }
         self._server: Optional[asyncio.AbstractServer] = None
+        #: journal GC; outside ``_tasks``, as it never finishes on its own
+        self._gc_task: Optional[asyncio.Task] = None
         self._closing = asyncio.Event()
         self._shutdown_drain = True
         self._started_unix = time.time()
@@ -225,7 +229,7 @@ class ExperimentServer:
         if self.config.port_file:
             self._write_port_file()
         if self.config.journal_gc_days > 0:
-            self._track(asyncio.create_task(self._gc_loop()))
+            self._gc_task = asyncio.create_task(self._gc_loop())
         _log.info(
             "serve: listening on %s:%d (cache %s, %d workers, queue cap %d)",
             self.config.host, self.port, self.config.cache_dir,
@@ -262,11 +266,17 @@ class ExperimentServer:
         Whatever remains is checkpointed: tasks cancelled, attempt
         processes killed — the journal's completed points plus the
         still-``active`` job records make the next start resume them.
+        Only then are the open client connections closed, which ends
+        the result streams of unfinished jobs, and only after that is
+        the listener awaited: from CPython 3.12.1
+        ``Server.wait_closed`` waits for every client connection, so
+        one open stream awaited first would block shutdown for good.
         """
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
+        server, self._server = self._server, None
+        if server is not None:
+            server.close()
+        if self._gc_task is not None:
+            self._gc_task.cancel()
         if drain and self.config.drain_s > 0:
             active = [t for t in self._tasks if not t.done()]
             if active:
@@ -282,6 +292,13 @@ class ExperimentServer:
                       "points will re-run on resume", killed)
         for job in self.jobs.values():
             self.store.save(self._job_record(job))
+        conns = [t for t in self._conns if not t.done()]
+        for task in conns:
+            task.cancel()
+        if conns:
+            await asyncio.wait(conns, timeout=5)
+        if server is not None:
+            await server.wait_closed()
 
     # ------------------------------------------------------------------
     # task bookkeeping
@@ -316,13 +333,14 @@ class ExperimentServer:
                 job_id, specs, policy, created_unix=doc.get("created_unix")
             )
             self.jobs[job_id] = job
-            journal = SweepJournal.for_grid(self.config.cache_dir, specs)
+            fps = [point.fingerprint for point in job.points]
+            journal = SweepJournal.for_grid(self.config.cache_dir, fps)
             self._journals[job_id] = journal
-            ok_fps = set(journal.summarize(specs)["ok"])
+            ok_fps = set(journal.summarize(fps)["ok"])
             pending: List[PointState] = []
             for point in job.points:
                 if point.fingerprint in ok_fps:
-                    stats = self.cache.get(point.spec)
+                    stats = self.cache.get(point.spec, point.fingerprint)
                     if stats is not None:
                         # journal + cache agree: serve the stored result
                         event = {
@@ -450,7 +468,7 @@ class ExperimentServer:
     async def _execute_fp(
         self, spec: RunSpec, fp: str, policy: FaultPolicy
     ) -> Dict[str, Any]:
-        stats = self.cache.get(spec)
+        stats = self.cache.get(spec, fp)
         if stats is not None:
             self.counters["cache_hits"] += 1
             return self._ok_outcome(
@@ -547,6 +565,8 @@ class ExperimentServer:
     async def _handle_conn(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
+        task = asyncio.current_task()
+        self._conns.add(task)
         try:
             try:
                 req = await read_request(reader)
@@ -564,9 +584,10 @@ class ExperimentServer:
                 )
             try:
                 await write_response(writer, resp)
-            except (ConnectionError, asyncio.CancelledError):
+            except ConnectionError:
                 pass
         finally:
+            self._conns.discard(task)
             try:
                 writer.close()
                 await writer.wait_closed()
@@ -673,7 +694,9 @@ class ExperimentServer:
         job_id = f"{self._jobs_seq:04d}-{os.urandom(4).hex()}"
         job = Job(job_id, specs, policy)
         self.jobs[job_id] = job
-        journal = SweepJournal.for_grid(self.config.cache_dir, specs)
+        journal = SweepJournal.for_grid(
+            self.config.cache_dir, [point.fingerprint for point in job.points]
+        )
         self._journals[job_id] = journal
         journal.touch()
         self.store.save(self._job_record(job))

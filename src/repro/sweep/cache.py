@@ -4,10 +4,17 @@ Every grid point of a sweep is deterministic: the same
 :class:`~repro.sweep.spec.RunSpec` always produces the same
 :class:`~repro.stats.counters.RunStats`, bit for bit.  That makes
 results cacheable by content — the key is a SHA-256 over the spec's
-canonical JSON plus a fingerprint of the simulator's own source code,
-so editing *any* module under ``repro`` invalidates the whole cache
-(cheap insurance against stale results; simulations are expensive,
-hashing ~50 source files is not).
+fingerprint (:meth:`~repro.sweep.spec.RunSpec.fingerprint`, the
+SHA-256 of its canonical JSON) plus a fingerprint of the simulator's
+own source code, so editing *any* module under ``repro`` invalidates
+the whole cache (cheap insurance against stale results; simulations
+are expensive, hashing ~50 source files is not).
+
+Every method takes the spec and, optionally, that fingerprint: the
+sweep runner and the serve daemon compute it once per point and pass
+it, because building a spec's canonical JSON costs more than the rest
+of a cache hit.  Without it the cache computes the same value, so both
+forms reach the same entry.
 
 Cache entries are small JSON documents written atomically (temp file +
 ``os.replace``), so concurrent sweeps sharing one cache directory
@@ -87,17 +94,23 @@ class ResultCache:
 
     # ------------------------------------------------------------------
 
-    def key_for(self, spec: RunSpec) -> str:
-        payload = spec.canonical_json() + "\n" + self.code_version
+    def key_for(self, spec: RunSpec, fingerprint: Optional[str] = None) -> str:
+        """Entry key of ``spec``; ``fingerprint`` is its
+        :meth:`~repro.sweep.spec.RunSpec.fingerprint`, when known."""
+        if fingerprint is None:
+            fingerprint = spec.fingerprint()
+        payload = fingerprint + "\n" + self.code_version
         return hashlib.sha256(payload.encode()).hexdigest()
 
-    def path_for(self, spec: RunSpec) -> Path:
-        key = self.key_for(spec)
+    def path_for(self, spec: RunSpec, fingerprint: Optional[str] = None) -> Path:
+        key = self.key_for(spec, fingerprint)
         return self.root / key[:2] / f"{key}.json"
 
     # ------------------------------------------------------------------
 
-    def get(self, spec: RunSpec) -> Optional[RunStats]:
+    def get(
+        self, spec: RunSpec, fingerprint: Optional[str] = None
+    ) -> Optional[RunStats]:
         """Cached stats for ``spec``, or ``None``.
 
         A missing entry is a plain miss.  An entry that exists but is
@@ -106,7 +119,7 @@ class ResultCache:
         and reported as a miss.  Only specific codec/OS errors are
         caught; interrupts and exits propagate untouched.
         """
-        path = self.path_for(spec)
+        path = self.path_for(spec, fingerprint)
         try:
             raw = path.read_text()
         except FileNotFoundError:
@@ -146,8 +159,14 @@ class ResultCache:
             path.name, target.name, type(reason).__name__, reason,
         )
 
-    def put(self, spec: RunSpec, stats: RunStats, elapsed_s: float) -> None:
-        path = self.path_for(spec)
+    def put(
+        self,
+        spec: RunSpec,
+        stats: RunStats,
+        elapsed_s: float,
+        fingerprint: Optional[str] = None,
+    ) -> None:
+        path = self.path_for(spec, fingerprint)
         path.parent.mkdir(parents=True, exist_ok=True)
         stats_doc = stats_to_dict(stats)
         doc: Dict[str, Any] = {

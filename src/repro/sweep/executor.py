@@ -82,17 +82,16 @@ def _attempt_main(conn, payload: Dict[str, Any]) -> None:
     Sends exactly one ``("ok", stats_doc, sim_s)`` or ``("error",
     failure_fields)`` message; a process that exits without sending one
     crashed.  The payload's ``__fault_plan__``/``__attempt__`` keys
-    select this attempt's injected faults.
+    select this attempt's injected faults, matched against the spec
+    fingerprint a plan-armed payload carries as ``__fingerprint__``.
     """
     try:
         payload = dict(payload)
         plan_doc = payload.pop("__fault_plan__", None)
         attempt = payload.pop("__attempt__", 1)
+        fp = payload.pop("__fingerprint__", None)
         plan = None if plan_doc is None else FaultPlan.from_dict(plan_doc)
         if plan is not None:
-            fp = RunSpec.from_dict(
-                {k: v for k, v in payload.items() if not k.startswith("__")}
-            ).fingerprint()
             kind = plan.first_fault(fp, attempt, ("crash", "hang"))
             if kind == "crash":
                 os._exit(_CRASH_EXIT)
@@ -171,8 +170,9 @@ async def run_attempt(
     attempt's own failures.
 
     ``payload`` is a :class:`~repro.sweep.spec.RunSpec` document plus
-    the ``__attempt__``/``__fault_plan__``/``__trace_dir__`` keys the
-    worker understands.  Cancelling the awaiting task kills the process.
+    the ``__attempt__``/``__fault_plan__``/``__fingerprint__``/
+    ``__trace_dir__`` keys the worker understands (a plan needs the
+    fingerprint).  Cancelling the awaiting task kills the process.
     """
     if registry is not None and registry.draining:
         return ("crash", "executor is shutting down", 0.0)
@@ -247,9 +247,9 @@ def _store_result(
 ) -> None:
     """Cache an ok result; a plan's ``corrupt-cache`` fault (keyed on
     attempt 1) then garbles the fresh entry on disk."""
-    cache.put(spec, stats, elapsed_s)
+    cache.put(spec, stats, elapsed_s, fp)
     if plan is not None and plan.first_fault(fp, 1, ("corrupt-cache",)):
-        path = cache.path_for(spec)
+        path = cache.path_for(spec, fp)
         try:
             text = path.read_text()
             path.write_text(text[: max(1, len(text) // 2)] + '"CORRUPT')
@@ -284,6 +284,7 @@ async def run_point(
         doc = dict(payload, __attempt__=attempt)
         if plan is not None:
             doc["__fault_plan__"] = plan.to_dict()
+            doc["__fingerprint__"] = fp
         async with slots:
             started = time.monotonic()
             kind, data, sim_s = await run_attempt(

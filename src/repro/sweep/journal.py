@@ -5,6 +5,9 @@ per *grid* (keyed by a fingerprint over the sorted spec fingerprints)
 lives under ``<cache_dir>/journals/``; the runner appends one record
 per completed or failed point as it happens, so a sweep killed halfway
 — Ctrl-C, OOM, a pulled plug — leaves an accurate account of what ran.
+The journal knows points only by their
+:meth:`~repro.sweep.spec.RunSpec.fingerprint`, which its callers
+compute once per point and pass in.
 
 ``python -m repro sweep --resume`` reads it back: completed points are
 served from the result cache (their stats live there), and only the
@@ -28,17 +31,16 @@ import time
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Union
 
-from .spec import RunSpec
-
 __all__ = ["SweepJournal", "gc_journals", "grid_fingerprint"]
 
 _log = logging.getLogger("repro.sweep.journal")
 
 
-def grid_fingerprint(specs: Sequence[RunSpec]) -> str:
-    """Order-independent identity of a whole grid of specs."""
+def grid_fingerprint(fingerprints: Iterable[str]) -> str:
+    """Order-independent identity of a whole grid, from its specs'
+    fingerprints."""
     digest = hashlib.sha256()
-    for fp in sorted(spec.fingerprint() for spec in specs):
+    for fp in sorted(fingerprints):
         digest.update(fp.encode())
         digest.update(b"\n")
     return digest.hexdigest()
@@ -52,9 +54,10 @@ class SweepJournal:
 
     @classmethod
     def for_grid(
-        cls, cache_dir: Union[str, Path], specs: Sequence[RunSpec]
+        cls, cache_dir: Union[str, Path], fingerprints: Iterable[str]
     ) -> "SweepJournal":
-        grid = grid_fingerprint(specs)
+        """The journal of the grid whose specs have ``fingerprints``."""
+        grid = grid_fingerprint(fingerprints)
         return cls(Path(cache_dir) / "journals" / f"{grid[:32]}.jsonl")
 
     # ------------------------------------------------------------------
@@ -176,16 +179,16 @@ class SweepJournal:
                 out[fp] = doc
         return out
 
-    def summarize(self, specs: Iterable[RunSpec]) -> Dict[str, Any]:
-        """How a grid stands against this journal.
+    def summarize(self, fingerprints: Iterable[str]) -> Dict[str, Any]:
+        """How a grid, given by its specs' fingerprints, stands against
+        this journal.
 
         Returns ``{"ok": [...], "failed": [...], "missing": [...]}``
         fingerprint lists, in grid order.
         """
         records = self.load()
         ok, failed, missing = [], [], []
-        for spec in specs:
-            fp = spec.fingerprint()
+        for fp in fingerprints:
             rec: Optional[Mapping[str, Any]] = records.get(fp)
             if rec is None:
                 missing.append(fp)

@@ -225,10 +225,10 @@ class SweepRunner:
             doc["__trace_dir__"] = str(self.trace_dir)
         return doc
 
-    def _journal_for(self, specs: Sequence[RunSpec]) -> Optional[SweepJournal]:
-        if not self._journal_enabled or not specs:
+    def _journal_for(self, fps: Sequence[str]) -> Optional[SweepJournal]:
+        if not self._journal_enabled or not fps:
             return None
-        return SweepJournal.for_grid(self._cache_dir, specs)
+        return SweepJournal.for_grid(self._cache_dir, fps)
 
     # ------------------------------------------------------------------
 
@@ -250,10 +250,10 @@ class SweepRunner:
         pending: List[Tuple[int, RunSpec]] = []
         done = 0
         self.failed = 0
-        # the journal, the executor and fault plans key by content
-        # fingerprint
+        # each spec's content identity, computed once: the journal, the
+        # result cache, the executor and fault plans all key by it
         fps = [s.fingerprint() for s in specs]
-        journal = self._journal_for(specs)
+        journal = self._journal_for(fps)
         prior = journal.load() if journal is not None else {}
         if journal is not None:
             # an interrupt before the first point completes must still
@@ -294,7 +294,9 @@ class SweepRunner:
 
         try:
             for i, spec in enumerate(specs):
-                cached = None if self.cache is None else self.cache.get(spec)
+                cached = (
+                    None if self.cache is None else self.cache.get(spec, fps[i])
+                )
                 if cached is not None:
                     self.cache_hits += 1
                     mark(
@@ -320,7 +322,7 @@ class SweepRunner:
                     # bit-identical to worker ones
                     stats = stats_from_dict(doc)
                     if self.cache is not None:
-                        self.cache.put(spec, stats, elapsed)
+                        self.cache.put(spec, stats, elapsed, fps[i])
                     mark(i, SweepResult(spec, stats, elapsed, cached=False))
             elif pending:
                 # imported here: the executor pulls in asyncio, which a

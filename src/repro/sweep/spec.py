@@ -145,18 +145,27 @@ def placement_spec(placement: VMPlacement) -> Dict[str, Any]:
     return {str(vm): list(placement.tiles_of(vm)) for vm in vms}
 
 
+#: :class:`WorkloadSpec` field names in declaration order, the key order
+#: of a workload document
+_WORKLOAD_FIELDS = tuple(f.name for f in dataclasses.fields(WorkloadSpec))
+
+
 def snapshot_workload(
     workload: str, n_vms: int
 ) -> Tuple[Tuple[int, Dict[str, Any]], ...]:
     """Resolve ``workload`` from the live registry into spec documents.
 
     Documents are JSON-native (tuples become lists) so a spec equals
-    its own JSON round trip.
+    its own JSON round trip.  Every field but ``think`` is an immutable
+    scalar, so the frozen spec's fields are read directly: every
+    fingerprint builds these documents, and ``dataclasses.asdict``
+    would deep-copy each field.
     """
     out = []
     for vm in range(n_vms):
-        doc = dataclasses.asdict(workload_for_vm(workload, vm, n_vms))
-        doc["think"] = list(doc["think"])
+        spec = workload_for_vm(workload, vm, n_vms)
+        doc = {name: getattr(spec, name) for name in _WORKLOAD_FIELDS}
+        doc["think"] = list(spec.think)
         out.append((vm, doc))
     return tuple(out)
 

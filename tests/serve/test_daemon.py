@@ -513,7 +513,7 @@ def test_finished_job_marks_its_journal_complete(server, tmp_path):
     assert all(e["status"] == "ok" for e in events)
     cache_dir = tmp_path / "cache"
     journal = SweepJournal.for_grid(
-        cache_dir, [RunSpec.from_dict(d) for d in docs]
+        cache_dir, [RunSpec.from_dict(d).fingerprint() for d in docs]
     )
     assert journal.is_complete()
     assert gc_journals(cache_dir, keep_s=0, now=1e12) == [journal.path]
@@ -585,3 +585,57 @@ def test_resumed_job_is_admitted_past_the_queue_cap(tmp_path):
         assert client.stats()["admission"]["total_pending"] == 0
     finally:
         st.stop(client)
+
+
+# --------------------------------------------------------------- shutdown
+
+
+def test_shutdown_ends_an_open_result_stream(tmp_path):
+    # from CPython 3.12.1 Server.wait_closed waits for every client
+    # connection, so a stream of an unfinished job awaited first would
+    # keep SIGTERM from ever draining or checkpointing
+    async def main():
+        server = ExperimentServer(
+            make_config(tmp_path, workers=1, drain_s=0.5)
+        )
+        await server.start()
+        # far too long to finish within the drain
+        doc = dict(tiny_docs(1, seed0=190)[0], cycles=2_000_000)
+        body = json.dumps({"specs": [doc]}).encode()
+        resp = await server._dispatch(Request("POST", "/jobs", {}, {}, body))
+        job_id = json.loads(resp.body)["job_id"]
+        reader, writer = await asyncio.open_connection(
+            "127.0.0.1", server.port
+        )
+        writer.write(
+            f"GET /jobs/{job_id}/results?wait=1 HTTP/1.1\r\n\r\n".encode()
+        )
+        head = await asyncio.wait_for(reader.readuntil(b"\r\n\r\n"), 10)
+        started = time.monotonic()
+        await asyncio.wait_for(server.shutdown(drain=True), 15)
+        took = time.monotonic() - started
+        rest = await asyncio.wait_for(reader.read(), 5)
+        writer.close()
+        return job_id, head, took, rest
+
+    job_id, head, took, rest = asyncio.run(main())
+    assert head.startswith(b"HTTP/1.1 200")
+    assert took < 5.0
+    assert rest == b""  # the stream ended, with no event for the point
+    active = JobStore(str(tmp_path / "cache")).load_active()
+    assert [doc["job_id"] for doc in active] == [job_id]
+
+
+def test_idle_shutdown_does_not_wait_out_the_drain(tmp_path):
+    # the journal GC loop never finishes on its own, so a drain that
+    # waited for it took all of drain_s
+    async def main():
+        server = ExperimentServer(
+            make_config(tmp_path, journal_gc_days=7.0, drain_s=10.0)
+        )
+        await server.start()
+        started = time.monotonic()
+        await server.shutdown(drain=True)
+        return time.monotonic() - started
+
+    assert asyncio.run(main()) < 5.0

@@ -30,6 +30,9 @@ def test_miss_then_hit(tmp_path):
     assert got.miss_latency.maximum == 17
     assert cache.hits == 1 and cache.misses == 1
     assert len(cache) == 1
+    # a caller that passes the spec's fingerprint reaches the same entry
+    assert cache.path_for(SPEC, SPEC.fingerprint()) == cache.path_for(SPEC)
+    assert cache.get(SPEC, SPEC.fingerprint()).operations == 10
 
 
 def test_key_depends_on_spec_and_code_version(tmp_path):

@@ -77,8 +77,9 @@ def test_interrupt_from_progress_keeps_first_result_and_kills_workers(
     partial = exc_info.value.results
     assert len(partial) == 1
     assert partial[0].ok and not partial[0].cached
-    journal = SweepJournal.for_grid(tmp_path, grid)
-    assert journal.summarize(grid)["ok"] == [partial[0].spec.fingerprint()]
+    fps = [s.fingerprint() for s in grid]
+    journal = SweepJournal.for_grid(tmp_path, fps)
+    assert journal.summarize(fps)["ok"] == [partial[0].spec.fingerprint()]
     assert multiprocessing.active_children() == []
 
 
@@ -154,6 +155,7 @@ def tiny_payload(attempt=1, plan=None, seed=1):
     payload["__attempt__"] = attempt
     if plan is not None:
         payload["__fault_plan__"] = plan.to_dict()
+        payload["__fingerprint__"] = spec.fingerprint()
     return spec, payload
 
 

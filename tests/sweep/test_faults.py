@@ -362,8 +362,8 @@ def test_resume_re_executes_exactly_the_failed_set(tmp_path, baseline):
     first = chaos.run(grid)
     assert [r.ok for r in first] == [True, False, True]
 
-    journal = SweepJournal.for_grid(tmp_path, grid)
-    standing = journal.summarize(grid)
+    journal = SweepJournal.for_grid(tmp_path, fps)
+    standing = journal.summarize(fps)
     assert standing["failed"] == [fps[1]]
     assert set(standing["ok"]) == {fps[0], fps[2]}
 
@@ -376,7 +376,7 @@ def test_resume_re_executes_exactly_the_failed_set(tmp_path, baseline):
     assert all(r.ok for r in second)
     for r in second:
         assert stats_to_dict(r.stats) == baseline[r.spec.fingerprint()]
-    assert journal.summarize(grid)["failed"] == []
+    assert journal.summarize(fps)["failed"] == []
 
 
 def test_corrupt_cache_entry_quarantined_on_next_read(tmp_path, baseline):

@@ -26,7 +26,7 @@ def specs(n=3):
 
 
 def test_grid_fingerprint_is_order_independent():
-    grid = specs()
+    grid = [s.fingerprint() for s in specs()]
     assert grid_fingerprint(grid) == grid_fingerprint(list(reversed(grid)))
     assert grid_fingerprint(grid) != grid_fingerprint(grid[:2])
 
@@ -60,19 +60,18 @@ def test_torn_final_line_is_ignored(tmp_path):
 
 
 def test_summarize_partitions_the_grid(tmp_path):
-    grid = specs()
-    journal = SweepJournal.for_grid(tmp_path, grid)
-    fps = [s.fingerprint() for s in grid]
+    fps = [s.fingerprint() for s in specs()]
+    journal = SweepJournal.for_grid(tmp_path, fps)
     journal.record(fps[0], "ok")
     journal.record(fps[2], "failed", detail="crash")
-    standing = journal.summarize(grid)
+    standing = journal.summarize(fps)
     assert standing["ok"] == [fps[0]]
     assert standing["failed"] == [fps[2]]
     assert standing["missing"] == [fps[1]]
 
 
 def test_for_grid_path_is_stable_per_grid(tmp_path):
-    grid = specs()
+    grid = [s.fingerprint() for s in specs()]
     a = SweepJournal.for_grid(tmp_path, grid)
     b = SweepJournal.for_grid(tmp_path, list(reversed(grid)))
     assert a.path == b.path
@@ -174,5 +173,5 @@ def test_runner_marks_fully_ok_grid_complete(tmp_path):
         for s in grid
     ]
     SweepRunner(jobs=1, cache_dir=tmp_path, progress=False).run(grid)
-    journal = SweepJournal.for_grid(tmp_path, grid)
+    journal = SweepJournal.for_grid(tmp_path, [s.fingerprint() for s in grid])
     assert journal.is_complete()

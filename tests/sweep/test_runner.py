@@ -45,6 +45,29 @@ def test_warm_cache_executes_nothing(tmp_path):
         assert stats_to_dict(a.stats) == stats_to_dict(b.stats)
 
 
+def test_each_spec_is_hashed_once_per_run(tmp_path, monkeypatch):
+    # the journal, the cache key and the executor all reuse the one
+    # fingerprint run() computes per spec
+    calls = []
+    canonical_json = RunSpec.canonical_json
+
+    def counting(self):
+        calls.append(self)
+        return canonical_json(self)
+
+    monkeypatch.setattr(RunSpec, "canonical_json", counting)
+    grid = tiny_grid(("directory", "dico", "vh"))
+    cold = SweepRunner(jobs=1, cache_dir=str(tmp_path))
+    cold.run(grid)
+    assert cold.executed == len(grid)
+    assert len(calls) == len(grid)
+    calls.clear()
+    warm = SweepRunner(jobs=1, cache_dir=str(tmp_path))
+    warm.run(grid)
+    assert warm.executed == 0 and warm.cache_hits == len(grid)
+    assert len(calls) == len(grid)
+
+
 def test_pool_matches_serial_bit_for_bit():
     grid = tiny_grid(("directory", "dico", "dico-providers"))
     serial = SweepRunner(jobs=1).run(grid)
@@ -133,8 +156,9 @@ def test_keyboard_interrupt_carries_partial_results(tmp_path, monkeypatch):
     assert len(partial) == 1
     assert partial[0].spec.protocol == "directory" and partial[0].ok
     # the journal already has the completed point, so --resume works
-    journal = SweepJournal.for_grid(tmp_path, grid)
-    standing = journal.summarize(grid)
+    fps = [s.fingerprint() for s in grid]
+    journal = SweepJournal.for_grid(tmp_path, fps)
+    standing = journal.summarize(fps)
     assert len(standing["ok"]) == 1 and len(standing["missing"]) == 2
 
 

@@ -287,7 +287,6 @@ def cmd_sweep(args) -> int:
     from .sweep import (
         SweepExecutionError,
         SweepInterrupted,
-        SweepJournal,
         SweepRunner,
         figure_grid,
     )
@@ -324,47 +323,9 @@ def cmd_sweep(args) -> int:
             print(f"error: bad fault plan {args.fault_plan!r}: {exc}",
                   file=sys.stderr)
             return 2
-    cache_dir = None if args.no_cache else args.cache_dir
-    if args.gc_journals:
-        from .sweep import gc_journals
-
-        if cache_dir is None:
-            print("error: --gc-journals needs the result cache "
-                  "(drop --no-cache)", file=sys.stderr)
-            return 2
-        pruned = gc_journals(cache_dir, keep_s=args.gc_keep_days * 86400.0)
-        if not args.quiet:
-            print(
-                f"sweep: pruned {len(pruned)} completed journal(s) older "
-                f"than {args.gc_keep_days:g} day(s)",
-                file=sys.stderr,
-            )
-        return 0  # maintenance mode: no grid run
-    if args.resume:
-        if cache_dir is None:
-            print("error: --resume needs the result cache (drop --no-cache)",
-                  file=sys.stderr)
-            return 2
-        fps = [spec.fingerprint() for spec in specs]
-        journal = SweepJournal.for_grid(cache_dir, fps)
-        if not journal.exists():
-            print(
-                f"error: nothing to resume — no journal for this grid "
-                f"under {cache_dir}/journals/",
-                file=sys.stderr,
-            )
-            return 2
-        standing = journal.summarize(fps)
-        print(
-            f"resume: {len(standing['ok'])} ok, "
-            f"{len(standing['failed'])} failed, "
-            f"{len(standing['missing'])} missing of {len(specs)} specs; "
-            "re-executing the failed/missing remainder",
-            file=sys.stderr,
-        )
     runner = SweepRunner(
         jobs=args.jobs,
-        cache_dir=cache_dir,
+        cache_dir=None if args.no_cache else args.cache_dir,
         progress=not args.quiet,
         trace_dir=args.trace_dir,
         policy=policy,
@@ -374,12 +335,13 @@ def cmd_sweep(args) -> int:
     try:
         results = runner.run(specs)
     except SweepInterrupted as exc:
-        # partial results and the journal are already on disk; flush
-        # what completed so the interrupted sweep is still usable
+        # the completed points are already cached; flush them so the
+        # interrupted sweep is still usable
         elapsed = time.perf_counter() - start
         print(
             f"sweep: interrupted after {len(exc.results)}/{len(specs)} "
-            "points; writing partial results (resume with --resume)",
+            "points; writing partial results (re-run the same command "
+            "to finish)",
             file=sys.stderr,
         )
         _emit_sweep_results(args, runner, exc.results, specs, elapsed)
@@ -427,8 +389,6 @@ def cmd_serve(args) -> int:
                 on_failure="skip",
             ),
             fault_plan=fault_plan,
-            journal_gc_days=args.journal_gc_days,
-            gc_interval_s=args.gc_interval_s,
             drain_s=args.drain_s,
             port_file=args.port_file,
         )
@@ -688,22 +648,6 @@ def main(argv=None) -> int:
         "--failures", default=None, metavar="PATH",
         help="write a JSON failure summary to this file",
     )
-    p_sweep.add_argument(
-        "--resume", action="store_true",
-        help="resume a previous sweep of this exact grid: completed "
-        "points come from the cache/journal, only failed or missing "
-        "points re-execute (requires the journal from the earlier run)",
-    )
-    p_sweep.add_argument(
-        "--gc-journals", action="store_true",
-        help="before sweeping, prune completed-grid journals older than "
-        "--gc-keep-days from <cache-dir>/journals/ (incomplete journals "
-        "— resume state — are never pruned)",
-    )
-    p_sweep.add_argument(
-        "--gc-keep-days", type=float, default=7.0, metavar="DAYS",
-        help="journal GC keep window (default: 7)",
-    )
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_serve = sub.add_parser(
@@ -713,7 +657,7 @@ def main(argv=None) -> int:
     )
     p_serve.add_argument(
         "--cache-dir", default=".repro-cache",
-        help="result cache / journal / job-store root "
+        help="result cache / job-store root "
         "(default: .repro-cache)",
     )
     p_serve.add_argument("--host", default="127.0.0.1")
@@ -746,15 +690,6 @@ def main(argv=None) -> int:
     p_serve.add_argument(
         "--fault-plan", default=None, metavar="PATH",
         help="inject faults from this JSON plan (chaos testing)",
-    )
-    p_serve.add_argument(
-        "--journal-gc-days", type=float, default=7.0,
-        help="prune completed-grid journals older than this many days "
-        "(0 disables; default: 7)",
-    )
-    p_serve.add_argument(
-        "--gc-interval-s", type=float, default=3600.0,
-        help="journal GC period in seconds (default: 3600)",
     )
     p_serve.add_argument(
         "--drain-s", type=float, default=10.0,

@@ -6,8 +6,8 @@ grid, poll or stream per-point results, cancel, observe.  Concurrent
 clients dedupe work through the shared content-addressed
 :class:`~repro.sweep.cache.ResultCache`; one queue cap with ``429``
 backpressure and a fixed number of worker slots keep the daemon
-healthy under load; the journal-backed lifecycle makes a daemon
-restart a resume, not a loss.
+healthy under load; durable job records plus the result cache make a
+daemon restart a resume, not a loss.
 
 ``python -m repro serve-bench`` is the load/chaos harness
 (``BENCH_SERVE.json``).

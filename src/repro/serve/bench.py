@@ -106,7 +106,6 @@ class DaemonProc:
             "--workers", str(workers),
             "--max-queue", str(max_queue),
             "--drain-s", "5",
-            "--gc-interval-s", "3600",
         ]
         if fault_plan:
             self.cmd += ["--fault-plan", fault_plan]

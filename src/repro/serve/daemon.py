@@ -4,12 +4,12 @@
 of the existing sweep machinery.  Every result still flows through the
 same code the CLI uses — :mod:`repro.sweep.executor` for out-of-process
 execution, :class:`~repro.sweep.cache.ResultCache` for
-content-addressed dedup, :class:`~repro.sweep.journal.SweepJournal`
-for crash-safe per-point progress — so a grid served over HTTP is
-bit-identical to the same grid run by ``repro sweep``.  The daemon
-itself adds a queue cap, single-flight dedup, cancellation and HTTP,
-all on one event-loop thread: attempts fork from it, and file I/O runs
-on it, so no helper thread is alive at any fork.
+content-addressed dedup and as the checkpoint of every completed
+point — so a grid served over HTTP is bit-identical to the same grid
+run by ``repro sweep``.  The daemon itself adds a queue cap,
+single-flight dedup, cancellation and HTTP, all on one event-loop
+thread: attempts fork from it, and file I/O runs on it, so no helper
+thread is alive at any fork.
 
 The robustness contract:
 
@@ -29,13 +29,13 @@ The robustness contract:
   which kills its attempt process.
 * **Restart = resume** — job records persist in the
   :class:`~repro.serve.store.JobStore`; completed points persist in
-  the journal + result cache.  A daemon killed hard and restarted
-  re-serves finished points from the cache and re-executes only the
-  remainder, exactly like ``repro sweep --resume``.
+  the result cache.  A daemon killed hard and restarted re-serves
+  cached points and re-executes only the remainder, exactly as a
+  re-run of the same ``repro sweep`` does.
 * **Clean shutdown** — SIGTERM/SIGINT (or ``POST /shutdown``) stops
   accepting, drains in-flight points for ``drain_s`` seconds, then
-  checkpoints: outstanding attempts are killed, and the journal's
-  record of completed points makes them resumable.
+  checkpoints: outstanding attempts are killed, and the still-active
+  job records make their points run again on the next start.
 
 HTTP API (all JSON; NDJSON for result streams)::
 
@@ -70,7 +70,6 @@ from ..stats.counters import RunStats
 from ..stats.io import stats_digest
 from ..sweep.cache import ResultCache
 from ..sweep.executor import AttemptRegistry, run_point
-from ..sweep.journal import SweepJournal, gc_journals
 from ..sweep.spec import RunSpec
 from .http import (
     HttpError,
@@ -112,8 +111,6 @@ class ServeConfig:
         )
     )
     fault_plan: Optional[FaultPlan] = None
-    journal_gc_days: float = 7.0
-    gc_interval_s: float = 3600.0
     #: graceful-shutdown drain budget before checkpointing
     drain_s: float = 10.0
     #: written with the bound port once listening (for ``--port 0``)
@@ -130,30 +127,12 @@ class ServeConfig:
 
 
 def spec_from_doc(doc: Any) -> RunSpec:
-    """A submitted point document -> :class:`RunSpec`, with defaults.
-
-    Unlike :meth:`RunSpec.from_dict` this tolerates sparse documents
-    (hand-written ``curl`` bodies), defaulting every field but
-    ``protocol`` and ``workload``.
-    """
+    """A submitted point document -> :class:`RunSpec` via
+    :meth:`RunSpec.from_dict`; bad outside input becomes a ``400``."""
     if not isinstance(doc, dict):
         raise HttpError(400, f"spec must be an object, got {type(doc).__name__}")
     try:
-        return RunSpec(
-            protocol=doc["protocol"],
-            workload=doc["workload"],
-            seed=doc.get("seed", 1),
-            placement=doc.get("placement", "aligned"),
-            cycles=doc.get("cycles", 80_000),
-            warmup=doc.get("warmup", 60_000),
-            n_vms=doc.get("n_vms", 4),
-            config=doc.get("config"),
-            overrides=tuple((k, v) for k, v in doc.get("overrides") or ()),
-            protocol_kwargs=doc.get("protocol_kwargs") or {},
-            workload_specs=None
-            if doc.get("workload_specs") is None
-            else tuple((vm, d) for vm, d in doc["workload_specs"]),
-        )
+        return RunSpec.from_dict(doc)
     except KeyError as exc:
         raise HttpError(400, f"spec is missing required key {exc.args[0]!r}")
     except ConfigError as exc:
@@ -185,7 +164,6 @@ class ExperimentServer:
         #: unfinished points of all jobs, bounded by max_queue_points
         self._pending = 0
         self.jobs: Dict[str, Job] = {}
-        self._journals: Dict[str, SweepJournal] = {}
         self._tasks: set = set()
         #: open client connections' handler tasks, ended at shutdown
         self._conns: set = set()
@@ -206,11 +184,8 @@ class ExperimentServer:
             "dedup": 0,
             "retries": 0,
             "rejected": 0,
-            "gc_pruned": 0,
         }
         self._server: Optional[asyncio.AbstractServer] = None
-        #: journal GC; outside ``_tasks``, as it never finishes on its own
-        self._gc_task: Optional[asyncio.Task] = None
         self._closing = asyncio.Event()
         self._shutdown_drain = True
         self._started_unix = time.time()
@@ -228,8 +203,6 @@ class ExperimentServer:
         self.port = self._server.sockets[0].getsockname()[1]
         if self.config.port_file:
             self._write_port_file()
-        if self.config.journal_gc_days > 0:
-            self._gc_task = asyncio.create_task(self._gc_loop())
         _log.info(
             "serve: listening on %s:%d (cache %s, %d workers, queue cap %d)",
             self.config.host, self.port, self.config.cache_dir,
@@ -262,10 +235,10 @@ class ExperimentServer:
         """Stop accepting; drain or checkpoint; never drop silently.
 
         With ``drain=True``, in-flight points get ``drain_s`` seconds
-        to finish (their completions are journaled as they land).
-        Whatever remains is checkpointed: tasks cancelled, attempt
-        processes killed — the journal's completed points plus the
-        still-``active`` job records make the next start resume them.
+        to finish (their results are cached as they land).  Whatever
+        remains is checkpointed: tasks cancelled, attempt processes
+        killed — the cached points plus the still-``active`` job
+        records make the next start resume them.
         Only then are the open client connections closed, which ends
         the result streams of unfinished jobs, and only after that is
         the listener awaited: from CPython 3.12.1
@@ -275,8 +248,6 @@ class ExperimentServer:
         server, self._server = self._server, None
         if server is not None:
             server.close()
-        if self._gc_task is not None:
-            self._gc_task.cancel()
         if drain and self.config.drain_s > 0:
             active = [t for t in self._tasks if not t.done()]
             if active:
@@ -333,36 +304,29 @@ class ExperimentServer:
                 job_id, specs, policy, created_unix=doc.get("created_unix")
             )
             self.jobs[job_id] = job
-            fps = [point.fingerprint for point in job.points]
-            journal = SweepJournal.for_grid(self.config.cache_dir, fps)
-            self._journals[job_id] = journal
-            ok_fps = set(journal.summarize(fps)["ok"])
             pending: List[PointState] = []
             for point in job.points:
-                if point.fingerprint in ok_fps:
-                    stats = self.cache.get(point.spec, point.fingerprint)
-                    if stats is not None:
-                        # journal + cache agree: serve the stored result
-                        event = {
-                            "index": point.index,
-                            "fingerprint": point.fingerprint,
-                            "resumed": True,
-                            **self._ok_outcome(
-                                stats, cached=True, attempts=0, elapsed=0.0
-                            ),
-                        }
-                        point.event = event
-                        point.status = "ok"
-                        job.events.append(event)
-                        self.counters["points_ok"] += 1
-                        self.counters["points_resumed"] += 1
-                        continue
-                    # journal says ok but the cache lost (or
-                    # quarantined) the entry — re-execute
-                pending.append(point)
+                stats = self.cache.get(point.spec, point.fingerprint)
+                if stats is None:
+                    # never finished, failed, or its entry was lost or
+                    # quarantined: re-execute
+                    pending.append(point)
+                    continue
+                event = {
+                    "index": point.index,
+                    "fingerprint": point.fingerprint,
+                    "resumed": True,
+                    **self._ok_outcome(
+                        stats, cached=True, attempts=0, elapsed=0.0
+                    ),
+                }
+                point.event = event
+                point.status = "ok"
+                job.events.append(event)
+                self.counters["points_ok"] += 1
+                self.counters["points_resumed"] += 1
             self.counters["jobs_resumed"] += 1
             if not pending:
-                journal.finish([p.status == "ok" for p in job.points])
                 self.store.save(self._job_record(job))
                 continue
             # resumed work was admitted before the restart; the queue
@@ -403,7 +367,7 @@ class ExperimentServer:
                     },
                 )
                 return
-            # daemon shutdown checkpoint: leave the point un-journaled
+            # daemon shutdown checkpoint: leave the point unfinished
             # so the next start re-runs it
             raise
         await self._finish_point(job, point, outcome)
@@ -511,24 +475,8 @@ class ExperimentServer:
         }
         job.mark_terminal(point, event)
         self._pending -= 1
-        status = outcome["status"]
-        self.counters[f"points_{status}"] += 1
-        journal = self._journals[job.job_id]
-        if status in ("ok", "failed"):
-            detail = ""
-            if status == "failed":
-                failure = outcome.get("failure") or {}
-                detail = f"{failure.get('kind', '')}: " \
-                         f"{failure.get('message', '')}".strip()
-            journal.record(
-                point.fingerprint,
-                status,
-                attempts=outcome.get("attempts", 1),
-                elapsed_s=outcome.get("elapsed_s", 0.0),
-                detail=detail,
-            )
+        self.counters[f"points_{outcome['status']}"] += 1
         if job.terminal:
-            journal.finish([p.status == "ok" for p in job.points])
             self.store.save(self._job_record(job))
         # publish last: a client that sees the job go terminal must be
         # able to trust the durable record on disk
@@ -543,21 +491,6 @@ class ExperimentServer:
             "counts": job.counts(),
             "specs": [spec.to_dict() for spec in job.specs],
         }
-
-    # ------------------------------------------------------------------
-    # journal GC
-
-    async def _gc_loop(self) -> None:
-        while True:
-            try:
-                pruned = gc_journals(
-                    self.config.cache_dir,
-                    self.config.journal_gc_days * 86400.0,
-                )
-                self.counters["gc_pruned"] += len(pruned)
-            except OSError as exc:  # pragma: no cover - disk trouble
-                _log.warning("journal gc failed: %s", exc)
-            await asyncio.sleep(self.config.gc_interval_s)
 
     # ------------------------------------------------------------------
     # HTTP plumbing
@@ -694,11 +627,6 @@ class ExperimentServer:
         job_id = f"{self._jobs_seq:04d}-{os.urandom(4).hex()}"
         job = Job(job_id, specs, policy)
         self.jobs[job_id] = job
-        journal = SweepJournal.for_grid(
-            self.config.cache_dir, [point.fingerprint for point in job.points]
-        )
-        self._journals[job_id] = journal
-        journal.touch()
         self.store.save(self._job_record(job))
         for point in job.points:
             self._spawn_point(job, point)
@@ -770,10 +698,6 @@ class ExperimentServer:
                 )
             },
             "cache": self.cache.counters(),
-            "journal_gc": {
-                "keep_days": self.config.journal_gc_days,
-                "pruned": self.counters["gc_pruned"],
-            },
             "counters": dict(self.counters),
         }
 

@@ -10,8 +10,8 @@ point's index so clients can reassemble grid order.
 
 Everything here is in-memory state; durability lives in
 :class:`~repro.serve.store.JobStore` (the job record) and
-:class:`~repro.sweep.journal.SweepJournal` (per-point completion), so
-a daemon restart can rebuild the live picture.
+:class:`~repro.sweep.cache.ResultCache` (each completed point's
+stats), so a daemon restart can rebuild the live picture.
 """
 
 from __future__ import annotations
@@ -112,7 +112,7 @@ class Job:
     def mark_terminal(self, point: PointState, event: Dict[str, Any]) -> None:
         """Set ``point`` terminal with ``event``, without publishing it.
 
-        Lets the daemon persist durable state (journal, job record)
+        Lets the daemon persist durable state (the job record)
         between the state change and the stream notification, so a
         client that observes the final event can trust what's on disk.
         """

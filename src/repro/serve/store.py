@@ -5,14 +5,12 @@ job records the submission itself — the full spec documents and the
 retry policy — plus a coarse ``status``: ``active`` while any
 point is outstanding, then ``done``/``partial``/``cancelled``.
 
-Per-*point* progress is deliberately **not** duplicated here: that is
-the :class:`~repro.sweep.journal.SweepJournal`'s job (one journal per
-grid, shared with ``repro sweep --resume``), and the results
-themselves live in the content-addressed
-:class:`~repro.sweep.cache.ResultCache`.  On restart the daemon loads
-every ``active`` record, asks the journal which points already
-finished, serves those from the cache, and re-enqueues the rest — the
-same resume semantics the sweep CLI has had since the resilience PR.
+Per-*point* progress is deliberately **not** duplicated here: each
+completed point's result lives in the content-addressed
+:class:`~repro.sweep.cache.ResultCache`, which is the checkpoint.  On
+restart the daemon loads every ``active`` record, serves the points
+the cache holds, and re-enqueues the rest — the same resume a re-run
+of ``repro sweep`` gets.
 
 Writes are atomic (temp file + ``os.replace``), so a crash mid-update
 leaves the previous consistent record, never a torn one.  The daemon

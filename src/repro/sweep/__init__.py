@@ -16,9 +16,11 @@ function of its :class:`RunSpec`:
 * :class:`ResultCache` (``cache.py``) — on-disk JSON store keyed by a
   stable hash of the spec plus the simulator's source fingerprint;
 * ``grids.py`` — the canonical figure-reproduction grid shared by the
-  CLI (``python -m repro sweep``) and the ``benchmarks/`` suite;
-* ``journal.py`` — per-grid checkpoint log enabling
-  ``python -m repro sweep --resume`` after crashes or Ctrl-C.
+  CLI (``python -m repro sweep``) and the ``benchmarks/`` suite.
+
+The result cache is also the sweep's checkpoint: each point is
+stored as it completes, so re-running a sweep after a crash, Ctrl-C or
+injected faults re-executes only the points the cache does not hold.
 
 Resilience (timeouts, retries, deterministic fault injection) comes
 from :mod:`repro.faults`; the relevant names are re-exported here.
@@ -35,7 +37,6 @@ from .grids import (
     merge_by_point,
     window_for,
 )
-from .journal import SweepJournal, gc_journals, grid_fingerprint
 from .runner import (
     SweepExecutionError,
     SweepInterrupted,
@@ -61,7 +62,6 @@ __all__ = [
     "RunSpec",
     "SweepExecutionError",
     "SweepInterrupted",
-    "SweepJournal",
     "SweepResult",
     "SweepRunner",
     "WINDOWS",
@@ -72,8 +72,6 @@ __all__ = [
     "config_to_dict",
     "failure_summary",
     "figure_grid",
-    "gc_journals",
-    "grid_fingerprint",
     "merge_by_point",
     "placement_spec",
     "snapshot_workload",

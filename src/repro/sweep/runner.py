@@ -21,9 +21,10 @@ points under the default :class:`~repro.faults.FaultPolicy` with no
 after another.  Everything else goes through
 :mod:`repro.sweep.executor`, one fresh process per attempt: it kills a
 hung attempt at its deadline, contains a worker that dies, retries with
-seeded backoff and injects a plan's faults.  A
-:class:`~repro.sweep.journal.SweepJournal` checkpoints completed points
-either way, so an interrupted sweep resumes instead of restarting.
+seeded backoff and injects a plan's faults.  Either way each completed
+point lands in the result cache as it finishes, so the cache is the
+sweep's checkpoint: re-running an interrupted or partly failed sweep
+re-executes only the points it does not hold.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ from ..faults import FailureRecord, FaultPlan, FaultPolicy, plan_from_env
 from ..stats.counters import RunStats
 from ..stats.io import stats_from_dict, stats_to_dict
 from .cache import ResultCache
-from .journal import SweepJournal
 from .spec import RunSpec
 
 __all__ = [
@@ -142,21 +142,17 @@ class SweepRunner:
     receives each progress line.  ``policy`` (a
     :class:`~repro.faults.FaultPolicy`) selects timeout/retry/skip
     behavior; ``fault_plan`` injects deterministic chaos (defaults to
-    the ``REPRO_FAULT_PLAN`` environment knob).  With a cache
-    directory, completed points are journaled under
-    ``<cache_dir>/journals/`` so interrupted sweeps can resume.
+    the ``REPRO_FAULT_PLAN`` environment knob).
     """
 
     def __init__(
         self,
         jobs: int = 1,
         cache_dir: Optional[str] = None,
-        use_cache: bool = True,
         progress: bool | Callable[[str], None] = False,
         trace_dir: Optional[str] = None,
         policy: Optional[FaultPolicy] = None,
         fault_plan: Optional[FaultPlan] = None,
-        journal: bool = True,
     ) -> None:
         if jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {jobs}")
@@ -171,17 +167,15 @@ class SweepRunner:
         #: when set, every *executed* spec also writes a JSONL trace +
         #: manifest here (named by content fingerprint).  Cache hits
         #: skip simulation entirely, so they leave no trace file — use
-        #: ``use_cache=False`` to trace a fully warm grid.
+        #: ``cache_dir=None`` to trace a fully warm grid.
         self.trace_dir = trace_dir
         self.cache: Optional[ResultCache] = (
-            ResultCache(cache_dir) if (cache_dir and use_cache) else None
+            ResultCache(cache_dir) if cache_dir else None
         )
         self.policy = policy if policy is not None else FaultPolicy()
         self.fault_plan = (
             fault_plan if fault_plan is not None else plan_from_env()
         )
-        self._journal_enabled = journal and cache_dir is not None
-        self._cache_dir = cache_dir
         if callable(progress):
             self._progress: Optional[Callable[[str], None]] = progress
         else:
@@ -225,11 +219,6 @@ class SweepRunner:
             doc["__trace_dir__"] = str(self.trace_dir)
         return doc
 
-    def _journal_for(self, fps: Sequence[str]) -> Optional[SweepJournal]:
-        if not self._journal_enabled or not fps:
-            return None
-        return SweepJournal.for_grid(self._cache_dir, fps)
-
     # ------------------------------------------------------------------
 
     def run(self, specs: Sequence[RunSpec]) -> List[SweepResult]:
@@ -242,7 +231,7 @@ class SweepRunner:
         :class:`SweepResult` carrying a
         :class:`~repro.faults.FailureRecord`.  ``KeyboardInterrupt``
         is re-raised as :class:`SweepInterrupted` with the completed
-        partial results attached; the journal already has them.
+        partial results attached; the cache already has them.
         """
         specs = list(specs)
         total = len(specs)
@@ -250,42 +239,21 @@ class SweepRunner:
         pending: List[Tuple[int, RunSpec]] = []
         done = 0
         self.failed = 0
-        # each spec's content identity, computed once: the journal, the
-        # result cache, the executor and fault plans all key by it
+        # each spec's content identity, computed once: the result cache,
+        # the executor and fault plans all key by it
         fps = [s.fingerprint() for s in specs]
-        journal = self._journal_for(fps)
-        prior = journal.load() if journal is not None else {}
-        if journal is not None:
-            # an interrupt before the first point completes must still
-            # leave a (possibly empty) journal, so --resume always works
-            journal.touch()
 
         def mark(i: int, result: SweepResult) -> None:
             nonlocal done
             done += 1
             # report first: a progress callback that raises (Ctrl-C)
-            # leaves this point out of the partial results and journal
+            # leaves this point out of the partial results
             self._report(done, total, result)
             results[i] = result
             if result.failure is not None:
                 self.failed += 1
             elif not result.cached:
                 self.executed += 1
-            if journal is not None:
-                fp = fps[i]
-                status = "ok" if result.failure is None else "failed"
-                old = prior.get(fp)
-                if old is None or old.get("status") != status:
-                    journal.record(
-                        fp,
-                        status,
-                        attempts=result.attempts,
-                        elapsed_s=result.elapsed_s,
-                        detail=""
-                        if result.failure is None
-                        else result.failure.describe(),
-                    )
-                    prior[fp] = {"fingerprint": fp, "status": status}
 
         def accept(i: int, result: SweepResult) -> None:
             if not result.ok and self.policy.on_failure == "raise":
@@ -343,8 +311,6 @@ class SweepRunner:
             ) from None
 
         assert all(r is not None for r in results)
-        if journal is not None:
-            journal.finish([r.ok for r in results])
         return results  # type: ignore[return-value]
 
     def run_one(self, spec: RunSpec) -> SweepResult:

@@ -255,6 +255,12 @@ class RunSpec:
         # whichever worker first builds the chip
         cfg = self.resolve_config()
         if self.plan is not None:
+            if not isinstance(self.plan, Mapping):
+                raise ConfigError(
+                    "plan",
+                    f"expected a plan document, got "
+                    f"{type(self.plan).__name__}",
+                )
             plan = ConsolidationPlan.from_dict(self.plan)
             if len(plan) == 0:
                 # an empty plan is a static run: normalize to None so
@@ -332,15 +338,21 @@ class RunSpec:
 
     @classmethod
     def from_dict(cls, doc: Mapping[str, Any]) -> "RunSpec":
+        """Inverse of :meth:`to_dict`.  Only ``protocol`` and
+        ``workload`` are required (``KeyError`` otherwise); an omitted
+        key takes its field's default, so a sparse hand-written
+        document parses too."""
+        scalars = {
+            name: doc[name]
+            for name in (
+                "seed", "placement", "cycles", "warmup", "n_vms",
+                "config", "plan",
+            )
+            if name in doc
+        }
         return cls(
             protocol=doc["protocol"],
             workload=doc["workload"],
-            seed=doc["seed"],
-            placement=doc["placement"],
-            cycles=doc["cycles"],
-            warmup=doc["warmup"],
-            n_vms=doc.get("n_vms", 4),
-            config=doc.get("config"),
             overrides=tuple(
                 (k, v) for k, v in doc.get("overrides") or ()
             ),
@@ -348,7 +360,7 @@ class RunSpec:
             workload_specs=None
             if doc.get("workload_specs") is None
             else tuple((vm, d) for vm, d in doc["workload_specs"]),
-            plan=doc.get("plan"),
+            **scalars,
         )
 
     def canonical_json(self) -> str:
@@ -371,7 +383,7 @@ class RunSpec:
     def fingerprint(self) -> str:
         """sha256 over :meth:`canonical_json` — the spec's content
         identity (same value as :func:`repro.api.spec_fingerprint`).
-        The sweep journal and fault plans key by it."""
+        The result cache and fault plans key by it."""
         import hashlib
 
         return hashlib.sha256(self.canonical_json().encode()).hexdigest()

@@ -26,7 +26,7 @@ from repro.serve import (
 )
 from repro.serve.http import Request
 from repro.sim.config import small_test_chip
-from repro.sweep import SweepJournal, SweepRunner, gc_journals
+from repro.sweep import SweepRunner
 from repro.sweep.cache import ResultCache
 from repro.sweep.spec import RunSpec, config_to_dict
 from repro.stats.io import stats_digest
@@ -92,7 +92,6 @@ def make_config(tmp_path, **kwargs):
         default_policy=FaultPolicy(
             timeout_s=60.0, max_retries=1, on_failure="skip"
         ),
-        journal_gc_days=0,  # no background GC task in tests
         drain_s=5.0,
     )
     defaults.update(kwargs)
@@ -506,27 +505,23 @@ def test_cancel_keeps_an_execution_another_job_waits_on(tmp_path):
 # ----------------------------------------------------------------- resume
 
 
-def test_finished_job_marks_its_journal_complete(server, tmp_path):
-    client, _st = server
-    docs = tiny_docs(2, seed0=145)
-    events = client.wait_job(client.submit(docs)["job_id"])
-    assert all(e["status"] == "ok" for e in events)
-    cache_dir = tmp_path / "cache"
-    journal = SweepJournal.for_grid(
-        cache_dir, [RunSpec.from_dict(d).fingerprint() for d in docs]
-    )
-    assert journal.is_complete()
-    assert gc_journals(cache_dir, keep_s=0, now=1e12) == [journal.path]
-
-
 def test_restart_resumes_active_job(tmp_path):
     config = make_config(tmp_path)
     st = ServerThread(config)
     client = st.start()
     docs = tiny_docs(3, seed0=150)
+    # a plan changes what runs, so it must reach the served spec, its
+    # fingerprint and cache key, and the job record a restart reads
+    docs[2]["plan"] = {"seed": 9, "events": [
+        {"cycle": 400, "kind": "vm_depart", "vm": 3},
+    ]}
+    specs = [RunSpec.from_dict(d) for d in docs]
     sub = client.submit(docs)
     events = client.wait_job(sub["job_id"])
     assert all(e["status"] == "ok" for e in events)
+    assert [e["fingerprint"] for e in events] == [
+        spec.fingerprint() for spec in specs
+    ]
     st.stop(client)
 
     # simulate dying before the final record write: flip the job back
@@ -541,7 +536,7 @@ def test_restart_resumes_active_job(tmp_path):
     record_path.write_text(json.dumps(record))
     cache = ResultCache(tmp_path / "cache")
     lost_fp = events[1]["fingerprint"]
-    cache.path_for(RunSpec.from_dict(docs[1])).unlink()
+    cache.path_for(specs[1]).unlink()
 
     st2 = ServerThread(make_config(tmp_path))
     client2 = st2.start()
@@ -550,7 +545,7 @@ def test_restart_resumes_active_job(tmp_path):
         assert [e["index"] for e in events2] == [0, 1, 2]
         assert all(e["status"] == "ok" for e in events2)
         by_index = {e["index"]: e for e in events2}
-        # journal+cache intact -> served without re-execution
+        # cache intact -> served without re-execution
         assert by_index[0].get("resumed") is True
         assert by_index[2].get("resumed") is True
         # the lost entry re-executed, bit-identical
@@ -561,8 +556,11 @@ def test_restart_resumes_active_job(tmp_path):
         assert points["points_resumed"] == 2
         assert points["executed"] == 1
         assert client2.job(sub["job_id"])["status"] == "done"
+        assert st2.server.jobs[sub["job_id"]].specs == specs
     finally:
         st2.stop(client2)
+    # the cache is the only checkpoint
+    assert not (tmp_path / "cache" / "journals").exists()
 
 
 def test_resumed_job_is_admitted_past_the_queue_cap(tmp_path):
@@ -627,12 +625,10 @@ def test_shutdown_ends_an_open_result_stream(tmp_path):
 
 
 def test_idle_shutdown_does_not_wait_out_the_drain(tmp_path):
-    # the journal GC loop never finishes on its own, so a drain that
-    # waited for it took all of drain_s
+    # a drain waits only for unfinished points, so an idle daemon must
+    # not sit out all of drain_s
     async def main():
-        server = ExperimentServer(
-            make_config(tmp_path, journal_gc_days=7.0, drain_s=10.0)
-        )
+        server = ExperimentServer(make_config(tmp_path, drain_s=10.0))
         await server.start()
         started = time.monotonic()
         await server.shutdown(drain=True)

@@ -2,8 +2,8 @@
 across commits.
 
 :meth:`RunSpec.fingerprint` is the sha256 of a spec's canonical JSON.
-Sweep journals, fault-plan rules, the daemon's single-flight map and
-every result-cache key are derived from it, so a change that moves a
+Fault-plan rules, the daemon's single-flight map and every
+result-cache key are derived from it, so a change that moves a
 fingerprint orphans all of them.  ``golden_fingerprints.json`` holds the
 fingerprints of reference specs that between them take every branch of
 :meth:`RunSpec.to_dict` and :meth:`RunSpec.canonical_json`: aligned,

@@ -46,8 +46,8 @@ def test_warm_cache_executes_nothing(tmp_path):
 
 
 def test_each_spec_is_hashed_once_per_run(tmp_path, monkeypatch):
-    # the journal, the cache key and the executor all reuse the one
-    # fingerprint run() computes per spec
+    # the cache key and the executor both reuse the one fingerprint
+    # run() computes per spec
     calls = []
     canonical_json = RunSpec.canonical_json
 
@@ -83,12 +83,6 @@ def test_no_cache_dir_always_simulates(tmp_path):
     runner.run(tiny_grid())
     assert runner.executed == 4
     assert runner.cache_hits == 0
-
-
-def test_use_cache_false_disables_cache(tmp_path):
-    runner = SweepRunner(jobs=1, cache_dir=str(tmp_path), use_cache=False)
-    runner.run(tiny_grid())
-    assert runner.cache is None
 
 
 def test_progress_callback_sees_every_spec(tmp_path):
@@ -135,7 +129,7 @@ def test_empty_grid_is_a_no_op(tmp_path):
 
 
 def test_keyboard_interrupt_carries_partial_results(tmp_path, monkeypatch):
-    from repro.sweep import SweepInterrupted, SweepJournal
+    from repro.sweep import SweepInterrupted
     from repro.sweep import runner as runner_mod
 
     grid = tiny_grid(("directory", "dico", "dico-providers"))
@@ -155,11 +149,13 @@ def test_keyboard_interrupt_carries_partial_results(tmp_path, monkeypatch):
     partial = exc_info.value.results
     assert len(partial) == 1
     assert partial[0].spec.protocol == "directory" and partial[0].ok
-    # the journal already has the completed point, so --resume works
-    fps = [s.fingerprint() for s in grid]
-    journal = SweepJournal.for_grid(tmp_path, fps)
-    standing = journal.summarize(fps)
-    assert len(standing["ok"]) == 1 and len(standing["missing"]) == 2
+    # the cache already holds the completed point, so a plain re-run
+    # executes exactly the two missing ones
+    assert runner.cache.get(grid[0]) is not None
+    monkeypatch.setattr(runner_mod, "_execute_payload", real_execute)
+    rerun = SweepRunner(jobs=1, cache_dir=str(tmp_path))
+    assert all(r.ok for r in rerun.run(grid))
+    assert rerun.executed == 2 and rerun.cache_hits == 1
 
 
 def test_pooled_path_leaves_no_live_children():

@@ -59,6 +59,15 @@ def test_spec_round_trip_through_json():
     assert RunSpec.from_dict(doc) == spec
 
 
+def test_from_dict_defaults_omitted_keys():
+    # hand-written documents (a served curl body) name only the
+    # required keys; everything else takes the field default
+    sparse = RunSpec.from_dict({"protocol": "dico", "workload": "radix"})
+    assert sparse == RunSpec(protocol="dico", workload="radix")
+    with pytest.raises(KeyError, match="workload"):
+        RunSpec.from_dict({"protocol": "dico"})
+
+
 def test_canonical_json_is_stable_and_content_sensitive():
     a, b = tiny_spec(), tiny_spec()
     assert a.canonical_json() == b.canonical_json()
@@ -211,6 +220,13 @@ def test_plan_events_canonically_cycle_sorted():
     cycles = [ev["cycle"] for ev in spec.to_dict()["plan"]["events"]]
     assert cycles == sorted(cycles)
     assert spec.fingerprint() == tiny_spec(plan=PLAN_DOC).fingerprint()
+
+
+def test_non_mapping_plan_rejected_at_construction():
+    from repro.sim.config import ConfigError
+
+    with pytest.raises(ConfigError, match="plan"):
+        tiny_spec(plan=[1, 2])
 
 
 def test_plan_label_mentions_event_count():

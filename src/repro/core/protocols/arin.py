@@ -24,7 +24,7 @@ area matches the forwarder, the requestor replaces it").
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Optional, Sequence, Tuple
 
 from ...sim.config import ChipConfig
 from ..checker import CoherenceChecker
@@ -496,7 +496,12 @@ class DiCoArinProtocol(DiCoProtocol):
     # ------------------------------------------------------------------
     # verification
 
-    def _directory_audit(self, block: int, now: Optional[int] = None) -> None:
+    def _directory_audit(
+        self,
+        block: int,
+        holders: Sequence[Tuple[int, L1Line]],
+        now: Optional[int] = None,
+    ) -> None:
         """Arin consistency, per regime.  Inter-area blocks keep data at
         the home, have no owner anywhere, and their ProPos — which may
         be stale by design (provider evictions are silent) — stay
@@ -506,10 +511,9 @@ class DiCoArinProtocol(DiCoProtocol):
         home = (block & self._home_mask)
         entry = self.l2s[home].peek(block)
         if entry is not None and entry.inter_area:
-            self._audit_inter_area(home, block, entry, now)
+            self._audit_inter_area(home, block, entry, holders, now)
             return
-        super()._directory_audit(block, now)
-        holders = self._l1_copies(block)
+        super()._directory_audit(block, holders, now)
         owners = [
             (t, l)
             for t, l in holders
@@ -544,7 +548,12 @@ class DiCoArinProtocol(DiCoProtocol):
                 )
 
     def _audit_inter_area(
-        self, home: int, block: int, entry: L2Line, now: Optional[int]
+        self,
+        home: int,
+        block: int,
+        entry: L2Line,
+        holders: Sequence[Tuple[int, L1Line]],
+        now: Optional[int],
     ) -> None:
         if not entry.has_data:
             self._audit_fail(
@@ -558,7 +567,7 @@ class DiCoArinProtocol(DiCoProtocol):
                 "inter-area block",
                 now,
             )
-        for t, l in self._l1_copies(block):
+        for t, l in holders:
             if l.state in (L1State.E, L1State.M, L1State.O):
                 self._audit_fail(
                     block,

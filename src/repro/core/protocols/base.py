@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ...cache.cache import CacheAccessStats, SetAssocCache
 from ...mem.address import AddressMap
@@ -635,11 +635,16 @@ class CoherenceProtocol(ABC):
 
     def live_copies(self, block: int) -> List[Tuple[str, str, int]]:
         """All live copies of a block, for the coherence checker."""
-        copies: List[Tuple[str, str, int]] = []
-        for tile, l1 in enumerate(self.l1s):
-            line = l1.peek(block)
-            if line is not None and line.state is not L1State.I:
-                copies.append((f"L1[{tile}]", line.state.name, line.version))
+        return self._copy_set(block, self._l1_copies(block))
+
+    def _copy_set(
+        self, block: int, holders: Sequence[Tuple[int, L1Line]]
+    ) -> List[Tuple[str, str, int]]:
+        """:meth:`live_copies` from the block's live L1 copies."""
+        copies = [
+            (f"L1[{tile}]", line.state.name, line.version)
+            for tile, line in holders
+        ]
         home = (block & self._home_mask)
         entry = self.l2s[home].peek(block)
         if (
@@ -658,12 +663,27 @@ class CoherenceProtocol(ABC):
         """Assert the coherence invariants for one block."""
         self.checker.check_copy_set(block, self.live_copies(block))
 
-    def audit_block(self, block: int, now: Optional[int] = None) -> None:
+    def audit_block(
+        self,
+        block: int,
+        now: Optional[int] = None,
+        holders: Optional[Sequence[Tuple[int, L1Line]]] = None,
+    ) -> None:
         """Full per-block audit: copy-set invariants plus the
-        protocol-specific directory-consistency check."""
-        self.checker.check_copy_set(block, self.live_copies(block), now=now)
+        protocol-specific directory-consistency check.
+
+        ``holders`` are the block's live L1 copies as
+        :meth:`_l1_copies` lists them, for a caller that gathered every
+        block's copies in one walk of the L1s
+        (:meth:`repro.sim.chip.Chip.verify_coherence`); by default they
+        are looked up here."""
+        if holders is None:
+            holders = self._l1_copies(block)
+        self.checker.check_copy_set(
+            block, self._copy_set(block, holders), now=now
+        )
         if self._inactive_tiles:
-            for tile, line in self._l1_copies(block):
+            for tile, line in holders:
                 if tile in self._inactive_tiles:
                     self._audit_fail(
                         block,
@@ -671,11 +691,17 @@ class CoherenceProtocol(ABC):
                         f"{tile} (not drained on departure/migration)",
                         now,
                     )
-        self._directory_audit(block, now)
+        self._directory_audit(block, holders, now)
 
-    def _directory_audit(self, block: int, now: Optional[int] = None) -> None:
+    def _directory_audit(
+        self,
+        block: int,
+        holders: Sequence[Tuple[int, L1Line]],
+        now: Optional[int] = None,
+    ) -> None:
         """Assert that this protocol's sharing metadata is consistent
-        with the actual copies of ``block`` on the chip.
+        with the actual copies of ``block`` on the chip; ``holders``
+        are its live L1 copies in tile order (:meth:`_l1_copies`).
 
         Subclasses override with their structure-specific invariants
         (directory coverage, owner-pointer precision, provider

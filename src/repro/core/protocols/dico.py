@@ -19,7 +19,7 @@ override the supplier-location and invalidation logic.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from ..messages import MessageType
 from ..states import L1State
@@ -602,7 +602,12 @@ class DiCoProtocol(CoherenceProtocol):
     # ------------------------------------------------------------------
     # verification
 
-    def _directory_audit(self, block: int, now: Optional[int] = None) -> None:
+    def _directory_audit(
+        self,
+        block: int,
+        holders: Sequence[Tuple[int, L1Line]],
+        now: Optional[int] = None,
+    ) -> None:
         """DiCo consistency: the home's L2C$ pointer is precise (names
         the one L1 owner, or nothing), ownership lives in exactly one
         place, and the ordering point's sharing code covers every live
@@ -611,7 +616,6 @@ class DiCoProtocol(CoherenceProtocol):
         pointer = self.l2cs[home].peek_owner(block)
         entry = self.l2s[home].peek(block)
         home_owned = entry is not None and entry.is_owner and not entry.plain_copy
-        holders = self._l1_copies(block)
         owners = [
             (t, l)
             for t, l in holders

@@ -15,7 +15,7 @@ exclusive evictions write back through the home.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from ...cache.cache import SetAssocCache
 from ...sim.config import ChipConfig
@@ -465,7 +465,12 @@ class DirectoryProtocol(CoherenceProtocol):
     # ------------------------------------------------------------------
     # verification
 
-    def _directory_audit(self, block: int, now: Optional[int] = None) -> None:
+    def _directory_audit(
+        self,
+        block: int,
+        holders: Sequence[Tuple[int, L1Line]],
+        now: Optional[int] = None,
+    ) -> None:
         """Full-map consistency: the home's sharing code must cover
         every live L1 copy (stale *extra* bits are fine — S evictions
         are silent) and an owner pointer must name a live E/M line."""
@@ -475,7 +480,6 @@ class DirectoryProtocol(CoherenceProtocol):
         if info is None:
             info = self.dircaches[home].peek(block)
             via = "dircache"
-        holders = self._l1_copies(block)
         if info is None:
             if holders:
                 self._audit_fail(

@@ -26,7 +26,7 @@ invalidates the L1 copy.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from ..messages import MessageType
 from ..states import L1State
@@ -268,22 +268,26 @@ class DLSProtocol(CoherenceProtocol):
 
     # -- audit ---------------------------------------------------------
 
-    def _directory_audit(self, block: int, now: Optional[int] = None) -> None:
-        copies = self._l1_copies(block)
+    def _directory_audit(
+        self,
+        block: int,
+        holders: Sequence[Tuple[int, L1Line]],
+        now: Optional[int] = None,
+    ) -> None:
         cls = self._class.get(block)
         home = block & self._home_mask
         entry = self.l2s[home].peek(block)
         if cls is None:
-            if copies:
+            if holders:
                 self._audit_fail(block, "unclassified block has L1 copies", now)
             if entry is not None:
                 self._audit_fail(block, "unclassified block has an LLC entry", now)
             return
         if cls == SHARED:
-            if copies:
+            if holders:
                 self._audit_fail(
                     block,
-                    f"shared block cached in L1 at {[t for t, _ in copies]}",
+                    f"shared block cached in L1 at {[t for t, _ in holders]}",
                     now,
                 )
             if entry is not None and (
@@ -295,7 +299,7 @@ class DLSProtocol(CoherenceProtocol):
                 )
             return
         # private
-        for t, line in copies:
+        for t, line in holders:
             if t != cls:
                 self._audit_fail(
                     block, f"private block of tile {cls} cached at L1[{t}]", now
@@ -315,7 +319,7 @@ class DLSProtocol(CoherenceProtocol):
                 "(stale after consolidation)",
                 now,
             )
-        if copies:
+        if holders:
             if entry is None:
                 self._audit_fail(
                     block, "L1 copy without a live LLC tracking entry (inclusion)", now

@@ -33,7 +33,7 @@ staying O, and only writes memory back when the O line is evicted.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from ...noc.bus import Bus
 from ..messages import MessageType
@@ -239,13 +239,17 @@ class _SnoopProtocolBase(CoherenceProtocol):
     def _audit_owner_states(self) -> frozenset:
         raise NotImplementedError
 
-    def _directory_audit(self, block: int, now: Optional[int] = None) -> None:
-        copies = self._l1_copies(block)
+    def _directory_audit(
+        self,
+        block: int,
+        holders: Sequence[Tuple[int, L1Line]],
+        now: Optional[int] = None,
+    ) -> None:
         d = self._snoop.get(block)
         owner_states = self._audit_owner_states()
-        owners = [(t, l) for t, l in copies if l.state in owner_states]
+        owners = [(t, l) for t, l in holders if l.state in owner_states]
         sharer_mask = 0
-        for t, line in copies:
+        for t, line in holders:
             if line.state is L1State.S:
                 sharer_mask |= 1 << t
             elif line.state not in owner_states:
@@ -280,17 +284,17 @@ class _SnoopProtocolBase(CoherenceProtocol):
                 f"snoop record sharers {rec_sharers:#x} != actual {sharer_mask:#x}",
                 now,
             )
-        if owners and owners[0][1].state in (L1State.E, L1State.M) and len(copies) > 1:
+        if owners and owners[0][1].state in (L1State.E, L1State.M) and len(holders) > 1:
             self._audit_fail(
                 block, "exclusive owner coexists with other copies", now
             )
-        if copies and owner_tile is None:
+        if holders and owner_tile is None:
             # bus serialization: with no owner on chip, memory is the
             # ordering point and must hold the copies' version
-            if self.mem_version(block) != copies[0][1].version:
+            if self.mem_version(block) != holders[0][1].version:
                 self._audit_fail(
                     block,
-                    f"unowned copies at version {copies[0][1].version} but "
+                    f"unowned copies at version {holders[0][1].version} but "
                     f"memory holds {self.mem_version(block)}",
                     now,
                 )

@@ -31,7 +31,7 @@ global home otherwise.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from ...cache.cache import SetAssocCache
 from ...sim.config import ChipConfig
@@ -513,7 +513,12 @@ class VirtualHierarchyProtocol(CoherenceProtocol):
     # ------------------------------------------------------------------
     # verification
 
-    def _directory_audit(self, block: int, now: Optional[int] = None) -> None:
+    def _directory_audit(
+        self,
+        block: int,
+        holders: Sequence[Tuple[int, L1Line]],
+        now: Optional[int] = None,
+    ) -> None:
         """Two-level consistency.  Level 1: each domain entry covers
         every live L1 copy of its domain, and an exclusive owner
         pointer names a live E/M line (with the entry's data invalid).
@@ -562,7 +567,7 @@ class VirtualHierarchyProtocol(CoherenceProtocol):
                         f"{oline.state.name if oline else 'no copy'}",
                         now,
                     )
-        for tile, line in self._l1_copies(block):
+        for tile, line in holders:
             d = self.domain_of(tile)
             entry = self.l2s[self.dynamic_home(block, d)].peek(block)
             if entry is None:

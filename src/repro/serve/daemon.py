@@ -131,10 +131,13 @@ def spec_from_doc(doc: Any) -> RunSpec:
     :meth:`RunSpec.from_dict`; bad outside input becomes a ``400``."""
     if not isinstance(doc, dict):
         raise HttpError(400, f"spec must be an object, got {type(doc).__name__}")
+    for key in ("protocol", "workload"):
+        if key not in doc:
+            raise HttpError(400, f"spec is missing required key {key!r}")
     try:
         return RunSpec.from_dict(doc)
-    except KeyError as exc:
-        raise HttpError(400, f"spec is missing required key {exc.args[0]!r}")
+    except KeyError as exc:  # inside a nested document
+        raise HttpError(400, f"malformed spec: missing key {exc.args[0]!r}")
     except ConfigError as exc:
         raise HttpError(400, f"invalid spec: {exc}")
     except (TypeError, ValueError) as exc:

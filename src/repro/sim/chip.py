@@ -26,6 +26,7 @@ from typing import Callable, Dict, Optional
 from ..core.checker import CoherenceChecker
 from ..core.protocols import PROTOCOLS, REGISTRY
 from ..core.protocols.base import CoherenceProtocol
+from ..core.states import L1State
 from ..stats.counters import RunStats
 from ..workloads.dynamics import ConsolidationEvent, ConsolidationPlan
 from ..workloads.generator import ConsolidatedWorkload, MemOp
@@ -499,15 +500,24 @@ class Chip:
         """Run the invariant checker over cached blocks (test hook).
 
         Covers both the generic copy-set invariants and the protocol's
-        own directory-consistency audit (:meth:`audit_block`)."""
+        own directory-consistency audit (:meth:`audit_block`) of
+        ``blocks``, by default every block held in any L1 or L2, in
+        block order.  One walk over the L1s gathers each block's live
+        copies in tile order, so no block's audit peeks every L1."""
+        protocol = self.protocol
+        holders: Dict[int, list] = {}
+        for tile, l1 in enumerate(protocol.l1s):
+            for block, line in l1:
+                copies = holders.get(block)
+                if copies is None:
+                    copies = holders[block] = []
+                if line.state is not L1State.I:
+                    copies.append((tile, line))
         if blocks is None:
-            seen = set()
-            for l1 in self.protocol.l1s:
-                for block, _ in l1:
-                    seen.add(block)
-            for l2 in self.protocol.l2s:
+            seen = set(holders)
+            for l2 in protocol.l2s:
                 for block, _ in l2:
                     seen.add(block)
             blocks = sorted(seen)
         for block in blocks:
-            self.protocol.audit_block(block, now=now)
+            protocol.audit_block(block, now=now, holders=holders.get(block, ()))

@@ -33,6 +33,7 @@ in-process path calls.
 from __future__ import annotations
 
 import asyncio
+import gc
 import logging
 import multiprocessing
 import os
@@ -183,7 +184,13 @@ async def run_attempt(
         target=_attempt_main, args=(child_conn, payload), daemon=True
     )
     start = time.monotonic()
-    proc.start()
+    # the child inherits the heap frozen: its collections never walk
+    # the parent's objects, so they never write to (and copy) them
+    gc.freeze()
+    try:
+        proc.start()
+    finally:
+        gc.unfreeze()
     child_conn.close()
     if registry is not None:
         registry.add(proc)

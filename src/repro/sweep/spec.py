@@ -230,14 +230,18 @@ class RunSpec:
             # the sweep result cache — does not depend on which alias
             # the caller typed
             object.__setattr__(self, "protocol", canonical)
-        if self.cycles < 1:
-            raise ConfigError(
-                "cycles", f"measurement window must be >= 1 cycle, got {self.cycles}"
-            )
-        if self.warmup < 0:
-            raise ConfigError("warmup", f"warmup must be >= 0, got {self.warmup}")
-        if self.n_vms < 1:
-            raise ConfigError("n_vms", f"need at least one VM, got {self.n_vms}")
+        for key, least, rule in (
+            ("seed", 0, "seed must be >= 0"),
+            ("cycles", 1, "measurement window must be >= 1 cycle"),
+            ("warmup", 0, "warmup must be >= 0"),
+            ("n_vms", 1, "need at least one VM"),
+        ):
+            value = getattr(self, key)
+            # a bool is an int, and a float would reach numpy or range()
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ConfigError(key, f"expected an integer, got {value!r}")
+            if value < least:
+                raise ConfigError(key, f"{rule}, got {value}")
         if isinstance(self.placement, str):
             if self.placement not in ("aligned", "alt"):
                 raise ConfigError(
@@ -251,9 +255,10 @@ class RunSpec:
                 f"expected a name or vm->tiles mapping, got "
                 f"{type(self.placement).__name__}",
             )
-        # a bad config or override fails here, at construction, not in
-        # whichever worker first builds the chip
+        # a bad config, override or workload document fails here, at
+        # construction, not in whichever worker first builds the chip
         cfg = self.resolve_config()
+        self.resolve_workload_specs()
         if self.plan is not None:
             if not isinstance(self.plan, Mapping):
                 raise ConfigError(
@@ -417,6 +422,22 @@ class RunSpec:
         )
         return apply_overrides(base, self.overrides)
 
+    def resolve_workload_specs(self) -> Optional[Dict[int, WorkloadSpec]]:
+        """The pinned per-VM specs, or ``None`` to resolve by name; a
+        document :class:`WorkloadSpec` rejects is a :class:`ConfigError`
+        naming ``workload_specs``."""
+        if self.workload_specs is None:
+            return None
+        specs = {}
+        for vm, doc in self.workload_specs:
+            try:
+                specs[vm] = _workload_spec_from_doc(doc)
+            except (KeyError, TypeError, ValueError) as exc:
+                raise ConfigError(
+                    "workload_specs", f"VM {vm}: {exc}"
+                ) from None
+        return specs
+
     def build_chip(self) -> Chip:
         """Construct the chip this spec describes."""
         cfg = self.resolve_config()
@@ -436,12 +457,6 @@ class RunSpec:
             placement = VMPlacement(
                 {int(vm): tuple(tiles) for vm, tiles in dict(self.placement).items()}
             )
-        specs = None
-        if self.workload_specs is not None:
-            specs = {
-                vm: _workload_spec_from_doc(doc)
-                for vm, doc in self.workload_specs
-            }
         return Chip(
             self.protocol,
             self.workload,
@@ -450,7 +465,7 @@ class RunSpec:
             placement=placement,
             n_vms=self.n_vms,
             protocol_kwargs=dict(self.protocol_kwargs),
-            workload_specs=specs,
+            workload_specs=self.resolve_workload_specs(),
             plan=None
             if self.plan is None
             else ConsolidationPlan.from_dict(self.plan),

@@ -125,12 +125,18 @@ class ConsolidationPlan:
 
     @classmethod
     def from_dict(cls, doc: Mapping[str, Any]) -> "ConsolidationPlan":
-        return cls(
-            events=tuple(
-                ConsolidationEvent.from_dict(e) for e in doc.get("events") or ()
-            ),
-            seed=int(doc.get("seed") or 0),
-        )
+        """Inverse of :meth:`to_dict`; an event without a required key
+        is a :class:`ConfigError` naming its path."""
+        events = []
+        for i, ev in enumerate(doc.get("events") or ()):
+            try:
+                events.append(ConsolidationEvent.from_dict(ev))
+            except KeyError as exc:
+                raise ConfigError(
+                    "plan",
+                    f"malformed plan: missing key plan.events[{i}].{exc.args[0]}",
+                ) from None
+        return cls(events=tuple(events), seed=int(doc.get("seed") or 0))
 
     # ------------------------------------------------------------------
 

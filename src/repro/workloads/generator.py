@@ -40,6 +40,27 @@ _BATCH = 4096
 #: lists in chunks of this many ops, so a core that consumes only part
 #: of a batch (short runs, high think times) never pays for the rest
 _CHUNK = 512
+#: a stream's first chunk; the chunks after it double up to
+#: :data:`_CHUNK`, so a core that consumes a few dozen ops converts a
+#: few dozen draws of each array
+_FIRST_CHUNK = 64
+
+
+def _chunk_bounds(first: int) -> List[Tuple[int, int]]:
+    """``(lo, hi)`` op ranges covering one batch: ``first`` ops, then
+    chunks doubling up to :data:`_CHUNK`."""
+    bounds: List[Tuple[int, int]] = []
+    lo, size = 0, first
+    while lo < _BATCH:
+        bounds.append((lo, min(lo + size, _BATCH)))
+        lo += size
+        size = min(2 * size, _CHUNK)
+    return bounds
+
+
+#: chunk bounds of a stream's first batch and of every later one
+_START_BOUNDS = _chunk_bounds(_FIRST_CHUNK)
+_BOUNDS = _chunk_bounds(_CHUNK)
 
 
 class MemOp(NamedTuple):
@@ -347,16 +368,20 @@ class ConsolidatedWorkload:
 
         Every :data:`_BATCH` ops the thread's generator draws all the
         random numbers of the next batch, array by array in a fixed
-        order; that size and order define the stream.  Each op is then
-        resolved only when the core consumes it, so a core pays for the
-        ops it uses.  The reuse, pick, write and think draws, which
-        (nearly) every op reads, convert to Python lists a
-        :data:`_CHUNK` at a time; the region, block and scan draws are
-        read one element at a time, and looked up, only for a fresh
-        draw.  The virtual-to-physical translation also runs per
-        consumed op: ``translate_write`` mutates the copy-on-write
-        table all threads share, so it must happen in global
-        consumption order.
+        order; that size and order define the stream.  Consecutive
+        float arrays come from one call each (region + reuse, then the
+        fresh and scan draws), which yields the same numbers as one
+        call per array.  Each op is then resolved only when the core
+        consumes it, so a core pays for the ops it uses.  The reuse,
+        pick, write and think draws, which (nearly) every op reads,
+        convert to Python lists a chunk at a time: :data:`_FIRST_CHUNK`
+        ops first, then doubling up to :data:`_CHUNK`, so a core that
+        stops after a few dozen ops converts a few dozen draws.  The
+        region, block and scan draws are read one element at a time,
+        and looked up, only for a fresh draw.  The virtual-to-physical
+        translation also runs per consumed op: ``translate_write``
+        mutates the copy-on-write table all threads share, so it must
+        happen in global consumption order.
         """
         vm = self.placement.vm_of(tile)
         thread = self.placement.thread_of(tile)
@@ -390,10 +415,14 @@ class ConsolidatedWorkload:
         )
         scan_base = self._dedup_base[vm] * bpp
         scan_frac = spec.dedup_scan_frac
-        scan_pos = int(
-            np.random.default_rng((self.seed, vm, thread, 7)).integers(
-                0, max(1, scan_blocks)
+        scan_pos = (
+            int(
+                np.random.default_rng((self.seed, vm, thread, 7)).integers(
+                    0, scan_blocks
+                )
             )
+            if scan_blocks
+            else 0
         )
 
         translate = self.table.translate
@@ -414,16 +443,27 @@ class ConsolidatedWorkload:
         off_mask = bpp - 1
         block_shift = self.addr.block_offset_bits
 
+        # the non-empty regions draw fresh numbers; an empty one's row
+        # stays None (its access fraction is 0, so no op reads it)
+        fresh_rows = [rid for rid, b in enumerate(region_blocks) if b]
+        fresh_u: List = [None] * len(region_blocks)
+        bounds = _START_BOUNDS
         while True:
-            region_u = rng.random(size=_BATCH)
-            reuse_u = rng.random(size=_BATCH)
-            picks = rng.integers(0, max(1, reuse_window), size=_BATCH)
+            # one batch, in draw order: region, reuse, pick, write and
+            # think draws, then each non-empty region's fresh draws and
+            # the scan draws.  Consecutive float arrays come from one
+            # call each, which yields the same numbers as one call per
+            # array (a double consumes one generator output)
+            region_u, reuse_u = rng.random(2 * _BATCH).reshape(2, _BATCH)
+            picks = rng.integers(0, reuse_window, size=_BATCH)
             write_u = rng.random(size=_BATCH)
             thinks = rng.integers(think_lo, think_hi + 1, size=_BATCH)
-            fresh_u = [rng.random(size=_BATCH) if b else None for b in region_blocks]
-            scan_u = rng.random(size=_BATCH)
-            for lo in range(0, _BATCH, _CHUNK):
-                hi = lo + _CHUNK
+            *fresh, scan_u = rng.random((len(fresh_rows) + 1) * _BATCH).reshape(
+                len(fresh_rows) + 1, _BATCH
+            )
+            for rid, u in zip(fresh_rows, fresh):
+                fresh_u[rid] = u
+            for lo, hi in bounds:
                 for i, reuse, pick, wu, think in zip(
                     range(lo, hi),
                     reuse_u[lo:hi].tolist(),
@@ -468,3 +508,4 @@ class ConsolidatedWorkload:
                             think,
                         ),
                     )
+            bounds = _BOUNDS

@@ -74,7 +74,19 @@ class WorkloadSpec:
         for f in (self.write_private, self.write_vm_shared, self.write_dedup):
             if not 0.0 <= f <= 1.0:
                 raise ValueError(f"{self.name}: write fraction {f} out of range")
-        for attr in ("private_pages", "vm_shared_pages", "dedup_pages"):
+        for attr in ("reuse_prob", "dedup_scan_frac"):
+            if not 0.0 <= getattr(self, attr) <= 1.0:
+                raise ValueError(
+                    f"{self.name}: {attr} must be in [0, 1], "
+                    f"got {getattr(self, attr)}"
+                )
+        if self.reuse_window < 1:
+            raise ValueError(
+                f"{self.name}: reuse_window must be >= 1, got {self.reuse_window}"
+            )
+        for attr in (
+            "private_pages", "vm_shared_pages", "dedup_pages", "dedup_scan_pages"
+        ):
             if getattr(self, attr) < 0:
                 raise ValueError(
                     f"{self.name}: {attr} must be >= 0, got {getattr(self, attr)}"

@@ -28,7 +28,7 @@ from repro.serve.http import Request
 from repro.sim.config import small_test_chip
 from repro.sweep import SweepRunner
 from repro.sweep.cache import ResultCache
-from repro.sweep.spec import RunSpec, config_to_dict
+from repro.sweep.spec import RunSpec, config_to_dict, snapshot_workload
 from repro.stats.io import stats_digest
 
 TINY = config_to_dict(small_test_chip())
@@ -206,6 +206,42 @@ def test_malformed_submissions_rejected(server):
     with pytest.raises(ServeError) as err:
         client.submit([bad])
     assert err.value.status == 400
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        ({"plan": {"events": [{"kind": "vm_depart"}]}},
+         "malformed plan: missing key plan.events[0].cycle"),
+        ({"seed": "x"}, "seed: expected an integer"),
+        ({"seed": True}, "seed: expected an integer"),
+    ],
+)
+def test_spec_from_doc_names_the_bad_key(change, message):
+    """Only a missing top-level key is reported as one; a key missing
+    inside the plan is a malformed plan with its path."""
+    from repro.serve.daemon import spec_from_doc
+    from repro.serve.http import HttpError
+
+    doc = {"protocol": "dico", "workload": "radix", **change}
+    with pytest.raises(HttpError) as err:
+        spec_from_doc(doc)
+    assert err.value.status == 400
+    assert message in str(err.value)
+    assert "missing required key" not in str(err.value)
+    with pytest.raises(HttpError, match="missing required key 'workload'"):
+        spec_from_doc({"protocol": "dico"})
+
+
+def test_bad_workload_document_is_400(server):
+    client, _ = server
+    doc = tiny_docs(1)[0]
+    specs = [[vm, dict(d)] for vm, d in snapshot_workload("radix", 4)]
+    specs[0][1]["reuse_window"] = 0
+    with pytest.raises(ServeError) as err:
+        client.submit([dict(doc, workload_specs=specs)])
+    assert err.value.status == 400
+    assert "workload_specs" in str(err.value)
 
 
 def test_oversized_header_line_is_400(server):

@@ -105,6 +105,29 @@ def test_runspec_rejections(kwargs, key):
     assert key in str(exc.value)
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("seed", "x"),
+        ("seed", 1.5),
+        ("seed", None),
+        ("seed", -1),
+        ("seed", True),
+        ("cycles", True),
+        ("cycles", 2_000.0),
+        ("warmup", 1.0),
+        ("n_vms", 2.0),
+        ("n_vms", True),
+    ],
+)
+def test_runspec_rejects_non_integer_counts_and_seeds(key, value):
+    """A bool or float seed, window or VM count is a ConfigError naming
+    its field; a seed must also be >= 0 (numpy rejects negatives)."""
+    with pytest.raises(ConfigError) as exc:
+        RunSpec(protocol="dico", workload="apache", **{key: value})
+    assert exc.value.key == key
+
+
 def test_runspec_explicit_placement_mapping_accepted():
     RunSpec(protocol="dico", workload="apache", placement={0: (0, 1)})
 
@@ -138,6 +161,21 @@ def test_workload_rejects_zero_length_address_space():
 def test_workload_rejects_negative_pages():
     with pytest.raises(ValueError, match="private_pages"):
         _spec(private_pages=-1)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("reuse_window", 0),
+        ("reuse_prob", 1.5),
+        ("reuse_prob", -0.1),
+        ("dedup_scan_frac", 2.0),
+        ("dedup_scan_pages", -3),
+    ],
+)
+def test_workload_rejects_bad_reuse_and_scan_fields(field, value):
+    with pytest.raises(ValueError, match=field):
+        _spec(**{field: value})
 
 
 def test_workload_rejects_inverted_think_range():

@@ -229,6 +229,37 @@ def test_non_mapping_plan_rejected_at_construction():
         tiny_spec(plan=[1, 2])
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("reuse_window", 0),
+        ("reuse_prob", 1.5),
+        ("dedup_scan_frac", 2.0),
+        ("dedup_scan_pages", -3),
+        ("no_such_field", 1),
+    ],
+)
+def test_bad_workload_document_rejected_at_construction(field, value):
+    """A pinned workload document is parsed when the spec is built, so
+    ``reuse_window=0`` is a ConfigError naming ``workload_specs``, not
+    an IndexError from the reference stream mid-run."""
+    from repro.sim.config import ConfigError
+
+    docs = [(vm, dict(doc)) for vm, doc in snapshot_workload("apache", 4)]
+    docs[1][1][field] = value
+    with pytest.raises(ConfigError, match=field) as exc:
+        tiny_spec(workload="apache", workload_specs=tuple(docs))
+    assert exc.value.key == "workload_specs"
+
+
+def test_plan_event_missing_a_key_names_its_path():
+    from repro.sim.config import ConfigError
+
+    plan = {"events": [{"kind": "vm_depart"}]}
+    with pytest.raises(ConfigError, match=r"plan\.events\[0\]\.cycle"):
+        tiny_spec(plan=plan)
+
+
 def test_plan_label_mentions_event_count():
     assert "plan[3]" in tiny_spec(plan=PLAN_DOC).label
 

@@ -1,13 +1,16 @@
 """Unit tests for the synthetic trace generator."""
 
+import dataclasses
 import itertools
 
+import numpy as np
 import pytest
 
 from repro.core.area import AreaMap
 from repro.mem.address import AddressMap
 from repro.workloads.generator import ConsolidatedWorkload
 from repro.workloads.placement import VMPlacement
+from repro.workloads.spec import BENCHMARKS
 
 
 @pytest.fixture
@@ -164,14 +167,16 @@ PINNED_STREAMS = {
 }
 
 
-def _stream_digest(name: str, seed: int) -> str:
+def _stream_digest(name: str, seed: int, spec_by_vm=None) -> str:
     """Hash ``PINNED_OPS`` ops from each pinned tile of one 8x8 chip,
     consumed round-robin so that one thread's copy-on-write breaks land
     in the middle of its siblings' streams."""
     import hashlib
 
     placement = VMPlacement.area_aligned(AreaMap(8, 8, 4), 4)
-    w = ConsolidatedWorkload(name, placement, AddressMap(n_tiles=64), seed=seed)
+    w = ConsolidatedWorkload(
+        name, placement, AddressMap(n_tiles=64), seed=seed, spec_by_vm=spec_by_vm
+    )
     streams = [w.trace(t) for t in PINNED_TILES]
     h = hashlib.sha256()
     for _ in range(PINNED_OPS):
@@ -189,6 +194,43 @@ def test_reference_stream_pinned_past_a_batch_boundary(name, seed):
     4,096-op batches: jbb's 14,080-block regions, the dedup scan,
     reuse-window picks and copy-on-write breaks all included."""
     assert _stream_digest(name, seed) == PINNED_STREAMS[(name, seed)]
+
+
+#: sha256 of two more stream shapes, recorded before a batch drew its
+#: consecutive float arrays in one call each: an empty region (so a
+#: batch draws fresh numbers for two regions, not three) and a
+#: benchmark without a dedup sweep
+PINNED_SHAPES = {
+    "apache-no-vm-shared": "da31d01758efd4b3b5042a2b7b33c54595fd4800b960e4c5f60127538f1c73cd",
+    "radix": "41cac8b3051c137c734bc49ad3d659acf3d46d6680327e85eaa7df680476e8f5",
+}
+
+
+def test_reference_stream_pinned_with_an_empty_region():
+    """Apache with ``vm_shared_pages=0``: the VM-shared region is
+    empty, so it gets no fresh draws and a zero access fraction."""
+    spec = dataclasses.replace(BENCHMARKS["apache"], vm_shared_pages=0)
+    digest = _stream_digest("apache", 3, spec_by_vm={vm: spec for vm in range(4)})
+    assert digest == PINNED_SHAPES["apache-no-vm-shared"]
+
+
+def test_reference_stream_pinned_without_a_dedup_sweep():
+    assert BENCHMARKS["radix"].dedup_scan_pages == 0
+    assert _stream_digest("radix", 3) == PINNED_SHAPES["radix"]
+
+
+@pytest.mark.parametrize("a,b", ((4096, 4096), (1, 7), (8192, 12288)))
+def test_one_random_call_equals_consecutive_calls(a, b):
+    """The stream merges consecutive float draws of a batch into one
+    call; NumPy's ``Generator.random`` consumes one 64-bit output per
+    double, so one call of ``a + b`` continues exactly where ``a`` then
+    ``b`` would, and leaves the generator in the same state."""
+    one = np.random.default_rng((3, 1, 2))
+    two = np.random.default_rng((3, 1, 2))
+    merged = one.random(a + b)
+    split = np.concatenate((two.random(a), two.random(b)))
+    assert np.array_equal(merged, split)
+    assert one.bit_generator.state == two.bit_generator.state
 
 
 def test_break_dedup_annotations_resolve():

@@ -101,6 +101,21 @@ class FaultPolicy:
     on_failure: str = "raise"
 
     def __post_init__(self) -> None:
+        for name, kinds in (
+            ("max_retries", (int,)),
+            ("backoff_seed", (int,)),
+            ("timeout_s", (int, float)),
+            ("backoff_base_s", (int, float)),
+            ("backoff_max_s", (int, float)),
+        ):
+            value = getattr(self, name)
+            if name == "timeout_s" and value is None:
+                continue
+            if isinstance(value, bool) or not isinstance(value, kinds):
+                raise ValueError(
+                    f"{name} must be {' or '.join(k.__name__ for k in kinds)}"
+                    f", got {value!r}"
+                )
         if self.on_failure not in ("raise", "skip"):
             raise ValueError(
                 f"on_failure must be 'raise' or 'skip', got {self.on_failure!r}"
@@ -126,10 +141,10 @@ class FaultPolicy:
     def from_dict(cls, doc: Mapping[str, Any]) -> "FaultPolicy":
         return cls(
             timeout_s=doc.get("timeout_s"),
-            max_retries=int(doc.get("max_retries", 0)),
-            backoff_base_s=float(doc.get("backoff_base_s", 0.05)),
-            backoff_max_s=float(doc.get("backoff_max_s", 5.0)),
-            backoff_seed=int(doc.get("backoff_seed", 0)),
+            max_retries=doc.get("max_retries", 0),
+            backoff_base_s=doc.get("backoff_base_s", 0.05),
+            backoff_max_s=doc.get("backoff_max_s", 5.0),
+            backoff_seed=doc.get("backoff_seed", 0),
             on_failure=doc.get("on_failure", "raise"),
         )
 

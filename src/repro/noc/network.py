@@ -134,8 +134,7 @@ class Network:
         # hot-path constants: the geometry is frozen, so hop counts come
         # straight from the mesh's flat table and the detailed path
         # (route materialization) collapses to one precomputed flag
-        table = mesh._hops_table
-        self._hops_flat = table if table is not None else mesh._build_hops_table()
+        self._hops_flat = mesh._build_hops_table()
         self._n_tiles = mesh.n_tiles
         self._hop_cycles = mesh._hop_cycles
         self._detailed = track_link_load or mesh.noc.model_contention

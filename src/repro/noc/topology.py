@@ -15,6 +15,7 @@ tail through the final link (wormhole switching pipelines the rest).
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Dict, Iterator, List, Tuple
 
 from ..sim.config import NocConfig
@@ -22,6 +23,21 @@ from ..sim.config import NocConfig
 __all__ = ["Mesh"]
 
 Link = Tuple[int, int]
+
+
+@lru_cache(maxsize=None)
+def _shared_hops_table(width: int, height: int) -> Tuple[int, ...]:
+    """Flat ``src * n_tiles + dst -> Manhattan distance`` table of a
+    ``width x height`` mesh: built once per shape, and shared read-only
+    by every mesh of that shape and its network."""
+    n = width * height
+    xs = [t % width for t in range(n)]
+    ys = [t // width for t in range(n)]
+    return tuple(
+        abs(sx - dx) + abs(sy - dy)
+        for sx, sy in zip(xs, ys)
+        for dx, dy in zip(xs, ys)
+    )
 
 
 class Mesh:
@@ -39,9 +55,9 @@ class Mesh:
         self._hop_cycles = self.noc.hop_cycles
         self._route_cache: Dict[Tuple[int, int], Tuple[Link, ...]] = {}
         self._bcast_cache: Dict[int, Tuple[Tuple[Link, ...], int]] = {}
-        #: flat ``src * n_tiles + dst -> Manhattan distance`` table,
-        #: built lazily on first use (analytic benches never need it)
-        self._hops_table: List[int] | None = None
+        #: :func:`_shared_hops_table` of this shape, fetched on first
+        #: use (analytic benches never need it)
+        self._hops_table: Tuple[int, ...] | None = None
 
     # ------------------------------------------------------------------
     # geometry
@@ -63,18 +79,9 @@ class Mesh:
             raise ValueError(f"({x},{y}) outside {self.width}x{self.height} mesh")
         return y * self.width + x
 
-    def _build_hops_table(self) -> List[int]:
-        w, n = self.width, self._n_tiles
-        xs = [t % w for t in range(n)]
-        ys = [t // w for t in range(n)]
-        table = [0] * (n * n)
-        for s in range(n):
-            sx, sy = xs[s], ys[s]
-            base = s * n
-            for d in range(n):
-                table[base + d] = abs(sx - xs[d]) + abs(sy - ys[d])
-        self._hops_table = table
-        return table
+    def _build_hops_table(self) -> Tuple[int, ...]:
+        self._hops_table = _shared_hops_table(self.width, self.height)
+        return self._hops_table
 
     def hops(self, src: int, dst: int) -> int:
         """Manhattan distance between two tiles."""

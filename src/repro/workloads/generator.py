@@ -40,9 +40,10 @@ _BATCH = 4096
 #: lists in chunks of this many ops, so a core that consumes only part
 #: of a batch (short runs, high think times) never pays for the rest
 _CHUNK = 512
-#: a stream's first chunk; the chunks after it double up to
-#: :data:`_CHUNK`, so a core that consumes a few dozen ops converts a
-#: few dozen draws of each array
+#: a stream's first chunk, and its first span of float draws; the
+#: chunks after it double up to :data:`_CHUNK`, the spans up to a whole
+#: batch, so a core that consumes a few dozen ops draws and converts a
+#: few dozen floats of each row
 _FIRST_CHUNK = 64
 
 
@@ -61,6 +62,46 @@ def _chunk_bounds(first: int) -> List[Tuple[int, int]]:
 #: chunk bounds of a stream's first batch and of every later one
 _START_BOUNDS = _chunk_bounds(_FIRST_CHUNK)
 _BOUNDS = _chunk_bounds(_CHUNK)
+
+
+def _skip_floats(rng: np.random.Generator, rows: int) -> Tuple[dict, int]:
+    """Record where ``rows`` rows of :data:`_BATCH` doubles start in
+    ``rng``'s stream, as ``(state, rows)``, and move ``rng`` past them
+    without drawing them.
+
+    A double takes exactly one 64-bit output, so ``advance`` lands
+    where ``rng.random(rows * _BATCH)`` would.  But ``advance`` also
+    drops PCG64's buffered 32-bit half, which ``random`` leaves alone
+    and the next bounded-integer draw reads first, so it is put back.
+    """
+    bitgen = rng.bit_generator
+    start = bitgen.state
+    bitgen.advance(rows * _BATCH)
+    if start["has_uint32"]:
+        state = bitgen.state
+        state["has_uint32"] = 1
+        state["uinteger"] = start["uinteger"]
+        bitgen.state = state
+    return start, rows
+
+
+def _draw_span(
+    gen: np.random.Generator, run: Tuple[dict, int], lo: int, hi: int
+) -> List[np.ndarray]:
+    """Ops ``lo:hi`` of each row of a run :func:`_skip_floats`
+    recorded, drawn on the scratch generator ``gen``: exactly the
+    doubles one ``random(rows * _BATCH)`` call from its state puts at
+    those positions."""
+    start, rows = run
+    bitgen = gen.bit_generator
+    bitgen.state = start
+    bitgen.advance(lo)
+    n = hi - lo
+    span = [gen.random(n)]
+    for _ in range(rows - 1):
+        bitgen.advance(_BATCH - n)
+        span.append(gen.random(n))
+    return span
 
 
 class MemOp(NamedTuple):
@@ -139,6 +180,9 @@ class ConsolidatedWorkload:
         # a VM — build (and convert) them once, not once per core
         self._region_cache: Dict[Tuple[int, str], _Region] = {}
         self._cdf_cache: Dict[Tuple[int, float], List[float]] = {}
+        # every stream draws its float spans here (see :meth:`trace`);
+        # each draw sets the state first, so the seed is never read
+        self._scratch = np.random.Generator(np.random.PCG64(0))
         self._build_address_space()
 
     # ------------------------------------------------------------------
@@ -366,22 +410,29 @@ class ConsolidatedWorkload:
         of the last ``spec.reuse_window`` distinct blocks; otherwise a
         fresh block is drawn from the Zipf-ranked region mix.
 
-        Every :data:`_BATCH` ops the thread's generator draws all the
+        Every :data:`_BATCH` ops the thread's generator takes the
         random numbers of the next batch, array by array in a fixed
-        order; that size and order define the stream.  Consecutive
-        float arrays come from one call each (region + reuse, then the
-        fresh and scan draws), which yields the same numbers as one
-        call per array.  Each op is then resolved only when the core
-        consumes it, so a core pays for the ops it uses.  The reuse,
-        pick, write and think draws, which (nearly) every op reads,
-        convert to Python lists a chunk at a time: :data:`_FIRST_CHUNK`
-        ops first, then doubling up to :data:`_CHUNK`, so a core that
-        stops after a few dozen ops converts a few dozen draws.  The
-        region, block and scan draws are read one element at a time,
-        and looked up, only for a fresh draw.  The virtual-to-physical
-        translation also runs per consumed op: ``translate_write``
-        mutates the copy-on-write table all threads share, so it must
-        happen in global consumption order.
+        order; that size and order define the stream.  The pick and
+        think integers are drawn there and then: bounded integers take
+        a data-dependent number of outputs, so where the next float
+        array starts is known only after them.  Each run of
+        consecutive float arrays (region + reuse, write, then the fresh
+        and scan draws) is only recorded by :func:`_skip_floats` and
+        skipped; the floats are drawn later on the workload's scratch
+        generator, a span of every row at a time, by
+        :func:`_draw_span`.  A stream's first spans cover
+        :data:`_FIRST_CHUNK` ops and double up to a whole row, and
+        each later batch is one span, so a core draws about the
+        floats it reads and a long stream draws each row in one call.
+        Each op is then resolved only when the core consumes it.  The
+        reuse, pick, write and think draws, which (nearly) every op
+        reads, convert to Python lists a chunk at a time:
+        :data:`_FIRST_CHUNK` ops first, then doubling up to
+        :data:`_CHUNK`.  The region, block and scan draws are read one
+        element at a time, and looked up, only for a fresh draw.  The
+        virtual-to-physical translation also runs per consumed op:
+        ``translate_write`` mutates the copy-on-write table all
+        threads share, so it must happen in global consumption order.
         """
         vm = self.placement.vm_of(tile)
         thread = self.placement.thread_of(tile)
@@ -447,28 +498,41 @@ class ConsolidatedWorkload:
         # stays None (its access fraction is 0, so no op reads it)
         fresh_rows = [rid for rid, b in enumerate(region_blocks) if b]
         fresh_u: List = [None] * len(region_blocks)
+        scratch = self._scratch
+        span = _FIRST_CHUNK
         bounds = _START_BOUNDS
         while True:
-            # one batch, in draw order: region, reuse, pick, write and
-            # think draws, then each non-empty region's fresh draws and
-            # the scan draws.  Consecutive float arrays come from one
-            # call each, which yields the same numbers as one call per
-            # array (a double consumes one generator output)
-            region_u, reuse_u = rng.random(2 * _BATCH).reshape(2, _BATCH)
+            # one batch, in draw order: region and reuse draws, picks,
+            # write draws, think times, then each non-empty region's
+            # fresh draws and the scan draws.  The integers are drawn
+            # now; each run of float rows is recorded and skipped, and
+            # drawn a span at a time once a chunk reaches it
+            region_reuse = _skip_floats(rng, 2)
             picks = rng.integers(0, reuse_window, size=_BATCH)
-            write_u = rng.random(size=_BATCH)
+            write = _skip_floats(rng, 1)
             thinks = rng.integers(think_lo, think_hi + 1, size=_BATCH)
-            *fresh, scan_u = rng.random((len(fresh_rows) + 1) * _BATCH).reshape(
-                len(fresh_rows) + 1, _BATCH
-            )
-            for rid, u in zip(fresh_rows, fresh):
-                fresh_u[rid] = u
+            fresh_scan = _skip_floats(rng, len(fresh_rows) + 1)
+            end = 0
             for lo, hi in bounds:
+                if hi > end:
+                    # the next span of every float row: ``span`` ops,
+                    # doubling up to a whole row; a last span shorter
+                    # than its predecessor joins it
+                    base = lo
+                    end = lo + span if lo + 2 * span <= _BATCH else _BATCH
+                    span = min(2 * span, _BATCH)
+                    region_u, reuse_u = _draw_span(scratch, region_reuse, base, end)
+                    (write_u,) = _draw_span(scratch, write, base, end)
+                    *fresh, scan_u = _draw_span(scratch, fresh_scan, base, end)
+                    for rid, u in zip(fresh_rows, fresh):
+                        fresh_u[rid] = u
+                # ``i`` indexes the span's float arrays
+                a, b = lo - base, hi - base
                 for i, reuse, pick, wu, think in zip(
-                    range(lo, hi),
-                    reuse_u[lo:hi].tolist(),
+                    range(a, b),
+                    reuse_u[a:b].tolist(),
                     picks[lo:hi].tolist(),
-                    write_u[lo:hi].tolist(),
+                    write_u[a:b].tolist(),
                     thinks[lo:hi].tolist(),
                 ):
                     if window and reuse < reuse_prob:

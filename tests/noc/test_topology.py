@@ -98,3 +98,20 @@ def test_bounds_checked(mesh):
         mesh.route(0, 64)
     with pytest.raises(ValueError):
         Mesh(0, 4)
+
+
+def test_meshes_of_one_shape_share_one_hop_table():
+    from repro.noc.network import Network
+
+    a, b = Mesh(8, 8), Mesh(8, 8, NocConfig(link_cycles=3))
+    assert a._build_hops_table() is b._build_hops_table()
+    assert Network(b)._hops_flat is a._hops_table
+    wide, tall = Mesh(4, 2), Mesh(2, 4)
+    assert wide._build_hops_table() is not tall._build_hops_table()
+    for m in (a, wide, tall):
+        n = m.n_tiles
+        for s in range(n):
+            (sx, sy), row = m.coords(s), m._hops_table[s * n:(s + 1) * n]
+            assert list(row) == [
+                abs(sx - dx) + abs(sy - dy) for dx, dy in map(m.coords, range(n))
+            ]

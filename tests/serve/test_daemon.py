@@ -209,6 +209,17 @@ def test_malformed_submissions_rejected(server):
 
 
 @pytest.mark.parametrize(
+    "policy", [{"timeout_s": True}, {"max_retries": 2.9}, {"backoff_seed": 2.7}]
+)
+def test_mistyped_policy_values_rejected(server, policy):
+    client, _ = server
+    with pytest.raises(ServeError) as err:
+        client.submit(tiny_docs(1), policy=policy)
+    assert err.value.status == 400
+    assert next(iter(policy)) in str(err.value)
+
+
+@pytest.mark.parametrize(
     "change, message",
     [
         ({"plan": {"events": [{"kind": "vm_depart"}]}},

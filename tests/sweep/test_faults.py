@@ -151,6 +151,21 @@ def test_policy_validation():
         FaultPolicy(timeout_s=0.0)
     with pytest.raises(ValueError):
         FaultPolicy(on_failure="explode")
+    # a mistyped value is rejected, not coerced, whichever way it comes
+    for field, value in (
+        ("timeout_s", True),
+        ("timeout_s", "5"),
+        ("max_retries", 2.9),
+        ("max_retries", False),
+        ("backoff_seed", 2.7),
+        ("backoff_base_s", None),
+        ("backoff_max_s", True),
+    ):
+        with pytest.raises(ValueError, match=field):
+            FaultPolicy(**{field: value})
+        with pytest.raises(ValueError, match=field):
+            FaultPolicy.from_dict({field: value})
+    assert FaultPolicy(timeout_s=5, backoff_base_s=0, backoff_max_s=1).timeout_s == 5
     assert FaultPolicy().is_default
     assert not FaultPolicy(max_retries=1).is_default
 

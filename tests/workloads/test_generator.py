@@ -8,7 +8,12 @@ import pytest
 
 from repro.core.area import AreaMap
 from repro.mem.address import AddressMap
-from repro.workloads.generator import ConsolidatedWorkload
+from repro.workloads.generator import (
+    _BATCH,
+    ConsolidatedWorkload,
+    _draw_span,
+    _skip_floats,
+)
 from repro.workloads.placement import VMPlacement
 from repro.workloads.spec import BENCHMARKS
 
@@ -231,6 +236,75 @@ def test_one_random_call_equals_consecutive_calls(a, b):
     split = np.concatenate((two.random(a), two.random(b)))
     assert np.array_equal(merged, split)
     assert one.bit_generator.state == two.bit_generator.state
+
+
+def _gen_state(rng):
+    """A bit generator's position; numpy leaves a stale ``uinteger``
+    behind once the buffered 32-bit half is used, so that is compared
+    only while ``has_uint32`` is set."""
+    state = rng.bit_generator.state
+    return (
+        state["state"],
+        state["has_uint32"],
+        state["uinteger"] if state["has_uint32"] else None,
+    )
+
+
+@pytest.mark.parametrize("buffered", (False, True))
+def test_skipped_floats_drawn_in_spans_equal_eager_draws(buffered):
+    """A batch's float runs, skipped and drawn later a span at a time
+    on a scratch generator, equal the eager draws at every position,
+    and the stream's own generator ends the batch where the eager one
+    does -- also when it enters the batch holding a buffered 32-bit
+    half, which the bounded-integer draws read first."""
+    eager = np.random.default_rng((3, 1, 2))
+    lazy = np.random.default_rng((3, 1, 2))
+    for rng in (eager, lazy):
+        rng.integers(0, 5, size=1 if buffered else 2)
+    assert lazy.bit_generator.state["has_uint32"] == buffered
+
+    # the batch's draw order, with a 4-row fresh + scan run
+    rows = [*eager.random(2 * _BATCH).reshape(2, _BATCH)]
+    picks = eager.integers(0, 7, size=_BATCH)
+    rows.append(eager.random(_BATCH))
+    thinks = eager.integers(2, 41, size=_BATCH)
+    rows += [*eager.random(4 * _BATCH).reshape(4, _BATCH)]
+
+    runs = [_skip_floats(lazy, 2)]
+    assert np.array_equal(lazy.integers(0, 7, size=_BATCH), picks)
+    runs.append(_skip_floats(lazy, 1))
+    assert np.array_equal(lazy.integers(2, 41, size=_BATCH), thinks)
+    runs.append(_skip_floats(lazy, 4))
+    assert _gen_state(lazy) == _gen_state(eager)
+
+    scratch = np.random.Generator(np.random.PCG64(0))
+    spans = ((0, 64), (64, 192), (192, 448), (448, 960), (960, 1984),
+             (1984, _BATCH), (0, _BATCH), (5, 17))
+    for lo, hi in spans:
+        drawn = [u for run in runs for u in _draw_span(scratch, run, lo, hi)]
+        assert len(drawn) == len(rows)
+        for u, row in zip(drawn, rows):
+            assert np.array_equal(u, row[lo:hi])
+
+
+def test_started_streams_hold_only_their_first_spans():
+    """A started stream keeps its integer rows and its first 64-op span
+    of each float row, not a whole batch of floats."""
+    import tracemalloc
+
+    placement = VMPlacement.area_aligned(AreaMap(8, 8, 4), 4)
+    w = ConsolidatedWorkload("apache", placement, AddressMap(n_tiles=64), seed=1)
+    next(w.trace(0))
+    streams = [w.trace(t) for t in range(1, 64)]
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        for stream in streams:
+            next(stream)
+        held = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert held / len(streams) < 128 * 1024
 
 
 def test_break_dedup_annotations_resolve():

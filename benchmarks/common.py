@@ -6,7 +6,7 @@ simulation sweep — every workload of Table IV run under all four
 protocols — so the sweep is computed once per pytest session and
 memoized here.
 
-All simulations route through :class:`repro.sweep.SweepRunner`; six
+All simulations route through :class:`repro.sweep.SweepRunner`; three
 environment knobs apply:
 
 * ``REPRO_SWEEP_JOBS``  — worker processes (default ``1`` = serial
@@ -19,17 +19,12 @@ environment knobs apply:
   also writes a JSONL event trace + manifest there (cache hits skip
   simulation and leave no trace).  Every run dispatches through
   :func:`repro.api.simulate` either way, so tracing never changes
-  the statistics;
-* ``REPRO_SWEEP_TIMEOUT`` / ``REPRO_SWEEP_RETRIES`` — resilience
-  policy for the benchmark sweep: per-point wall-clock timeout in
-  seconds and retry count with seeded exponential backoff (defaults:
-  no timeout, no retries — the bit-identical in-process path);
-* ``REPRO_FAULT_PLAN``   — path to (or inline) fault-plan JSON for
-  chaos testing the sweep machinery (see ``repro.faults``); never set
-  for real figure runs;
-* the runner guarantees results identical to serial execution
-  regardless of any knob, so the figures never depend on how the
-  sweep was scheduled.
+  the statistics.
+
+The sweep runs under the default failure policy (no timeout, no
+retries, no fault plan), and the runner guarantees results identical
+to serial execution regardless of any knob, so the figures never
+depend on how the sweep was scheduled.
 
 The grid itself (protocol/workload order, per-workload measurement
 windows) lives in :mod:`repro.sweep.grids`; the names re-exported here
@@ -86,18 +81,10 @@ _sweep_cache: Dict[str, Dict[str, RunStats]] = {}
 def _get_runner() -> SweepRunner:
     global _runner
     if _runner is None:
-        from repro.faults import FaultPolicy
-
-        timeout = os.environ.get("REPRO_SWEEP_TIMEOUT")
-        retries = int(os.environ.get("REPRO_SWEEP_RETRIES", "0"))
         _runner = SweepRunner(
             jobs=int(os.environ.get("REPRO_SWEEP_JOBS", "1")),
             cache_dir=os.environ.get("REPRO_SWEEP_CACHE") or None,
             trace_dir=os.environ.get("REPRO_TRACE_DIR") or None,
-            policy=FaultPolicy(
-                timeout_s=float(timeout) if timeout else None,
-                max_retries=retries,
-            ),
         )
     return _runner
 

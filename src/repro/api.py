@@ -46,7 +46,6 @@ from .sweep.spec import RunSpec
 from .trace import (
     FilterSink,
     JsonlFileSink,
-    MetricsRegistry,
     RingBufferSink,
     RunManifest,
     TraceEvent,
@@ -62,7 +61,6 @@ __all__ = [
     "simulate",
     "attach_tracer",
     "detach_tracer",
-    "spec_fingerprint",
     "verify",
     "replay_bundle",
     "connect",
@@ -128,16 +126,6 @@ class RunResult:
     #: to ``trace_path``; read them back with ``tracetools.read_trace``)
     events: Optional[Tuple[TraceEvent, ...]] = None
     checked: bool = False
-
-    @property
-    def metrics(self) -> MetricsRegistry:
-        """The stats re-expressed as a labelled metrics registry."""
-        return MetricsRegistry.from_run_stats(self.stats)
-
-
-def spec_fingerprint(spec: RunSpec) -> str:
-    """sha256 over the spec's canonical JSON — its content identity."""
-    return spec.fingerprint()
 
 
 def attach_tracer(chip: Chip, tracer: Tracer) -> None:
@@ -238,7 +226,7 @@ def simulate(
             seed=spec.seed,
             cycles=spec.cycles,
             warmup=spec.warmup,
-            config_fingerprint=spec_fingerprint(spec),
+            config_fingerprint=spec.fingerprint(),
             git_rev=git_rev(),
             stats_schema=STATS_SCHEMA,
             wall_time_s=round(wall, 6),

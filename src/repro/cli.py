@@ -319,7 +319,7 @@ def cmd_sweep(args) -> int:
     if args.fault_plan:
         try:
             fault_plan = FaultPlan.load(args.fault_plan)
-        except (OSError, ValueError, KeyError) as exc:
+        except (OSError, ValueError) as exc:
             print(f"error: bad fault plan {args.fault_plan!r}: {exc}",
                   file=sys.stderr)
             return 2
@@ -372,7 +372,7 @@ def cmd_serve(args) -> int:
     if args.fault_plan:
         try:
             fault_plan = FaultPlan.load(args.fault_plan)
-        except (OSError, ValueError, KeyError) as exc:
+        except (OSError, ValueError) as exc:
             print(f"error: bad fault plan {args.fault_plan!r}: {exc}",
                   file=sys.stderr)
             return 2

@@ -5,21 +5,15 @@ Two halves:
 * :mod:`repro.faults.plan` — *what goes wrong*: a seeded
   :class:`FaultPlan` that injects worker crashes, hangs, corrupt
   results and corrupt cache entries, keyed by spec fingerprint so
-  chaos runs are exactly reproducible (``REPRO_FAULT_PLAN`` wires a
-  plan into any sweep);
+  chaos runs are exactly reproducible (``--fault-plan`` arms one in
+  ``repro sweep`` and ``repro serve``);
 * :mod:`repro.faults.policy` — *what we do about it*: the sweep
   runner's :class:`FaultPolicy` (per-spec timeout, seeded-backoff
   retries, raise-or-skip) and the :class:`FailureRecord` carried by
   failed grid points.
 """
 
-from .plan import (
-    FAULT_KINDS,
-    FaultPlan,
-    FaultRule,
-    InjectedFault,
-    plan_from_env,
-)
+from .plan import FAULT_KINDS, FaultPlan, FaultRule, InjectedFault
 from .policy import FailureRecord, FaultPolicy, failure_summary
 
 __all__ = [
@@ -30,5 +24,4 @@ __all__ = [
     "FaultRule",
     "InjectedFault",
     "failure_summary",
-    "plan_from_env",
 ]

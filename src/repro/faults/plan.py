@@ -27,19 +27,21 @@ interval, so selection is independent of grid order and stable across
 processes.  ``times`` bounds injection to the first N attempts, which
 is how retry tests arrange "fails twice, then succeeds".
 
-A sweep resolves its plan once, from its argument or from the
-``REPRO_FAULT_PLAN`` environment variable (a path to a JSON plan, or
-the JSON document itself), and embeds it in every attempt's payload.
-Only the worker process of :mod:`repro.sweep.executor` reads it, so a
-sweep with a plan always runs its points out of process.
+A sweep takes its plan as an argument (``repro sweep --fault-plan``,
+``SweepRunner(fault_plan=)``) and embeds it in every attempt's
+payload.  Only the worker process of :mod:`repro.sweep.executor` reads
+it, so a sweep with a plan always runs its points out of process.
+:meth:`FaultPlan.from_dict` rejects a malformed document — a wrong
+shape, an unknown key, a mistyped value — with a :class:`ValueError`
+naming the field: a chaos run that silently ran fault-free, or with
+coerced values, would defeat its purpose.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -48,13 +50,32 @@ __all__ = [
     "FaultPlan",
     "FaultRule",
     "InjectedFault",
-    "plan_from_env",
 ]
 
 FAULT_KINDS = ("crash", "hang", "corrupt-result", "corrupt-cache")
 
-#: environment knob: path to a plan JSON file, or inline JSON
-PLAN_ENV = "REPRO_FAULT_PLAN"
+
+def _check_type(name: str, value: Any, kinds: Tuple[type, ...]) -> None:
+    """A ``ValueError`` naming ``name`` unless ``value`` is one of
+    ``kinds`` (never a ``bool``, which would pass as an ``int``)."""
+    if isinstance(value, bool) or not isinstance(value, kinds):
+        raise ValueError(
+            f"{name} must be {' or '.join(k.__name__ for k in kinds)}"
+            f", got {value!r}"
+        )
+
+
+def _check_mapping(what: str, doc: Any, keys: Tuple[str, ...]) -> None:
+    if not isinstance(doc, Mapping):
+        raise ValueError(
+            f"{what} must be a mapping, got {type(doc).__name__}"
+        )
+    unknown = sorted(set(doc) - set(keys))
+    if unknown:
+        raise ValueError(
+            f"unknown {what} key(s): {', '.join(map(str, unknown))}; "
+            f"options: {', '.join(keys)}"
+        )
 
 
 class InjectedFault(RuntimeError):
@@ -78,6 +99,10 @@ class FaultRule:
             raise ValueError(
                 f"unknown fault kind {self.kind!r}; options: {FAULT_KINDS}"
             )
+        _check_type("rate", self.rate, (int, float))
+        _check_type("times", self.times, (int,))
+        if self.match is not None:
+            _check_type("match", self.match, (str,))
         if not 0.0 <= self.rate <= 1.0:
             raise ValueError(f"rate must be in [0, 1], got {self.rate}")
         if self.times < 1:
@@ -105,11 +130,14 @@ class FaultRule:
 
     @classmethod
     def from_dict(cls, doc: Mapping[str, Any]) -> "FaultRule":
+        _check_mapping("fault rule", doc, ("kind", "rate", "match", "times"))
+        if "kind" not in doc:
+            raise ValueError("a fault rule needs a 'kind'")
         return cls(
             kind=doc["kind"],
-            rate=float(doc.get("rate", 0.0)),
+            rate=doc.get("rate", 0.0),
             match=doc.get("match"),
-            times=int(doc.get("times", 1)),
+            times=doc.get("times", 1),
         )
 
 
@@ -124,6 +152,8 @@ class FaultPlan:
     hang_s: float = 3600.0
 
     def __post_init__(self) -> None:
+        _check_type("seed", self.seed, (int,))
+        _check_type("hang_s", self.hang_s, (int, float))
         object.__setattr__(self, "rules", tuple(self.rules))
 
     # ------------------------------------------------------------------
@@ -156,12 +186,22 @@ class FaultPlan:
 
     @classmethod
     def from_dict(cls, doc: Mapping[str, Any]) -> "FaultPlan":
+        _check_mapping("fault plan", doc, ("seed", "rules", "hang_s"))
+        raw_rules = doc.get("rules", [])
+        if not isinstance(raw_rules, list):
+            raise ValueError(
+                f"rules must be a list, got {type(raw_rules).__name__}"
+            )
+        rules = []
+        for i, raw in enumerate(raw_rules):
+            try:
+                rules.append(FaultRule.from_dict(raw))
+            except ValueError as exc:
+                raise ValueError(f"rules[{i}]: {exc}") from None
         return cls(
-            seed=int(doc.get("seed", 0)),
-            rules=tuple(
-                FaultRule.from_dict(r) for r in doc.get("rules", ())
-            ),
-            hang_s=float(doc.get("hang_s", 3600.0)),
+            seed=doc.get("seed", 0),
+            rules=tuple(rules),
+            hang_s=doc.get("hang_s", 3600.0),
         )
 
     def dump(self, path: Union[str, Path]) -> Path:
@@ -173,18 +213,3 @@ class FaultPlan:
     def load(cls, path: Union[str, Path]) -> "FaultPlan":
         return cls.from_dict(json.loads(Path(path).read_text()))
 
-
-def plan_from_env(environ: Optional[Mapping[str, str]] = None) -> Optional[FaultPlan]:
-    """The plan named by ``REPRO_FAULT_PLAN``, or ``None``.
-
-    The value is either a path to a plan JSON file or the JSON document
-    itself (anything starting with ``{``).  A malformed value raises —
-    a chaos run silently running fault-free would defeat its purpose.
-    """
-    raw = (environ if environ is not None else os.environ).get(PLAN_ENV)
-    if not raw:
-        return None
-    raw = raw.strip()
-    if raw.startswith("{"):
-        return FaultPlan.from_dict(json.loads(raw))
-    return FaultPlan.load(raw)

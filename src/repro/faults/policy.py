@@ -9,10 +9,10 @@ recorded and skipped (``on_failure="skip"``, producing partial results
 plus per-point :class:`FailureRecord` entries).
 
 Backoff is deterministic: the delay before retry *n* of a spec is
-``backoff_base_s * 2**(n-1)`` scaled by a jitter factor in
-``[0.5, 1.0)`` drawn from ``Random(sha256(seed:fingerprint:n))`` — the
-same spec retries on the same schedule in every run, which keeps chaos
-runs reproducible.
+``BACKOFF_BASE_S * 2**(n-1)`` scaled by a jitter factor in
+``[0.5, 1.0)`` drawn from ``Random(sha256(BACKOFF_SEED:fingerprint:n))``
+and capped at ``BACKOFF_MAX_S`` — the same spec retries on the same
+schedule in every run, which keeps chaos runs reproducible.
 """
 
 from __future__ import annotations
@@ -22,10 +22,19 @@ import random
 from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional
 
-__all__ = ["FailureRecord", "FaultPolicy", "failure_summary"]
+from .plan import _check_type
+
+__all__ = ["FailureRecord", "FaultPolicy", "backoff_delay", "failure_summary"]
 
 #: how a failed attempt ended
 FAILURE_KINDS = ("exception", "timeout", "crash", "interrupted")
+
+#: base of the exponential backoff between attempts, in seconds
+BACKOFF_BASE_S = 0.05
+#: hard cap on a single backoff delay, in seconds
+BACKOFF_MAX_S = 5.0
+#: seed of the deterministic backoff jitter
+BACKOFF_SEED = 0
 
 
 @dataclass
@@ -90,32 +99,14 @@ class FaultPolicy:
     timeout_s: Optional[float] = None
     #: additional attempts after the first failure
     max_retries: int = 0
-    #: base of the exponential backoff between attempts
-    backoff_base_s: float = 0.05
-    #: hard cap on a single backoff delay
-    backoff_max_s: float = 5.0
-    #: seed for the deterministic backoff jitter
-    backoff_seed: int = 0
     #: ``"raise"`` — an exhausted point aborts the sweep (default);
     #: ``"skip"`` — it is recorded as a failed :class:`SweepResult`
     on_failure: str = "raise"
 
     def __post_init__(self) -> None:
-        for name, kinds in (
-            ("max_retries", (int,)),
-            ("backoff_seed", (int,)),
-            ("timeout_s", (int, float)),
-            ("backoff_base_s", (int, float)),
-            ("backoff_max_s", (int, float)),
-        ):
-            value = getattr(self, name)
-            if name == "timeout_s" and value is None:
-                continue
-            if isinstance(value, bool) or not isinstance(value, kinds):
-                raise ValueError(
-                    f"{name} must be {' or '.join(k.__name__ for k in kinds)}"
-                    f", got {value!r}"
-                )
+        _check_type("max_retries", self.max_retries, (int,))
+        if self.timeout_s is not None:
+            _check_type("timeout_s", self.timeout_s, (int, float))
         if self.on_failure not in ("raise", "skip"):
             raise ValueError(
                 f"on_failure must be 'raise' or 'skip', got {self.on_failure!r}"
@@ -131,20 +122,20 @@ class FaultPolicy:
         return {
             "timeout_s": self.timeout_s,
             "max_retries": self.max_retries,
-            "backoff_base_s": self.backoff_base_s,
-            "backoff_max_s": self.backoff_max_s,
-            "backoff_seed": self.backoff_seed,
             "on_failure": self.on_failure,
         }
 
     @classmethod
     def from_dict(cls, doc: Mapping[str, Any]) -> "FaultPolicy":
+        """Inverse of :meth:`to_dict`.  Unknown keys are ignored, so a
+        job record written by an older version still resumes."""
+        if not isinstance(doc, Mapping):
+            raise ValueError(
+                f"a policy must be a mapping, got {type(doc).__name__}"
+            )
         return cls(
             timeout_s=doc.get("timeout_s"),
             max_retries=doc.get("max_retries", 0),
-            backoff_base_s=doc.get("backoff_base_s", 0.05),
-            backoff_max_s=doc.get("backoff_max_s", 5.0),
-            backoff_seed=doc.get("backoff_seed", 0),
             on_failure=doc.get("on_failure", "raise"),
         )
 
@@ -157,28 +148,18 @@ class FaultPolicy:
             and self.on_failure == "raise"
         )
 
-    def backoff_delay(self, fingerprint: str, retry: int) -> float:
-        """Seconds to wait before retry ``retry`` (1-based) of a spec."""
-        if retry < 1:
-            raise ValueError(f"retry must be >= 1, got {retry}")
-        if self.backoff_base_s <= 0:
-            return 0.0
-        digest = hashlib.sha256(
-            f"{self.backoff_seed}:{fingerprint}:{retry}".encode()
-        ).digest()
-        jitter = 0.5 + random.Random(
-            int.from_bytes(digest[:8], "big")
-        ).random() / 2.0
-        return min(
-            self.backoff_max_s, self.backoff_base_s * (2 ** (retry - 1)) * jitter
-        )
 
-    def backoff_schedule(self, fingerprint: str) -> List[float]:
-        """Every backoff delay this policy would apply to one spec."""
-        return [
-            self.backoff_delay(fingerprint, n)
-            for n in range(1, self.max_retries + 1)
-        ]
+def backoff_delay(fingerprint: str, retry: int) -> float:
+    """Seconds to wait before retry ``retry`` (1-based) of a spec."""
+    if retry < 1:
+        raise ValueError(f"retry must be >= 1, got {retry}")
+    digest = hashlib.sha256(
+        f"{BACKOFF_SEED}:{fingerprint}:{retry}".encode()
+    ).digest()
+    jitter = 0.5 + random.Random(
+        int.from_bytes(digest[:8], "big")
+    ).random() / 2.0
+    return min(BACKOFF_MAX_S, BACKOFF_BASE_S * (2 ** (retry - 1)) * jitter)
 
 
 def failure_summary(results: Any) -> Dict[str, Any]:

@@ -237,7 +237,7 @@ def _run_chaos(
 
     docs_a = tiny_spec_docs(points_per_job, tag_seed=21)
     docs_b = tiny_spec_docs(points_per_job, tag_seed=22)
-    policy = {"timeout_s": 60.0, "max_retries": 2, "backoff_base_s": 0.05}
+    policy = {"timeout_s": 60.0, "max_retries": 2}
 
     # fault-free reference, computed in-process
     reference: Dict[str, str] = {}

@@ -211,7 +211,6 @@ class Chip:
             )
         config = self.protocol.config
         self.config = config
-        default_placement = placement is None
         if placement is None:
             placement = VMPlacement.area_aligned(self.protocol.areas, n_vms)
         self.placement = placement
@@ -221,14 +220,9 @@ class Chip:
                 spec_by_vm=workload_specs,
             )
         else:
-            # any object with .name / .trace(tile) / .cow_breaks works
-            # (e.g. a recorded TraceFileWorkload)
             self.workload = workload
-        core_tiles = placement.tiles_used
-        if default_placement and hasattr(self.workload, "tiles"):
-            core_tiles = tuple(self.workload.tiles)
         self.sim = Simulator(watchdog=self._build_watchdog())
-        self.cores = [Core(t, self) for t in core_tiles]
+        self.cores = [Core(t, self) for t in placement.tiles_used]
         self.deadline: Optional[int] = None
         self._finish_time = 0
         #: set by the chip's one run (see :meth:`_begin_run`)
@@ -412,31 +406,27 @@ class Chip:
                         core.done = True
                         self._core_finished(now)
             self.placement.remove(ev.vm)
-            if hasattr(self.workload, "release_vm"):
-                self.workload.release_vm(ev.vm)
+            self.workload.release_vm(ev.vm)
         elif ev.kind == "vm_arrive":
             self.placement.admit(ev.vm, ev.tiles)
-            if hasattr(self.workload, "admit_vm"):
-                self.workload.admit_vm(ev.vm, ev.benchmark)
+            self.workload.admit_vm(ev.vm, ev.benchmark)
             proto.set_active_tiles(self.placement.tiles_used)
             for tile in ev.tiles:
                 core = Core(tile, self)
                 self.cores.append(core)
                 core.start()
         elif ev.kind == "dedup_break":
-            if hasattr(self.workload, "break_dedup"):
-                pages = len(self.workload.break_dedup(ev.vm, ev.pages))
+            pages = len(self.workload.break_dedup(ev.vm, ev.pages))
         elif ev.kind == "dedup_merge":
-            if hasattr(self.workload, "merge_dedup"):
-                merged = self.workload.merge_dedup(ev.vm, ev.pages)
-                pages = len(merged)
-                blocks_per_page = (
-                    self.config.memory.page_bytes // self.config.block_bytes
-                )
-                for old_ppage, _shared in merged:
-                    base = old_ppage * blocks_per_page
-                    for off in range(blocks_per_page):
-                        flushed += proto.shootdown_block(base + off, now)
+            merged = self.workload.merge_dedup(ev.vm, ev.pages)
+            pages = len(merged)
+            blocks_per_page = (
+                self.config.memory.page_bytes // self.config.block_bytes
+            )
+            for old_ppage, _shared in merged:
+                base = old_ppage * blocks_per_page
+                for off in range(blocks_per_page):
+                    flushed += proto.shootdown_block(base + off, now)
         else:
             raise ValueError(f"unknown consolidation event kind {ev.kind!r}")
         if moved:

@@ -1,3 +1,3 @@
 """Statistics containers shared by the simulator and the analysis."""
 from .counters import MISS_CATEGORIES, LatencyAccumulator, RunStats
-from .io import compare_stats, load_stats, save_stats, stats_from_dict, stats_to_dict
+from .io import stats_from_dict, stats_to_dict

@@ -1,23 +1,20 @@
-"""Persist and compare run statistics.
+"""The JSON codec of run statistics.
 
-Experiment campaigns want results on disk: each :class:`RunStats` can
-be serialized to a JSON document (schema-versioned), reloaded, and two
-runs can be diffed metric by metric — the tooling behind "did this
-change move any result by more than x%?".
+Each :class:`RunStats` serializes to one schema-versioned JSON
+document and loads back from it; the result cache, sweep workers and
+served points all carry a run's statistics in this form, and
+:func:`stats_digest` hashes it.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
-from pathlib import Path
-from typing import Dict, Iterable, List, Mapping, Union
+from typing import Dict, Mapping, Union
 
 from .counters import MISS_CATEGORIES, LatencyAccumulator, RunStats
 
-__all__ = ["STATS_SCHEMA", "stats_to_dict", "stats_from_dict", "stats_digest",
-           "save_stats", "load_stats", "MetricDelta", "compare_stats"]
+__all__ = ["STATS_SCHEMA", "stats_to_dict", "stats_from_dict", "stats_digest"]
 
 #: schema 2 adds ``network.flits_by_type`` and ``network.link_load``
 #: (schema-1 documents still load; the extra maps default to empty);
@@ -169,57 +166,3 @@ def stats_digest(stats: Union[RunStats, Mapping]) -> str:
     """
     doc = stats_to_dict(stats) if isinstance(stats, RunStats) else stats
     return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
-
-
-def save_stats(stats: RunStats, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(stats_to_dict(stats), indent=1))
-
-
-def load_stats(path: str | Path) -> RunStats:
-    return stats_from_dict(json.loads(Path(path).read_text()))
-
-
-@dataclass(frozen=True)
-class MetricDelta:
-    """One metric's change between two runs."""
-
-    metric: str
-    before: float
-    after: float
-
-    @property
-    def relative(self) -> float:
-        if self.before == 0:
-            return float("inf") if self.after else 0.0
-        return self.after / self.before - 1.0
-
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
-        return f"{self.metric}: {self.before} -> {self.after} ({self.relative:+.1%})"
-
-
-def compare_stats(
-    before: RunStats,
-    after: RunStats,
-    threshold: float = 0.02,
-    metrics: Iterable[str] = (
-        "operations",
-        "l1_misses",
-        "memory_fetches",
-        "unicast_invalidations",
-        "broadcast_invalidations",
-    ),
-) -> List[MetricDelta]:
-    """Metrics whose relative change exceeds ``threshold``."""
-    deltas = []
-    for metric in metrics:
-        b = getattr(before, metric)
-        a = getattr(after, metric)
-        delta = MetricDelta(metric=metric, before=b, after=a)
-        if abs(delta.relative) > threshold:
-            deltas.append(delta)
-    net_b = before.network.flit_link_traversals
-    net_a = after.network.flit_link_traversals
-    delta = MetricDelta("flit_link_traversals", net_b, net_a)
-    if abs(delta.relative) > threshold:
-        deltas.append(delta)
-    return deltas

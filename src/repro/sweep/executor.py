@@ -46,6 +46,7 @@ from typing import Any, Callable, Dict, Optional, Sequence, Tuple
 import numpy.random  # noqa: F401
 
 from ..faults import FailureRecord, FaultPlan, FaultPolicy, InjectedFault
+from ..faults.policy import backoff_delay
 from ..stats.counters import RunStats
 from ..stats.io import stats_from_dict
 from .cache import ResultCache
@@ -336,7 +337,7 @@ async def run_point(
                 failure=record,
                 attempts=attempt,
             )
-        delay = policy.backoff_delay(fp, attempt)
+        delay = backoff_delay(fp, attempt)
         _log.info(
             "retrying %s after %s (attempt %d/%d, backoff %.3fs)",
             spec.label, kind, attempt, policy.max_retries + 1, delay,

@@ -36,7 +36,7 @@ import time
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..faults import FailureRecord, FaultPlan, FaultPolicy, plan_from_env
+from ..faults import FailureRecord, FaultPlan, FaultPolicy
 from ..stats.counters import RunStats
 from ..stats.io import stats_from_dict, stats_to_dict
 from .cache import ResultCache
@@ -116,12 +116,12 @@ def _execute_payload(payload: Dict[str, Any]) -> Tuple[Dict[str, Any], float]:
     if trace_dir is not None:
         from pathlib import Path
 
-        from ..api import TraceOptions, spec_fingerprint
+        from ..api import TraceOptions
 
         out_dir = Path(trace_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
         trace = TraceOptions(
-            path=out_dir / f"{spec_fingerprint(spec)[:16]}.jsonl"
+            path=out_dir / f"{spec.fingerprint()[:16]}.jsonl"
         )
     start = time.perf_counter()
     stats = spec.execute(trace=trace)
@@ -141,8 +141,8 @@ class SweepRunner:
     ``False`` (silent), ``True`` (lines on stderr) or a callable that
     receives each progress line.  ``policy`` (a
     :class:`~repro.faults.FaultPolicy`) selects timeout/retry/skip
-    behavior; ``fault_plan`` injects deterministic chaos (defaults to
-    the ``REPRO_FAULT_PLAN`` environment knob).
+    behavior; ``fault_plan`` injects deterministic chaos (``None``:
+    no faults).
     """
 
     def __init__(
@@ -173,9 +173,7 @@ class SweepRunner:
             ResultCache(cache_dir) if cache_dir else None
         )
         self.policy = policy if policy is not None else FaultPolicy()
-        self.fault_plan = (
-            fault_plan if fault_plan is not None else plan_from_env()
-        )
+        self.fault_plan = fault_plan
         if callable(progress):
             self._progress: Optional[Callable[[str], None]] = progress
         else:

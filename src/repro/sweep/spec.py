@@ -26,6 +26,7 @@ Two fields need care:
 from __future__ import annotations
 
 import dataclasses
+import inspect
 import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, Mapping, Optional, Tuple
@@ -230,6 +231,8 @@ class RunSpec:
             # the sweep result cache — does not depend on which alias
             # the caller typed
             object.__setattr__(self, "protocol", canonical)
+        if self.protocol_kwargs:
+            self._check_protocol_kwargs()
         for key, least, rule in (
             ("seed", 0, "seed must be >= 0"),
             ("cycles", 1, "measurement window must be >= 1 cycle"),
@@ -279,6 +282,25 @@ class RunSpec:
                 # store the canonical document (events cycle-sorted) so
                 # equal plans serialize — and fingerprint — identically
                 object.__setattr__(self, "plan", plan.to_dict())
+
+    def _check_protocol_kwargs(self) -> None:
+        """Each key must name a parameter of the protocol's constructor
+        (other than the ``config``/``seed``/``checker`` the chip passes),
+        or every attempt of the run would fail with a ``TypeError``."""
+        if not isinstance(self.protocol_kwargs, Mapping):
+            raise ConfigError(
+                "protocol_kwargs",
+                f"expected a mapping, got {type(self.protocol_kwargs).__name__}",
+            )
+        params = inspect.signature(REGISTRY.get(self.protocol).cls).parameters
+        options = sorted(set(params) - {"config", "seed", "checker"})
+        unknown = sorted(map(str, set(self.protocol_kwargs) - set(options)))
+        if unknown:
+            raise ConfigError(
+                "protocol_kwargs",
+                f"{self.protocol} takes no option {', '.join(unknown)}; "
+                f"its options: {', '.join(options) or 'none'}",
+            )
 
     def _initial_tiles_by_vm(self, cfg: ChipConfig) -> Dict[int, Tuple[int, ...]]:
         """The run's starting ``vm -> tiles`` map (pre-plan)."""
@@ -387,8 +409,8 @@ class RunSpec:
 
     def fingerprint(self) -> str:
         """sha256 over :meth:`canonical_json` — the spec's content
-        identity (same value as :func:`repro.api.spec_fingerprint`).
-        The result cache and fault plans key by it."""
+        identity.  The result cache, fault plans, trace file names and
+        the run manifest's ``config_fingerprint`` key by it."""
         import hashlib
 
         return hashlib.sha256(self.canonical_json().encode()).hexdigest()

@@ -1,14 +1,11 @@
-"""Structured tracing, metrics and run manifests.
+"""Structured tracing and run manifests.
 
-The observability layer of the simulator.  Three kinds of artefact:
+The observability layer of the simulator.  Two kinds of artefact:
 
 * **Trace events** (:mod:`repro.trace.events`) — structured records of
   protocol state transitions, NoC message lifecycles and cache
   fill/evict/invalidate actions, emitted through a :class:`Tracer`
   into a :class:`TraceSink` (ring buffer, JSONL file, filter chain).
-* **Metrics** (:mod:`repro.trace.metrics`) — a labelled
-  counter/histogram registry; :func:`MetricsRegistry.from_run_stats`
-  re-expresses a :class:`~repro.stats.counters.RunStats` through it.
 * **Manifests** (:mod:`repro.trace.manifest`) — a per-run provenance
   document (config fingerprint, seed, git rev, schema versions,
   wall time, enabled instruments) written alongside results.
@@ -24,12 +21,10 @@ streams reconcile exactly with the aggregate counters
 
 from .events import TraceEvent
 from .manifest import MANIFEST_SCHEMA_VERSION, RunManifest
-from .metrics import Counter, Histogram, MetricsRegistry
 from .sink import (
     CountingSink,
     FilterSink,
     JsonlFileSink,
-    ListSink,
     RingBufferSink,
     TraceSink,
 )
@@ -37,13 +32,9 @@ from .tracer import Tracer
 
 __all__ = [
     "MANIFEST_SCHEMA_VERSION",
-    "Counter",
     "CountingSink",
     "FilterSink",
-    "Histogram",
     "JsonlFileSink",
-    "ListSink",
-    "MetricsRegistry",
     "RingBufferSink",
     "RunManifest",
     "TraceEvent",

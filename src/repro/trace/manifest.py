@@ -55,7 +55,7 @@ class RunManifest:
     seed: int
     cycles: int
     warmup: int
-    #: sha256 over the spec's canonical JSON (``api.spec_fingerprint``)
+    #: sha256 over the spec's canonical JSON (``RunSpec.fingerprint``)
     config_fingerprint: str
     git_rev: str
     stats_schema: int

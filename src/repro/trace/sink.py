@@ -8,7 +8,6 @@ structural :class:`TraceSink` protocol.  The stock sinks:
 * :class:`JsonlFileSink`  — one JSON object per line, append-only.
 * :class:`FilterSink`     — forwards the subset matching address /
   tile / event / layer allow-lists to an inner sink.
-* :class:`ListSink`       — unbounded in-memory list (tests).
 * :class:`CountingSink`   — counts events and discards them (overhead
   measurement: pays the emission cost without the storage).
 """
@@ -22,7 +21,6 @@ from typing import (
     Collection,
     Deque,
     Iterator,
-    List,
     Optional,
     Protocol,
     Union,
@@ -36,7 +34,6 @@ __all__ = [
     "RingBufferSink",
     "JsonlFileSink",
     "FilterSink",
-    "ListSink",
     "CountingSink",
 ]
 
@@ -82,23 +79,6 @@ class RingBufferSink:
     def dropped(self) -> int:
         """Events that no longer fit in the ring."""
         return self.emitted - len(self._events)
-
-
-class ListSink:
-    """Unbounded in-memory sink (tests and small runs)."""
-
-    def __init__(self) -> None:
-        self.events: List[TraceEvent] = []
-        self.emit = self.events.append  # bound once; hot when tracing
-
-    def close(self) -> None:
-        pass
-
-    def __len__(self) -> int:
-        return len(self.events)
-
-    def __iter__(self) -> Iterator[TraceEvent]:
-        return iter(self.events)
 
 
 class CountingSink:

@@ -206,10 +206,17 @@ def test_malformed_submissions_rejected(server):
     with pytest.raises(ServeError) as err:
         client.submit([bad])
     assert err.value.status == 400
+    # a protocol option the protocol's constructor does not take
+    bad = dict(tiny_docs(1)[0], protocol_kwargs={"bogus": 1})
+    with pytest.raises(ServeError) as err:
+        client.submit([bad])
+    assert err.value.status == 400
+    assert "protocol_kwargs: dico takes no option bogus" in str(err.value)
+    assert client.stats()["points"]["executed"] == 0
 
 
 @pytest.mark.parametrize(
-    "policy", [{"timeout_s": True}, {"max_retries": 2.9}, {"backoff_seed": 2.7}]
+    "policy", [{"timeout_s": True}, {"max_retries": 2.9}, {"timeout_s": "x"}]
 )
 def test_mistyped_policy_values_rejected(server, policy):
     client, _ = server
@@ -378,7 +385,7 @@ def test_failing_point_gets_structured_record(tmp_path):
         events = client.wait_job(
             client.submit(
                 tiny_docs(1, seed0=120),
-                policy={"max_retries": 1, "backoff_base_s": 0.01},
+                policy={"max_retries": 1},
             )["job_id"]
         )
         assert events[0]["status"] == "failed"
@@ -401,7 +408,7 @@ def test_transient_crash_retries_to_success(tmp_path):
         doc = tiny_docs(1, seed0=130)[0]
         events = client.wait_job(
             client.submit(
-                [doc], policy={"max_retries": 2, "backoff_base_s": 0.01}
+                [doc], policy={"max_retries": 2}
             )["job_id"]
         )
         assert events[0]["status"] == "ok"
@@ -424,7 +431,7 @@ def test_retried_points_report_as_a_sweep_does(tmp_path):
             FaultRule(kind="crash", match=broken.fingerprint()[:16], times=9),
         ),
     )
-    overlay = {"max_retries": 1, "backoff_base_s": 0.01}
+    overlay = {"max_retries": 1}
     runner = SweepRunner(
         jobs=2,
         cache_dir=str(tmp_path / "sweep-cache"),
@@ -628,6 +635,61 @@ def test_resumed_job_is_admitted_past_the_queue_cap(tmp_path):
         events = client.wait_job("0001-resume")
         assert [e["status"] for e in events] == ["ok"] * 3
         assert client.stats()["admission"]["total_pending"] == 0
+    finally:
+        st.stop(client)
+
+
+def test_corrupt_job_record_does_not_stop_start(tmp_path):
+    # a record whose policy is not a mapping is skipped with a warning
+    # and left on disk; the daemon starts and serves
+    config = make_config(tmp_path)
+    record = {
+        "job_id": "0001-corrupt",
+        "created_unix": 1.0,
+        "status": "active",
+        "policy": [1],
+        "specs": tiny_docs(1, seed0=176),
+    }
+    JobStore(config.cache_dir).save(record)
+    st = ServerThread(config)
+    client = st.start()
+    try:
+        assert "0001-corrupt" not in st.server.jobs
+        sub = client.submit(tiny_docs(1, seed0=177))
+        assert client.wait_job(sub["job_id"])[0]["status"] == "ok"
+    finally:
+        st.stop(client)
+    path = JobStore(config.cache_dir).path_for("0001-corrupt")
+    assert json.loads(path.read_text())["policy"] == [1]
+
+
+def test_record_with_retired_backoff_keys_still_resumes(tmp_path):
+    # job records written before the backoff settings became constants
+    # carry three more policy keys; they resume and complete
+    config = make_config(tmp_path)
+    JobStore(config.cache_dir).save({
+        "job_id": "0001-old",
+        "created_unix": 1.0,
+        "status": "active",
+        "policy": {
+            "timeout_s": 60.0,
+            "max_retries": 1,
+            "on_failure": "skip",
+            "backoff_base_s": 0.05,
+            "backoff_max_s": 5.0,
+            "backoff_seed": 0,
+        },
+        "specs": tiny_docs(2, seed0=178),
+    })
+    st = ServerThread(config)
+    client = st.start()
+    try:
+        events = client.wait_job("0001-old")
+        assert [e["status"] for e in events] == ["ok", "ok"]
+        assert client.job("0001-old")["status"] == "done"
+        assert st.server.jobs["0001-old"].policy == FaultPolicy(
+            timeout_s=60.0, max_retries=1, on_failure="skip"
+        )
     finally:
         st.stop(client)
 

@@ -1,18 +1,12 @@
-"""Unit tests for statistics serialization and comparison."""
+"""Unit tests for the statistics JSON codec."""
+
+import json
 
 import pytest
 
 from repro.sim.chip import Chip
 from repro.sim.config import small_test_chip
-from repro.stats.counters import RunStats
-from repro.stats.io import (
-    MetricDelta,
-    compare_stats,
-    load_stats,
-    save_stats,
-    stats_from_dict,
-    stats_to_dict,
-)
+from repro.stats.io import stats_from_dict, stats_to_dict
 
 
 @pytest.fixture
@@ -21,10 +15,13 @@ def real_stats():
     return chip.run_cycles(5_000)
 
 
-def test_round_trip_preserves_everything(real_stats, tmp_path):
-    path = tmp_path / "run.json"
-    save_stats(real_stats, path)
-    loaded = load_stats(path)
+def _round_trip(stats):
+    """Through the codec and JSON text, as the result cache stores it."""
+    return stats_from_dict(json.loads(json.dumps(stats_to_dict(stats))))
+
+
+def test_round_trip_preserves_everything(real_stats):
+    loaded = _round_trip(real_stats)
     assert stats_to_dict(loaded) == stats_to_dict(real_stats)
     assert loaded.operations == real_stats.operations
     assert loaded.miss_categories == real_stats.miss_categories
@@ -36,10 +33,8 @@ def test_round_trip_preserves_everything(real_stats, tmp_path):
     assert loaded.structure("l1").tag_reads == real_stats.structure("l1").tag_reads
 
 
-def test_rates_survive_round_trip(real_stats, tmp_path):
-    path = tmp_path / "run.json"
-    save_stats(real_stats, path)
-    loaded = load_stats(path)
+def test_rates_survive_round_trip(real_stats):
+    loaded = _round_trip(real_stats)
     assert loaded.l1_miss_rate == real_stats.l1_miss_rate
     assert loaded.summary() == real_stats.summary()
 
@@ -54,35 +49,6 @@ def test_unknown_category_rejected(real_stats):
     data["miss_categories"]["bogus"] = 1
     with pytest.raises(ValueError, match="unknown miss category"):
         stats_from_dict(data)
-
-
-class TestCompare:
-    def test_no_deltas_for_identical_runs(self, real_stats):
-        assert compare_stats(real_stats, real_stats) == []
-
-    def test_detects_changes_above_threshold(self):
-        a = RunStats(operations=100, l1_misses=50)
-        b = RunStats(operations=150, l1_misses=51)
-        deltas = compare_stats(a, b, threshold=0.05)
-        metrics = {d.metric for d in deltas}
-        assert "operations" in metrics
-        assert "l1_misses" not in metrics  # 2% < 5%
-
-    def test_relative_math(self):
-        d = MetricDelta("x", before=100, after=150)
-        assert d.relative == pytest.approx(0.5)
-        z = MetricDelta("x", before=0, after=5)
-        assert z.relative == float("inf")
-        zz = MetricDelta("x", before=0, after=0)
-        assert zz.relative == 0.0
-
-    def test_network_traffic_compared(self):
-        a = RunStats()
-        b = RunStats()
-        a.network.flit_link_traversals = 100
-        b.network.flit_link_traversals = 200
-        deltas = compare_stats(a, b)
-        assert any(d.metric == "flit_link_traversals" for d in deltas)
 
 
 def test_schema2_network_detail_survives_round_trip(real_stats):

@@ -7,7 +7,6 @@ faults never silently perturb statistics.
 """
 
 import json
-import os
 
 import pytest
 from hypothesis import given, settings
@@ -19,8 +18,9 @@ from repro.faults import (
     FaultPolicy,
     FaultRule,
     failure_summary,
-    plan_from_env,
 )
+from repro.faults import policy as policy_module
+from repro.faults.policy import BACKOFF_BASE_S, BACKOFF_MAX_S, backoff_delay
 from repro.sim.config import small_test_chip
 from repro.stats.io import stats_to_dict
 from repro.sweep import (
@@ -104,44 +104,66 @@ def test_plan_round_trip(tmp_path):
     assert FaultPlan.from_dict(plan.to_dict()) == plan
 
 
-def test_plan_from_env(tmp_path, monkeypatch):
-    monkeypatch.delenv("REPRO_FAULT_PLAN", raising=False)
-    assert plan_from_env() is None
-    monkeypatch.setenv(
-        "REPRO_FAULT_PLAN",
-        '{"seed": 1, "rules": [{"kind": "crash", "rate": 1.0}]}',
-    )
-    plan = plan_from_env()
-    assert plan is not None and plan.rules[0].kind == "crash"
-    path = tmp_path / "plan.json"
-    plan.dump(path)
-    monkeypatch.setenv("REPRO_FAULT_PLAN", str(path))
-    assert plan_from_env() == plan
-    monkeypatch.setenv("REPRO_FAULT_PLAN", "{ not json")
-    with pytest.raises(ValueError):
-        plan_from_env()
-
-
 def test_plan_rejects_unknown_kind():
     with pytest.raises(ValueError, match="kind"):
         FaultRule(kind="meteor-strike", rate=1.0)
+
+
+@pytest.mark.parametrize(
+    "doc, field",
+    [
+        ([], "fault plan must be a mapping"),
+        ({"rules": 5}, "rules must be a list"),
+        ({"rules": {"kind": "crash"}}, "rules must be a list"),
+        ({"rules": [5]}, r"rules\[0\]: fault rule must be a mapping"),
+        ({"rule": [{"kind": "crash", "rate": 1.0}]}, "unknown fault plan key"),
+        ({"rules": [{"kind": "crash", "rates": 1.0}]}, "unknown fault rule key"),
+        ({"rules": [{"rate": 1.0}]}, "needs a 'kind'"),
+        ({"seed": 1.7}, "seed must be int"),
+        ({"seed": True}, "seed must be int"),
+        ({"hang_s": "60"}, "hang_s must be int or float"),
+        ({"hang_s": False}, "hang_s must be int or float"),
+        ({"rules": [{"kind": "crash", "rate": True}]}, r"rules\[0\]: rate"),
+        ({"rules": [{"kind": "crash", "rate": "0.5"}]}, "rate must be"),
+        ({"rules": [{"kind": "crash", "times": 2.9}]}, "times must be int"),
+        ({"rules": [{"kind": "crash", "match": 12}]}, "match must be str"),
+    ],
+)
+def test_malformed_plan_is_a_value_error_naming_the_field(doc, field):
+    with pytest.raises(ValueError, match=field):
+        FaultPlan.from_dict(doc)
+
+
+def test_sweep_with_a_malformed_plan_exits_2(tmp_path, capsys):
+    from repro.cli import main
+
+    path = tmp_path / "plan.json"
+    path.write_text(json.dumps({"rules": [5]}))
+    code = main([
+        "sweep", "--protocols", "dico", "--workloads", "radix",
+        "--cycles", "1500", "--warmup", "500", "--no-cache",
+        "--fault-plan", str(path),
+    ])
+    assert code == 2
+    assert "error: bad fault plan" in capsys.readouterr().err
 
 
 # -------------------------------------------------------------- policy
 
 
 def test_backoff_is_seeded_and_bounded():
-    policy = FaultPolicy(
-        max_retries=4, backoff_base_s=0.1, backoff_max_s=0.5, backoff_seed=9
-    )
+    retries = range(1, 11)
     fp = "a" * 64
-    delays = policy.backoff_schedule(fp)
-    assert delays == policy.backoff_schedule(fp)  # deterministic
-    assert len(delays) == 4
-    assert all(0 < d <= 0.5 for d in delays)
-    # jittered exponential: strictly within [base * 2^(n-1) * 0.5, cap]
-    assert delays[0] >= 0.05
-    assert policy.backoff_schedule("b" * 64) != delays  # per-point jitter
+    delays = [backoff_delay(fp, n) for n in retries]
+    assert delays == [backoff_delay(fp, n) for n in retries]  # deterministic
+    for n, delay in zip(retries, delays):
+        # jittered exponential within [base * 2^(n-1) * 0.5, cap]
+        low = BACKOFF_BASE_S * 2 ** (n - 1) / 2
+        assert min(low, BACKOFF_MAX_S) <= delay <= min(2 * low, BACKOFF_MAX_S)
+    assert delays[-1] == BACKOFF_MAX_S  # the cap binds by retry 10
+    assert [backoff_delay("b" * 64, n) for n in retries] != delays  # per-point jitter
+    with pytest.raises(ValueError, match="retry"):
+        backoff_delay(fp, 0)
 
 
 def test_policy_validation():
@@ -157,15 +179,17 @@ def test_policy_validation():
         ("timeout_s", "5"),
         ("max_retries", 2.9),
         ("max_retries", False),
-        ("backoff_seed", 2.7),
-        ("backoff_base_s", None),
-        ("backoff_max_s", True),
+        ("max_retries", None),
     ):
         with pytest.raises(ValueError, match=field):
             FaultPolicy(**{field: value})
         with pytest.raises(ValueError, match=field):
             FaultPolicy.from_dict({field: value})
-    assert FaultPolicy(timeout_s=5, backoff_base_s=0, backoff_max_s=1).timeout_s == 5
+    # a job record's policy that is not a mapping is a ValueError too
+    for doc in ([1], "skip", 5):
+        with pytest.raises(ValueError, match="policy must be a mapping"):
+            FaultPolicy.from_dict(doc)
+    assert FaultPolicy(timeout_s=5).timeout_s == 5
     assert FaultPolicy().is_default
     assert not FaultPolicy(max_retries=1).is_default
 
@@ -216,11 +240,7 @@ def test_retry_recovers_bit_identically(baseline):
     # every point crashes on attempt 1 (times=1), retry succeeds
     plan = FaultPlan(seed=1, rules=(FaultRule(kind="crash", rate=1.0),))
     runner = SweepRunner(
-        jobs=1,
-        policy=FaultPolicy(
-            max_retries=1, backoff_base_s=0.01, backoff_max_s=0.02
-        ),
-        fault_plan=plan,
+        jobs=1, policy=FaultPolicy(max_retries=1), fault_plan=plan
     )
     results = runner.run(tiny_grid())
     assert all(r.ok for r in results)
@@ -235,12 +255,7 @@ def test_retries_exhaust_with_attempt_count():
     )
     runner = SweepRunner(
         jobs=1,
-        policy=FaultPolicy(
-            max_retries=2,
-            backoff_base_s=0.01,
-            backoff_max_s=0.02,
-            on_failure="skip",
-        ),
+        policy=FaultPolicy(max_retries=2, on_failure="skip"),
         fault_plan=plan,
     )
     results = runner.run(tiny_grid()[:1])
@@ -249,7 +264,7 @@ def test_retries_exhaust_with_attempt_count():
     assert results[0].attempts == 3
 
 
-def test_backoff_does_not_block_a_scheduler_slot(baseline):
+def test_backoff_does_not_block_a_scheduler_slot(baseline, monkeypatch):
     """A spec waiting out its retry backoff must not occupy a worker.
 
     Grid of two specs through ONE slot: the first crashes on attempt 1
@@ -267,15 +282,12 @@ def test_backoff_does_not_block_a_scheduler_slot(baseline):
             ),
         ),
     )
+    monkeypatch.setattr(policy_module, "BACKOFF_BASE_S", 1.0)
+    monkeypatch.setattr(policy_module, "BACKOFF_MAX_S", 1.5)
     completed = []
     runner = SweepRunner(
         jobs=1,
-        policy=FaultPolicy(
-            max_retries=1,
-            backoff_base_s=1.0,
-            backoff_max_s=1.5,
-            on_failure="skip",
-        ),
+        policy=FaultPolicy(max_retries=1, on_failure="skip"),
         fault_plan=plan,
         progress=completed.append,
     )
@@ -405,14 +417,3 @@ def test_corrupt_cache_entry_quarantined_on_next_read(tmp_path, baseline):
     assert stats_to_dict(second[0].stats) == baseline[grid[0].fingerprint()]
     assert entry.with_name(entry.name + ".corrupt").exists()
 
-
-def test_fault_plan_env_reaches_pool_workers(tmp_path, monkeypatch):
-    monkeypatch.setenv(
-        "REPRO_FAULT_PLAN",
-        '{"seed": 5, "rules": [{"kind": "crash", "rate": 1.0}]}',
-    )
-    runner = SweepRunner(jobs=1, policy=FaultPolicy(on_failure="skip"))
-    assert runner.fault_plan is not None
-    results = runner.run(tiny_grid()[:1])
-    assert not results[0].ok and results[0].failure.kind == "crash"
-    assert os.environ.get("REPRO_FAULT_PLAN")  # untouched

@@ -63,7 +63,7 @@ def reference_specs() -> Dict[str, RunSpec]:
             **tiny,
         ),
         "protocol-kwargs": RunSpec(
-            "dico-providers", "lu",
+            "dico-arin", "lu",
             protocol_kwargs={"provider_on_read": False}, **tiny,
         ),
         "pinned-workload": RunSpec(

@@ -51,6 +51,7 @@ def test_apply_overrides_flat_and_nested():
 
 def test_spec_round_trip_through_json():
     spec = tiny_spec(
+        protocol="dico-arin",
         overrides=(("l1c_entries", 64),),
         protocol_kwargs={"provider_on_read": False},
         workload_specs=snapshot_workload("radix", 4),
@@ -120,8 +121,8 @@ def test_execute_is_deterministic():
 
 
 def test_specs_are_hashable():
-    a = tiny_spec(protocol_kwargs={"provider_on_read": True})
-    b = tiny_spec(protocol_kwargs={"provider_on_read": True})
+    a = tiny_spec(protocol="dico-arin", protocol_kwargs={"provider_on_read": True})
+    b = tiny_spec(protocol="dico-arin", protocol_kwargs={"provider_on_read": True})
     assert hash(a) == hash(b)
     assert len({a, b}) == 1
 
@@ -141,6 +142,31 @@ def test_unknown_protocol_rejected_via_registry():
 
     with pytest.raises(ConfigError, match="unknown protocol"):
         tiny_spec(protocol="mosi")
+
+
+def test_unknown_protocol_kwarg_rejected_at_construction():
+    """A key the protocol's constructor does not take is a ConfigError
+    naming the protocol's options, not a TypeError in every attempt."""
+    from repro.sim.config import ConfigError
+
+    with pytest.raises(
+        ConfigError, match="protocol_kwargs: dico takes no option bogus"
+    ):
+        tiny_spec(protocol_kwargs={"bogus": 1})
+    with pytest.raises(ConfigError, match="options: provider_on_read"):
+        tiny_spec(protocol="dico-arin", protocol_kwargs={"bogus": 1})
+    # one protocol's option is unknown to another
+    with pytest.raises(ConfigError, match="its options: none"):
+        tiny_spec(
+            protocol="dico-providers",
+            protocol_kwargs={"provider_on_read": False},
+        )
+    with pytest.raises(ConfigError, match="expected a mapping"):
+        tiny_spec(protocol_kwargs=[("bogus", 1)])
+    spec = tiny_spec(
+        protocol="dico-arin", protocol_kwargs={"provider_on_read": False}
+    )
+    assert spec.build_chip().protocol.provider_on_read is False
 
 
 def test_unknown_override_key_rejected():

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.api import RunSpec, TraceOptions, simulate, spec_fingerprint
+from repro.api import RunSpec, TraceOptions, simulate
 from repro.core.checker import CoherenceViolation
 from repro.stats.io import STATS_SCHEMA, stats_to_dict
 from repro.sweep.spec import config_to_dict
@@ -83,7 +83,7 @@ def test_trace_file_and_manifest_written(tmp_path):
     assert manifest == result.manifest
     assert manifest.trace_path == str(path)
     assert manifest.stats_schema == STATS_SCHEMA
-    assert manifest.config_fingerprint == spec_fingerprint(result.spec)
+    assert manifest.config_fingerprint == result.spec.fingerprint()
     assert "tracer" in manifest.instruments
     # every line is valid JSON with the fixed fields
     first = json.loads(path.read_text().splitlines()[0])
@@ -101,16 +101,10 @@ def test_manifest_without_tracing(tmp_path):
     assert RunManifest.load(path) == result.manifest
 
 
-def test_spec_fingerprint_tracks_content():
+def test_fingerprint_tracks_content():
     a, b = tiny_spec(seed=1), tiny_spec(seed=2)
-    assert spec_fingerprint(a) == spec_fingerprint(tiny_spec(seed=1))
-    assert spec_fingerprint(a) != spec_fingerprint(b)
-
-
-def test_metrics_accessor_matches_stats():
-    result = simulate(tiny_spec())
-    reg = result.metrics
-    assert reg.counter("operations").value == result.stats.operations
+    assert a.fingerprint() == tiny_spec(seed=1).fingerprint()
+    assert a.fingerprint() != b.fingerprint()
 
 
 def test_run_result_reports_wall_time():

@@ -3,7 +3,7 @@ boundaries, and unchanged statistics when tracing is on."""
 
 import json
 
-from repro.api import RunSpec, spec_fingerprint
+from repro.api import RunSpec
 from repro.stats.io import stats_to_dict
 from repro.sweep import SweepRunner
 from repro.sweep.spec import config_to_dict
@@ -29,7 +29,7 @@ def test_trace_files_identical_serial_vs_pooled(tmp_path, monkeypatch):
     SweepRunner(jobs=1, trace_dir=str(serial_dir)).run(specs)
     SweepRunner(jobs=2, trace_dir=str(pooled_dir)).run(specs)
     for spec in specs:
-        name = f"{spec_fingerprint(spec)[:16]}.jsonl"
+        name = f"{spec.fingerprint()[:16]}.jsonl"
         serial_trace = (serial_dir / name).read_bytes()
         pooled_trace = (pooled_dir / name).read_bytes()
         assert serial_trace == pooled_trace

@@ -8,7 +8,6 @@ from repro.trace import (
     CountingSink,
     FilterSink,
     JsonlFileSink,
-    ListSink,
     RingBufferSink,
     TraceEvent,
     TraceSink,
@@ -42,17 +41,18 @@ def test_ring_buffer_unbounded_when_capacity_none():
 
 
 def test_list_and_counting_sinks():
-    lst, cnt = ListSink(), CountingSink()
+    # an unbounded ring is the in-memory list of every event
+    lst, cnt = RingBufferSink(capacity=None), CountingSink()
     for i in range(4):
         lst.emit(ev(cycle=i))
         cnt.emit(ev(cycle=i))
-    assert [e.cycle for e in lst.events] == [0, 1, 2, 3]
+    assert [e.cycle for e in lst] == [0, 1, 2, 3]
     assert cnt.count == 4
 
 
 def test_sinks_satisfy_protocol():
-    for sink in (RingBufferSink(), ListSink(), CountingSink(),
-                 FilterSink(ListSink())):
+    for sink in (RingBufferSink(), CountingSink(),
+                 FilterSink(RingBufferSink(None))):
         assert isinstance(sink, TraceSink)
 
 
@@ -73,21 +73,21 @@ def test_jsonl_file_sink_round_trips_events(tmp_path):
 
 
 def test_filter_sink_dimensions():
-    inner = ListSink()
+    inner = RingBufferSink(None)
     sink = FilterSink(inner, addrs=[7], events=["send", "transition"])
     sink.emit(ev(event="send", addr=7))          # passes
     sink.emit(ev(event="send", addr=8))          # wrong addr
     sink.emit(ev(event="deliver", addr=7))       # wrong event
     sink.emit(ev(event="transition", addr=None))  # addr filter active: None fails
     assert sink.seen == 4 and sink.forwarded == 1
-    assert len(inner.events) == 1 and inner.events[0].addr == 7
+    assert [e.addr for e in inner] == [7]
 
 
 def test_filter_sink_disabled_dimension_passes_none_fields():
-    inner = ListSink()
+    inner = RingBufferSink(None)
     sink = FilterSink(inner, events=["marker"])
     sink.emit(ev(layer="run", event="marker", name="reset_stats"))
-    assert [e.event for e in inner.events] == ["marker"]
+    assert [e.event for e in inner] == ["marker"]
 
 
 _layers = st.sampled_from(["protocol", "noc", "cache", "run"])
@@ -114,8 +114,8 @@ _opt_events = st.one_of(
 def test_filtered_stream_is_subsequence_of_unfiltered(
     events, addrs, tiles, names, layers
 ):
-    unfiltered = ListSink()
-    inner = ListSink()
+    unfiltered = RingBufferSink(None)
+    inner = RingBufferSink(None)
     filtered = FilterSink(
         inner, addrs=addrs, tiles=tiles, events=names, layers=layers
     )
@@ -123,7 +123,7 @@ def test_filtered_stream_is_subsequence_of_unfiltered(
         unfiltered.emit(e)
         filtered.emit(e)
     # every forwarded event matches every active dimension...
-    for e in inner.events:
+    for e in inner:
         if addrs is not None:
             assert e.addr in set(addrs)
         if tiles is not None:
@@ -133,8 +133,8 @@ def test_filtered_stream_is_subsequence_of_unfiltered(
         if layers is not None:
             assert e.layer in set(layers)
     # ...and the filtered stream is an ordered subsequence of the full one
-    it = iter(unfiltered.events)
-    for e in inner.events:
+    it = iter(unfiltered)
+    for e in inner:
         assert e in it  # advances `it`: preserves relative order
     assert filtered.seen == len(events)
-    assert filtered.forwarded == len(inner.events)
+    assert filtered.forwarded == len(inner)

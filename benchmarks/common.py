@@ -11,8 +11,8 @@ environment knobs apply:
 
 * ``REPRO_SWEEP_JOBS``  — worker processes (default ``1`` = serial
   in-process, the bit-identical reference path; above ``1`` every
-  point runs in a fresh process through :mod:`repro.sweep.executor`,
-  with bit-identical results);
+  point runs in one of that many worker processes of
+  :mod:`repro.sweep.executor`, with bit-identical results);
 * ``REPRO_SWEEP_CACHE`` — on-disk result-cache directory (default:
   unset, no cross-session caching);
 * ``REPRO_TRACE_DIR``   — when set, every *executed* benchmark run

@@ -8,8 +8,9 @@ content-addressed dedup and as the checkpoint of every completed
 point — so a grid served over HTTP is bit-identical to the same grid
 run by ``repro sweep``.  The daemon itself adds a queue cap,
 single-flight dedup, cancellation and HTTP, all on one event-loop
-thread: attempts fork from it, and file I/O runs on it, so no helper
-thread is alive at any fork.
+thread: workers fork from it, and file I/O runs on it, so no helper
+thread is alive at any fork.  A worker lives on across points and jobs
+until one of its attempts fails or the daemon shuts down.
 
 The robustness contract:
 
@@ -26,7 +27,7 @@ The robustness contract:
   :class:`~repro.faults.FailureRecord` events — never daemon death.
 * **Cancellation** — cancelling a job ends its unfinished points, and
   an execution no other job still waits on is cancelled with them,
-  which kills its attempt process.
+  which kills the worker running its attempt.
 * **Restart = resume** — job records persist in the
   :class:`~repro.serve.store.JobStore`; completed points persist in
   the result cache.  A daemon killed hard and restarted re-serves
@@ -34,8 +35,9 @@ The robustness contract:
   re-run of the same ``repro sweep`` does.
 * **Clean shutdown** — SIGTERM/SIGINT (or ``POST /shutdown``) stops
   accepting, drains in-flight points for ``drain_s`` seconds, then
-  checkpoints: outstanding attempts are killed, and the still-active
-  job records make their points run again on the next start.
+  checkpoints: every worker, busy or idle, is killed, and the
+  still-active job records make their points run again on the next
+  start.
 
 HTTP API (all JSON; NDJSON for result streams)::
 
@@ -100,7 +102,8 @@ class ServeConfig:
     cache_dir: str
     host: str = "127.0.0.1"
     port: int = 0
-    #: worker slots: attempt processes running at once
+    #: worker slots: attempts running at once, each in a worker
+    #: process that the next attempt reuses after an ``ok`` one
     workers: int = 2
     #: bound on the unfinished points of all jobs; beyond it, ``429``
     max_queue_points: int = 1024
@@ -239,9 +242,9 @@ class ExperimentServer:
 
         With ``drain=True``, in-flight points get ``drain_s`` seconds
         to finish (their results are cached as they land).  Whatever
-        remains is checkpointed: tasks cancelled, attempt processes
-        killed — the cached points plus the still-``active`` job
-        records make the next start resume them.
+        remains is checkpointed: tasks cancelled, worker processes
+        (busy or idle) killed — the cached points plus the
+        still-``active`` job records make the next start resume them.
         Only then are the open client connections closed, which ends
         the result streams of unfinished jobs, and only after that is
         the listener awaited: from CPython 3.12.1
@@ -381,7 +384,7 @@ class ExperimentServer:
         """Single-flight execution keyed by content fingerprint.
 
         A cancelled point that was the last to wait on an unfinished
-        execution cancels it, which kills its attempt process.
+        execution cancels it, which kills the worker running it.
         """
         fp = point.fingerprint
         flight = self._inflight.get(fp)

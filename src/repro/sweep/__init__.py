@@ -11,8 +11,9 @@ function of its :class:`RunSpec`:
   ``jobs=1`` and through ``executor.py`` above, with bit-identical
   results regardless of job count;
 * ``executor.py`` — the one out-of-process executor, shared with
-  ``repro serve``: a fresh worker process per attempt, deadline kills,
-  seeded-backoff retries, fault injection;
+  ``repro serve``: worker processes that run attempt after attempt
+  until one fails, deadline kills, seeded-backoff retries, fault
+  injection;
 * :class:`ResultCache` (``cache.py``) — on-disk JSON store keyed by a
   stable hash of the spec plus the simulator's source fingerprint;
 * ``grids.py`` — the canonical figure-reproduction grid shared by the

@@ -4,14 +4,18 @@
 ``repro serve`` (through :class:`~repro.serve.daemon.ExperimentServer`)
 execute grid points here, so fault injection, crash containment,
 retries and the stats codec behave the same under either.  It is the
-only code that spawns, waits on, deadline-kills and retries a worker
+only code that forks, waits on, deadline-kills and retries a worker
 process.  Three layers:
 
-* :func:`run_attempt` runs one attempt of one point in a fresh
-  process.  The parent forks from its event-loop thread and awaits the
-  result pipe and the process sentinel with ``loop.add_reader``, so no
-  helper thread is alive at any fork.  A hung attempt is killed at its
-  deadline; a process that exits without a result is a crash.
+* :func:`run_attempt` runs one attempt of one point in a worker
+  process.  A worker runs attempt after attempt: after an ``ok`` reply
+  it goes back to the :class:`AttemptRegistry` idle, and the next
+  attempt takes it instead of forking.  A timeout, crash, cancel or
+  ``exception`` outcome ends the worker, so a retry always starts in a
+  new process.  The parent forks from its event-loop thread and awaits
+  the worker's pipe and its process sentinel with ``loop.add_reader``,
+  so no helper thread is alive at any fork.  A hung attempt is killed
+  at its deadline; a worker that exits without a reply crashed.
 * :func:`run_point` attempts a point until one attempt succeeds or the
   :class:`~repro.faults.FaultPolicy` runs out of retries.  Each attempt
   holds a worker slot; the seeded backoff between attempts does not.
@@ -21,11 +25,12 @@ process.  Three layers:
 * :func:`run_points` drives a batch through ``jobs`` slots on a private
   event loop and hands each result to a callback outside the loop.
   However it returns, normally or because the callback raised (Ctrl-C,
-  ``on_failure="raise"``), no attempt process is left alive.
+  ``on_failure="raise"``), no worker process is left alive, busy or
+  idle.
 
 Only a worker ever receives a :class:`~repro.faults.FaultPlan` (in its
 payload), so ``crash``, ``hang`` and ``corrupt-result`` injection live
-in :func:`_attempt_main`.  The simulation itself is
+in :func:`_attempt`.  The simulation itself is
 :func:`repro.sweep.runner._execute_payload`, the same function the
 in-process path calls.
 """
@@ -37,11 +42,13 @@ import gc
 import logging
 import multiprocessing
 import os
+import signal
+import stat
 import time
 import traceback
 from typing import Any, Callable, Dict, Optional, Sequence, Tuple
 
-# the workload generator's first run imports numpy.random; every attempt
+# the workload generator's first run imports numpy.random; every worker
 # forks from this process, so import it once here, not once per worker
 import numpy.random  # noqa: F401
 
@@ -78,14 +85,39 @@ def _traceback_tail(limit: int = 15) -> str:
     return "\n".join(lines[-limit:])
 
 
-def _attempt_main(conn, payload: Dict[str, Any]) -> None:
-    """Entry point of an attempt's process.
+def _drop_inherited_sockets(keep: int) -> None:
+    """Close every socket this process inherited except ``keep``.
 
-    Sends exactly one ``("ok", stats_doc, sim_s)`` or ``("error",
-    failure_fields)`` message; a process that exits without sending one
-    crashed.  The payload's ``__fault_plan__``/``__attempt__`` keys
-    select this attempt's injected faults, matched against the spec
-    fingerprint a plan-armed payload carries as ``__fingerprint__``.
+    A worker forked by ``repro serve`` inherits the daemon's listening
+    socket and its open client connections, and any worker inherits the
+    parent's ends of its siblings' pipes.  A worker that outlives an
+    attempt would hold them open: a client would never see its finished
+    response reach EOF.  Pipes stay open: one is the write end of the
+    multiprocessing sentinel, whose EOF tells the parent this worker
+    died.
+    """
+    try:
+        fds = [int(name) for name in os.listdir("/dev/fd")]
+    except OSError:  # no descriptor listing on this platform
+        return
+    for fd in fds:
+        if fd == keep:
+            continue
+        try:
+            if stat.S_ISSOCK(os.fstat(fd).st_mode):
+                os.close(fd)
+        except OSError:  # the listing's own descriptor, closed by now
+            pass
+
+
+def _attempt(conn, payload: Dict[str, Any]) -> bool:
+    """Run one attempt and send its one reply: ``("ok", stats_doc,
+    sim_s)`` or ``("error", failure_fields)``.  Returns whether the
+    reply was ``ok``.
+
+    The payload's ``__fault_plan__``/``__attempt__`` keys select this
+    attempt's injected faults, matched against the spec fingerprint a
+    plan-armed payload carries as ``__fingerprint__``.
     """
     try:
         payload = dict(payload)
@@ -111,6 +143,7 @@ def _attempt_main(conn, payload: Dict[str, Any]) -> None:
             # raises, which is exactly how a garbled worker reply presents
             doc = {"__injected_corrupt_result__": fp[:12]}
         conn.send(("ok", doc, sim_s))
+        return True
     except BaseException as exc:  # a worker must report, never re-raise
         try:
             conn.send(
@@ -125,22 +158,58 @@ def _attempt_main(conn, payload: Dict[str, Any]) -> None:
             )
         except (OSError, ValueError):  # parent is gone
             pass
-    finally:
+        return False
+
+
+def _worker_main(conn) -> None:
+    """Entry point of a worker process: receive a payload and run it,
+    until an attempt fails or the parent hangs up.  A process that dies
+    without replying to an attempt crashed."""
+    # ``repro serve``'s event loop made one of its sockets the signal
+    # wakeup fd; once the sockets are dropped below, a Ctrl-C would
+    # write to a closed (or reused) descriptor
+    signal.set_wakeup_fd(-1)
+    _drop_inherited_sockets(conn.fileno())
+    while True:
         try:
-            conn.close()
-        except OSError:
-            pass
+            payload = conn.recv()
+        except (EOFError, OSError, KeyboardInterrupt):
+            break
+        if not _attempt(conn, payload):
+            break
+
+
+def _fork_worker() -> Tuple[Any, Any]:
+    """Start an idle worker; returns its process and the parent's end
+    of its duplex pipe."""
+    methods = multiprocessing.get_all_start_methods()
+    ctx = multiprocessing.get_context("fork" if "fork" in methods else "spawn")
+    conn, child_conn = ctx.Pipe()
+    proc = ctx.Process(target=_worker_main, args=(child_conn,), daemon=True)
+    # the child inherits the heap frozen: its collections never walk
+    # the parent's objects, so they never write to (and copy) them
+    gc.freeze()
+    try:
+        proc.start()
+    finally:
+        gc.unfreeze()
+    child_conn.close()
+    return proc, conn
 
 
 class AttemptRegistry:
-    """The live attempt processes, so whoever abandons them (a batch
-    that stops early, a daemon shutting down) can kill them.
+    """The worker processes of a batch or a daemon: those running an
+    attempt, which whoever abandons them (a batch that stops early, a
+    daemon shutting down) can kill, and the idle ones the next attempt
+    takes instead of forking.
 
     Used from one event-loop thread only, so it needs no lock.
     """
 
     def __init__(self) -> None:
         self._procs: set = set()
+        #: idle workers, as ``(process, pipe)`` pairs
+        self.idle: list = []
         self.draining = False
 
     def add(self, proc) -> None:
@@ -150,56 +219,55 @@ class AttemptRegistry:
         self._procs.discard(proc)
 
     def __len__(self) -> int:
+        """Workers running an attempt now."""
         return len(self._procs)
 
     def kill_all(self) -> int:
-        """Hard-kill every live attempt; later attempts are refused."""
+        """Hard-kill every worker, busy or idle; later attempts are
+        refused.  Returns how many attempts it cut short."""
         self.draining = True
-        procs, self._procs = list(self._procs), set()
+        busy, self._procs = list(self._procs), set()
+        idle, self.idle = self.idle, []
+        procs = busy + [proc for proc, _conn in idle]
         for proc in procs:
             proc.kill()
         for proc in procs:
             proc.join(timeout=5)
-        return len(procs)
+        for _proc, conn in idle:
+            conn.close()
+        return len(busy)
 
 
 async def run_attempt(
     payload: Dict[str, Any],
     timeout_s: Optional[float],
-    registry: Optional[AttemptRegistry] = None,
+    registry: AttemptRegistry,
 ) -> AttemptOutcome:
-    """Execute one attempt in a fresh process; never raises for the
+    """Execute one attempt in a worker process; never raises for the
     attempt's own failures.
 
     ``payload`` is a :class:`~repro.sweep.spec.RunSpec` document plus
     the ``__attempt__``/``__fault_plan__``/``__fingerprint__``/
     ``__trace_dir__`` keys the worker understands (a plan needs the
-    fingerprint).  Cancelling the awaiting task kills the process.
+    fingerprint).  The attempt takes an idle worker from ``registry``,
+    or forks one, and after an ``ok`` reply puts it back idle; any
+    other outcome, or cancelling the awaiting task, ends it.
     """
-    if registry is not None and registry.draining:
+    if registry.draining:
         return ("crash", "executor is shutting down", 0.0)
-    methods = multiprocessing.get_all_start_methods()
-    ctx = multiprocessing.get_context("fork" if "fork" in methods else "spawn")
-    conn, child_conn = ctx.Pipe(duplex=False)
-    proc = ctx.Process(
-        target=_attempt_main, args=(child_conn, payload), daemon=True
-    )
     start = time.monotonic()
-    # the child inherits the heap frozen: its collections never walk
-    # the parent's objects, so they never write to (and copy) them
-    gc.freeze()
-    try:
-        proc.start()
-    finally:
-        gc.unfreeze()
-    child_conn.close()
-    if registry is not None:
-        registry.add(proc)
+    proc, conn = registry.idle.pop() if registry.idle else _fork_worker()
+    registry.add(proc)
+    reuse = False
     loop = asyncio.get_running_loop()
     ready = asyncio.Event()
     loop.add_reader(conn.fileno(), ready.set)
     loop.add_reader(proc.sentinel, ready.set)
     try:
+        try:
+            conn.send(payload)
+        except OSError:  # the worker died idle: reported as a crash below
+            pass
         while True:
             if timeout_s is None:
                 await ready.wait()
@@ -220,6 +288,7 @@ async def run_attempt(
                     proc.join(timeout=5)
                 else:
                     if msg[0] == "ok":
+                        reuse = True
                         return ("ok", msg[1], msg[2])
                     return ("exception", msg[1], elapsed)
             elif proc.is_alive():
@@ -237,12 +306,14 @@ async def run_attempt(
     finally:
         loop.remove_reader(conn.fileno())
         loop.remove_reader(proc.sentinel)
-        conn.close()
-        if proc.is_alive():  # cancelled mid-attempt
-            proc.kill()
-        proc.join(timeout=5)
-        if registry is not None:
-            registry.discard(proc)
+        registry.discard(proc)
+        if reuse and not registry.draining:
+            registry.idle.append((proc, conn))
+        else:
+            conn.close()
+            if proc.is_alive():
+                proc.kill()
+            proc.join(timeout=5)
 
 
 def _store_result(
@@ -272,9 +343,9 @@ async def run_point(
     policy: FaultPolicy,
     slots: asyncio.Semaphore,
     *,
+    registry: AttemptRegistry,
     plan: Optional[FaultPlan] = None,
     cache: Optional[ResultCache] = None,
-    registry: Optional[AttemptRegistry] = None,
 ) -> SweepResult:
     """Attempt ``spec`` until it succeeds or ``policy`` runs out of
     retries.
@@ -361,7 +432,8 @@ def run_points(
 
     The event loop is private and ``on_result`` runs outside it, so an
     exception from ``on_result`` simply ends the batch.  Every exit path
-    cancels the outstanding points and kills their processes first.
+    cancels the outstanding points and then kills every worker of the
+    batch, busy or idle.
     """
     loop = asyncio.new_event_loop()
     registry = AttemptRegistry()
@@ -392,7 +464,7 @@ def run_points(
             for task in tasks:
                 task.cancel()
             if tasks:
-                # let each attempt's finally kill and reap its process
+                # let each attempt's finally end and reap its worker
                 loop.run_until_complete(asyncio.wait(set(tasks)))
         finally:
             registry.kill_all()

@@ -65,24 +65,6 @@ def config_to_dict(config: ChipConfig) -> Dict[str, Any]:
     return dataclasses.asdict(config)
 
 
-def config_from_dict(doc: Mapping[str, Any]) -> ChipConfig:
-    """Inverse of :func:`config_to_dict`."""
-    doc = dict(doc)
-    return ChipConfig(
-        mesh_width=doc["mesh_width"],
-        mesh_height=doc["mesh_height"],
-        n_areas=doc["n_areas"],
-        phys_addr_bits=doc["phys_addr_bits"],
-        l1=CacheGeometry(**doc["l1"]),
-        l2=CacheGeometry(**doc["l2"]),
-        l1c_entries=doc["l1c_entries"],
-        l2c_entries=doc["l2c_entries"],
-        dir_cache_entries=doc["dir_cache_entries"],
-        noc=NocConfig(**doc["noc"]),
-        memory=MemoryConfig(**doc["memory"]),
-    )
-
-
 # nested ChipConfig sections and their dataclass types; kept explicit
 # because the annotations are strings under ``from __future__ import
 # annotations`` and can't be resolved by inspection alone
@@ -92,6 +74,36 @@ _NESTED = {
     "noc": NocConfig,
     "memory": MemoryConfig,
 }
+
+
+def config_from_dict(doc: Mapping[str, Any]) -> ChipConfig:
+    """Inverse of :func:`config_to_dict`.  A missing key, a top-level
+    value that is not an integer, or a section that is not a document
+    of its fields, is a :class:`ConfigError` naming its path
+    (``config.mesh_height``, ``config.l1``)."""
+    if not isinstance(doc, Mapping):
+        raise ConfigError(
+            "config",
+            f"expected a chip-config document, got {type(doc).__name__}",
+        )
+    fields = {}
+    for f in dataclasses.fields(ChipConfig):
+        if f.name not in doc:
+            raise ConfigError("config", f"missing key config.{f.name}")
+        value = doc[f.name]
+        if f.name in _NESTED:
+            try:
+                value = _NESTED[f.name](**value)
+            except TypeError as exc:
+                raise ConfigError(
+                    "config", f"config.{f.name}: {exc}"
+                ) from None
+        elif isinstance(value, bool) or not isinstance(value, int):
+            raise ConfigError(
+                "config", f"config.{f.name}: expected an integer, got {value!r}"
+            )
+        fields[f.name] = value
+    return ChipConfig(**fields)
 
 
 def valid_override_keys() -> Tuple[str, ...]:
@@ -113,18 +125,19 @@ def apply_overrides(
 ) -> ChipConfig:
     """Apply dotted-path field overrides to a (frozen) chip config.
 
-    Unknown paths raise :class:`ValueError` naming the valid keys, so a
-    typo in a sweep grid fails loudly instead of silently exploring the
-    wrong axis (``dataclasses.replace`` would raise a bare TypeError
+    Unknown paths raise :class:`ConfigError` naming the valid keys, so
+    a typo in a sweep grid fails loudly instead of silently exploring
+    the wrong axis (``dataclasses.replace`` would raise a bare TypeError
     deep in a worker otherwise).
     """
     if overrides:
         valid = valid_override_keys()
         for path, _ in overrides:
             if path not in valid:
-                raise ValueError(
+                raise ConfigError(
+                    "overrides",
                     f"unknown config override key {path!r}; valid keys: "
-                    + ", ".join(valid)
+                    + ", ".join(valid),
                 )
     for path, value in overrides:
         head, _, rest = path.partition(".")
@@ -184,6 +197,19 @@ def _freeze(value: Any) -> Any:
     if isinstance(value, (list, tuple)):
         return tuple(_freeze(v) for v in value)
     return value
+
+
+def _pairs(key: str, value: Any) -> Tuple[Tuple[Any, Any], ...]:
+    """A JSON list of ``[a, b]`` pairs as a tuple of pairs; anything
+    else is a :class:`ConfigError` naming ``key`` and the bad item."""
+    if not isinstance(value, (list, tuple)):
+        raise ConfigError(
+            key, f"expected a list of pairs, got {type(value).__name__}"
+        )
+    for i, item in enumerate(value):
+        if not isinstance(item, (list, tuple)) or len(item) != 2:
+            raise ConfigError(key, f"{key}[{i}]: expected a pair, got {item!r}")
+    return tuple((a, b) for a, b in value)
 
 
 # ---------------------------------------------------------------------------
@@ -366,9 +392,17 @@ class RunSpec:
     @classmethod
     def from_dict(cls, doc: Mapping[str, Any]) -> "RunSpec":
         """Inverse of :meth:`to_dict`.  Only ``protocol`` and
-        ``workload`` are required (``KeyError`` otherwise); an omitted
-        key takes its field's default, so a sparse hand-written
-        document parses too."""
+        ``workload`` are required; an omitted key takes its field's
+        default, so a sparse hand-written document parses too.  A
+        malformed document raises :class:`ConfigError` naming its key
+        path, never a bare ``KeyError`` or ``TypeError``."""
+        if not isinstance(doc, Mapping):
+            raise ConfigError(
+                "spec", f"expected a spec document, got {type(doc).__name__}"
+            )
+        for name in ("protocol", "workload"):
+            if name not in doc:
+                raise ConfigError(name, "missing required key")
         scalars = {
             name: doc[name]
             for name in (
@@ -377,16 +411,15 @@ class RunSpec:
             )
             if name in doc
         }
+        specs = doc.get("workload_specs")
         return cls(
             protocol=doc["protocol"],
             workload=doc["workload"],
-            overrides=tuple(
-                (k, v) for k, v in doc.get("overrides") or ()
-            ),
+            overrides=_pairs("overrides", doc.get("overrides") or ()),
             protocol_kwargs=doc.get("protocol_kwargs") or {},
             workload_specs=None
-            if doc.get("workload_specs") is None
-            else tuple((vm, d) for vm, d in doc["workload_specs"]),
+            if specs is None
+            else _pairs("workload_specs", specs),
             **scalars,
         )
 

@@ -12,6 +12,7 @@ cache a result.
 
 from __future__ import annotations
 
+import functools
 import json
 import subprocess
 from dataclasses import asdict, dataclass, field
@@ -30,8 +31,15 @@ MANIFEST_SCHEMA_VERSION = 3
 _LOADABLE_SCHEMAS = (1, 2, 3)
 
 
+@functools.lru_cache(maxsize=None)
 def git_rev(repo_dir: Optional[Union[str, Path]] = None) -> str:
-    """Current git revision (``unknown`` outside a checkout)."""
+    """Git revision of the checkout at ``repo_dir``, by default the one
+    this module was loaded from (``unknown`` outside a checkout).
+
+    Read once per process and ``repo_dir``: a traced sweep asks once per
+    point, and a long-lived worker or daemon reports the revision of
+    the code it loaded, not of whatever is checked out since.
+    """
     try:
         out = subprocess.run(
             ["git", "rev-parse", "--short", "HEAD"],

@@ -125,18 +125,39 @@ class ConsolidationPlan:
 
     @classmethod
     def from_dict(cls, doc: Mapping[str, Any]) -> "ConsolidationPlan":
-        """Inverse of :meth:`to_dict`; an event without a required key
-        is a :class:`ConfigError` naming its path."""
-        events = []
-        for i, ev in enumerate(doc.get("events") or ()):
-            try:
-                events.append(ConsolidationEvent.from_dict(ev))
-            except KeyError as exc:
+        """Inverse of :meth:`to_dict`; a malformed document is a
+        :class:`ConfigError` naming its path (``plan.events[0].cycle``)."""
+        events = doc.get("events") or ()
+        if not isinstance(events, (list, tuple)):
+            raise ConfigError(
+                "plan",
+                "malformed plan: plan.events must be a list, got "
+                f"{type(events).__name__}",
+            )
+        parsed = []
+        for i, ev in enumerate(events):
+            where = f"plan.events[{i}]"
+            if not isinstance(ev, Mapping):
                 raise ConfigError(
                     "plan",
-                    f"malformed plan: missing key plan.events[{i}].{exc.args[0]}",
+                    f"malformed plan: {where} must be an object, got "
+                    f"{type(ev).__name__}",
+                )
+            try:
+                parsed.append(ConsolidationEvent.from_dict(ev))
+            except KeyError as exc:
+                raise ConfigError(
+                    "plan", f"malformed plan: missing key {where}.{exc.args[0]}"
                 ) from None
-        return cls(events=tuple(events), seed=int(doc.get("seed") or 0))
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(
+                    "plan", f"malformed plan: {where}: {exc}"
+                ) from None
+        try:
+            seed = int(doc.get("seed") or 0)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError("plan", f"malformed plan: plan.seed: {exc}") from None
+        return cls(events=tuple(parsed), seed=seed)
 
     # ------------------------------------------------------------------
 

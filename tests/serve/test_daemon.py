@@ -8,6 +8,8 @@ are tiny (~0.1 s of simulation), so the whole module stays fast.
 
 import asyncio
 import json
+import multiprocessing
+import os
 import socket
 import threading
 import time
@@ -233,6 +235,11 @@ def test_mistyped_policy_values_rejected(server, policy):
          "malformed plan: missing key plan.events[0].cycle"),
         ({"seed": "x"}, "seed: expected an integer"),
         ({"seed": True}, "seed: expected an integer"),
+        ({"overrides": 5}, "overrides: expected a list of pairs"),
+        ({"overrides": [[1]]}, "overrides[0]: expected a pair"),
+        ({"workload_specs": [1]}, "workload_specs[0]: expected a pair"),
+        ({"plan": {"events": "x"}}, "plan.events must be a list"),
+        ({"config": {"mesh_width": 4}}, "missing key config.mesh_height"),
     ],
 )
 def test_spec_from_doc_names_the_bad_key(change, message):
@@ -692,6 +699,67 @@ def test_record_with_retired_backoff_keys_still_resumes(tmp_path):
         )
     finally:
         st.stop(client)
+
+
+# ---------------------------------------------------------- worker reuse
+
+
+def test_jobs_share_a_worker_and_shutdown_ends_it(tmp_path, monkeypatch):
+    real_fork = os.fork
+    forks = []
+
+    def fork():
+        forks.append(threading.get_ident())
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", fork)
+    st = ServerThread(make_config(tmp_path))
+    client = st.start()
+    try:
+        for seed in (300, 301, 302):
+            sub = client.submit(tiny_docs(1, seed0=seed))
+            assert client.wait_job(sub["job_id"])[0]["status"] == "ok"
+        # one after another, the three jobs ran in one worker
+        assert len(forks) == 1
+        assert len(multiprocessing.active_children()) == 1
+    finally:
+        st.stop(client)
+    assert multiprocessing.active_children() == []
+
+
+def test_result_stream_reaches_eof_while_an_idle_worker_lives(tmp_path):
+    # a worker forked while a client connection is open must not keep
+    # it open once it idles: the daemon's close must reach the client
+    async def main():
+        server = ExperimentServer(make_config(tmp_path, workers=1))
+        await server.start()
+        try:
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", server.port
+            )
+            writer.write(b"GET ")
+            while not server._conns:  # accepted before the worker forks
+                await asyncio.sleep(0.01)
+            body = json.dumps({"specs": tiny_docs(1, seed0=310)}).encode()
+            resp = await server._dispatch(
+                Request("POST", "/jobs", {}, {}, body)
+            )
+            job_id = json.loads(resp.body)["job_id"]
+            writer.write(
+                f"/jobs/{job_id}/results?wait=1 HTTP/1.1\r\n\r\n".encode()
+            )
+            stream = await asyncio.wait_for(reader.read(), 20)
+            writer.close()
+            return stream, [p.is_alive() for p, _ in server._attempts.idle]
+        finally:
+            await server.shutdown(drain=False)
+
+    stream, idle_alive = asyncio.run(main())
+    head, _, body = stream.partition(b"\r\n\r\n")
+    assert head.startswith(b"HTTP/1.1 200")
+    assert json.loads(body)["status"] == "ok"
+    assert idle_alive == [True]
+    assert multiprocessing.active_children() == []
 
 
 # --------------------------------------------------------------- shutdown

@@ -2,15 +2,16 @@
 
 Every pending point of a ``jobs=2`` sweep runs through it.  The first
 cases pin its exits (Ctrl-C from a progress callback,
-``on_failure="raise"``), that it forks only from a parent with no other
-thread, and that importing the sweep API leaves ``asyncio`` unimported.
+``on_failure="raise"``), that it forks once per worker slot and only
+from a parent with no other thread, and that importing the sweep API
+leaves ``asyncio`` unimported.
 ``os.cpu_count`` is pinned to 2 so ``jobs=2`` is not clamped to one
 in-process worker on a single-core machine.
 
 The rest drive one attempt as the daemon runs it, through
 :func:`run_attempt` and :class:`AttemptRegistry` directly, with the
 same tiny specs and fault plans as the sweep resilience suite:
-outcomes, deadlines and the registry.
+outcomes, deadlines, the registry and worker reuse.
 """
 
 import asyncio
@@ -26,7 +27,7 @@ import pytest
 import repro
 from repro.faults import FaultPlan, FaultRule
 from repro.sim.config import small_test_chip
-from repro.stats.io import stats_from_dict
+from repro.stats.io import stats_digest, stats_from_dict
 from repro.sweep import (
     RunSpec,
     SweepExecutionError,
@@ -120,7 +121,11 @@ def test_workers_fork_from_a_parent_with_no_other_thread(
     before = threading.active_count()
     results = SweepRunner(jobs=2).run(tiny_grid())
     assert all(r.ok and not r.cached for r in results)
-    assert threads_at_fork == [before] * len(results)
+    # two slots fork at most two workers for three points, each from a
+    # parent with no other thread, and none outlives the batch
+    assert 1 <= len(threads_at_fork) <= 2
+    assert threads_at_fork == [before] * len(threads_at_fork)
+    assert multiprocessing.active_children() == []
 
 
 def test_importing_the_sweep_api_leaves_asyncio_out():
@@ -144,12 +149,20 @@ def test_importing_the_sweep_api_leaves_asyncio_out():
 
 
 def run_attempt(payload, timeout_s, registry=None):
-    return asyncio.run(_run_attempt(payload, timeout_s, registry))
+    """One attempt on a fresh event loop.  Without a ``registry`` it
+    runs in a new worker, killed after it."""
+    own = AttemptRegistry()
+    try:
+        return asyncio.run(_run_attempt(
+            payload, timeout_s, own if registry is None else registry
+        ))
+    finally:
+        own.kill_all()
 
 
-def tiny_payload(attempt=1, plan=None, seed=1):
+def tiny_payload(attempt=1, plan=None, seed=1, protocol="dico"):
     spec = RunSpec(
-        protocol="dico",
+        protocol=protocol,
         workload="radix",
         seed=seed,
         cycles=1_500,
@@ -228,3 +241,84 @@ def test_registry_tracks_and_discards():
     )
     assert kind == "ok"
     assert len(registry) == 0  # discarded after completion
+    assert len(registry.idle) == 1  # and kept for the next attempt
+    registry.kill_all()
+    assert registry.idle == [] and multiprocessing.active_children() == []
+
+
+# ------------------------------------------------------------ worker reuse
+
+
+def idle_pids(registry):
+    return [proc.pid for proc, _conn in registry.idle]
+
+
+def test_reused_worker_gives_the_digest_of_a_fresh_one():
+    registry = AttemptRegistry()
+    _first, first = tiny_payload(seed=2, protocol="mesi-snoop")
+    _second, second = tiny_payload(seed=1)
+
+    async def one_worker_two_specs():
+        try:
+            assert (await _run_attempt(first, 60.0, registry))[0] == "ok"
+            pids = idle_pids(registry)
+            kind, doc, _elapsed = await _run_attempt(second, 60.0, registry)
+            assert kind == "ok"
+            assert idle_pids(registry) == pids and len(pids) == 1
+            return doc
+        finally:
+            registry.kill_all()
+
+    reused = asyncio.run(one_worker_two_specs())
+    kind, fresh, _elapsed = run_attempt(second, timeout_s=60.0)
+    assert kind == "ok"
+    assert stats_digest(stats_from_dict(reused)) == stats_digest(
+        stats_from_dict(fresh)
+    )
+
+
+def _failing_attempt(outcome, registry):
+    """A coroutine whose attempt ends with ``outcome``."""
+    if outcome == "exception":
+        _spec, payload = tiny_payload()
+        payload["protocol"] = "no-such-protocol"
+        return _run_attempt(payload, 60.0, registry)
+    if outcome == "crash":
+        plan = FaultPlan(seed=3, rules=(FaultRule(kind="crash", rate=1.0),))
+        return _run_attempt(tiny_payload(plan=plan)[1], 60.0, registry)
+    plan = FaultPlan(
+        seed=3, rules=(FaultRule(kind="hang", rate=1.0),), hang_s=30.0
+    )
+    payload = tiny_payload(plan=plan)[1]
+    if outcome == "timeout":
+        return _run_attempt(payload, 1.0, registry)
+
+    async def cancelled():
+        try:
+            await asyncio.wait_for(_run_attempt(payload, None, registry), 1.0)
+        except asyncio.TimeoutError:
+            return ("cancel", None, 0.0)
+
+    return cancelled()
+
+
+@pytest.mark.parametrize("outcome", ["crash", "timeout", "cancel", "exception"])
+def test_a_failed_attempt_ends_its_worker(outcome):
+    registry = AttemptRegistry()
+    _spec, payload = tiny_payload()
+
+    async def ok_failed_ok():
+        try:
+            assert (await _run_attempt(payload, 60.0, registry))[0] == "ok"
+            (reused,) = idle_pids(registry)
+            kind, _data, _elapsed = await _failing_attempt(outcome, registry)
+            assert kind == outcome
+            assert registry.idle == [] and len(registry) == 0
+            assert (await _run_attempt(payload, 60.0, registry))[0] == "ok"
+            return reused, idle_pids(registry)
+        finally:
+            registry.kill_all()
+
+    reused, after = asyncio.run(ok_failed_ok())
+    assert len(after) == 1 and after[0] != reused
+    assert multiprocessing.active_children() == []

@@ -63,10 +63,44 @@ def test_spec_round_trip_through_json():
 def test_from_dict_defaults_omitted_keys():
     # hand-written documents (a served curl body) name only the
     # required keys; everything else takes the field default
+    from repro.sim.config import ConfigError
+
     sparse = RunSpec.from_dict({"protocol": "dico", "workload": "radix"})
     assert sparse == RunSpec(protocol="dico", workload="radix")
-    with pytest.raises(KeyError, match="workload"):
+    with pytest.raises(ConfigError, match="workload: missing required key"):
         RunSpec.from_dict({"protocol": "dico"})
+
+
+@pytest.mark.parametrize(
+    "change, key, message",
+    [
+        ({"overrides": 5}, "overrides", "expected a list of pairs"),
+        ({"overrides": [[1]]}, "overrides", r"overrides\[0\]: expected a pair"),
+        ({"overrides": [["bogus", 1]]}, "overrides", "unknown config override"),
+        ({"workload_specs": [1]}, "workload_specs",
+         r"workload_specs\[0\]: expected a pair"),
+        ({"plan": {"events": "x"}}, "plan", "plan.events must be a list"),
+        ({"plan": {"events": [5]}}, "plan", r"plan\.events\[0\] must be an"),
+        ({"plan": {"events": [{"cycle": "x", "kind": "vm_depart", "vm": 0}]}},
+         "plan", r"plan\.events\[0\]: invalid literal"),
+        ({"config": {"mesh_width": 4}}, "config",
+         "missing key config.mesh_height"),
+        ({"config": dict(config_to_dict(small_test_chip()), l1=5)}, "config",
+         "config.l1: "),
+        ({"config": dict(config_to_dict(small_test_chip()), mesh_width="4")},
+         "config", "config.mesh_width: expected an integer"),
+        ({"plan": {"seed": "x", "events": []}}, "plan", "plan.seed: "),
+    ],
+)
+def test_malformed_document_is_a_config_error_naming_its_key(
+    change, key, message
+):
+    from repro.sim.config import ConfigError
+
+    doc = dict(tiny_spec().to_dict(), **change)
+    with pytest.raises(ConfigError, match=message) as exc:
+        RunSpec.from_dict(doc)
+    assert exc.value.key == key
 
 
 def test_canonical_json_is_stable_and_content_sensitive():

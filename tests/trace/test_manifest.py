@@ -76,3 +76,21 @@ def test_schema_2_documents_still_load():
     assert m.schema == 2
     assert m.watchdog == "ok"
     assert "fast_path" not in m.to_dict() and "engine" not in m.to_dict()
+
+
+def test_git_rev_runs_git_once_per_process(tmp_path, monkeypatch):
+    import subprocess
+
+    from repro.trace import manifest
+
+    calls = []
+    real_run = subprocess.run
+
+    def run(*args, **kwargs):
+        calls.append(args)
+        return real_run(*args, **kwargs)
+
+    monkeypatch.setattr(subprocess, "run", run)
+    first = manifest.git_rev(tmp_path)
+    assert manifest.git_rev(tmp_path) == first
+    assert len(calls) == 1

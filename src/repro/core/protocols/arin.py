@@ -85,24 +85,7 @@ class DiCoArinProtocol(DiCoProtocol):
 
         if self.areas.same_area(holder, requestor):
             # intra-area: plain DiCo owner service
-            t = self.config.l1.access_latency
-            self.l1s[holder].charge_data_read()
-            line.sharers |= 1 << requestor
-            if line.state in (L1State.E, L1State.M):
-                self.trace_transition(
-                    holder, block, line.state.name, "O", "read_share"
-                )
-                line.state = L1State.O
-            data = self.msg(holder, requestor, MessageType.DATA, now)
-            self.checker.check_read(block, line.version, where=self._l1_names[requestor])
-            self.fill_l1(
-                requestor,
-                block,
-                L1Line(state=L1State.S, version=line.version),
-                now,
-                supplier=holder,
-            )
-            return t + data.latency, data.hops, "pred_owner_hit"
+            return self._supply_copy(holder, requestor, block, line, now)
 
         # remote-area read: the ownership dissolves (Sec. III-B)
         return self._dissolve_ownership(holder, requestor, block, line, now)
@@ -175,21 +158,7 @@ class DiCoArinProtocol(DiCoProtocol):
 
         if entry is not None and entry.is_owner:
             return self._serve_home_owned(home, tile, block, entry, now)
-
-        # not on chip: the home keeps a plain copy alongside the grant
-        t += self.mem_fetch(home, block)
-        version = self.mem_version(block)
-        data = self.msg(home, tile, MessageType.DATA_OWNER, now)
-        t += data.latency
-        links += data.hops
-        self.checker.check_read(block, version, where=self._l1_names[tile])
-        self._fill_plain_copy(home, block, version, now)
-        self.fill_l1(
-            tile, block, L1Line(state=L1State.E, version=version), now, supplier=None
-        )
-        self._set_l1_owner(block, tile, now)
-        self.set_busy(block, now + t)
-        return t, links, "memory"
+        return self._read_from_memory(home, tile, block, now)
 
     def _serve_inter_area(
         self,
@@ -201,11 +170,8 @@ class DiCoArinProtocol(DiCoProtocol):
         now: int,
     ) -> Tuple[int, int, str]:
         """Inter-area blocks are always served by the home L2."""
-        t = 0
         assert entry.has_data, "inter-area blocks always hold data at the home"
-        self.stats.l2_data_hits += 1
-        t += self.config.l2.data_latency
-        self.l2s[home].charge_data_read()
+        t = self._l2_data_read(home)
         data = self.msg(home, tile, MessageType.DATA, now)
         t += data.latency
         self.checker.check_read(block, entry.version, where=self._l1_names[tile])
@@ -244,41 +210,12 @@ class DiCoArinProtocol(DiCoProtocol):
         if entry.sharers == 0 and entry.owner_area is None:
             # no copies anywhere: move ownership to the requestor,
             # recovering the DiCo two-hop fast path for private data
-            if not entry.has_data:
-                t += self.mem_fetch(home, block)
-                entry.version = self.mem_version(block)
-                entry.has_data = True
-            else:
-                self.stats.l2_data_hits += 1
-                t += self.config.l2.data_latency
-                self.l2s[home].charge_data_read()
-            data = self.msg(home, tile, MessageType.DATA_OWNER, now)
-            t += data.latency
-            links += data.hops
-            self.checker.check_read(block, entry.version, where=self._l1_names[tile])
-            state = L1State.M if entry.dirty else L1State.E
-            version, dirty = entry.version, entry.dirty
-            self._demote_to_copy(home, block)
-            self.fill_l1(
-                tile,
-                block,
-                L1Line(state=state, version=version, dirty=dirty),
-                now,
-                supplier=None,
-            )
-            self._set_l1_owner(block, tile, now)
-            return t, links, "unpredicted_home"
+            lat, hops = self._grant_home_ownership(home, tile, block, entry, now)
+            return lat, hops, "unpredicted_home"
 
         if entry.owner_area is None or self.areas.area_of(tile) == entry.owner_area:
             # same-area read: home keeps the ownership, tracks the sharer
-            if not entry.has_data:
-                t += self.mem_fetch(home, block)
-                entry.version = self.mem_version(block)
-                entry.has_data = True
-            else:
-                self.stats.l2_data_hits += 1
-                t += self.config.l2.data_latency
-                self.l2s[home].charge_data_read()
+            t += self._home_data(home, block, entry)
             data = self.msg(home, tile, MessageType.DATA, now)
             t += data.latency
             links += data.hops
@@ -305,18 +242,15 @@ class DiCoArinProtocol(DiCoProtocol):
         entry.owner_area = None
         entry.sharers = 0
         entry.propos = {self.areas.area_of(tile): tile}
-        self.stats.l2_data_hits += 1
-        t += self.config.l2.data_latency
-        self.l2s[home].charge_data_read()
+        t += self._l2_data_read(home)
         data = self.msg(home, tile, MessageType.DATA, now)
         t += data.latency
         links += data.hops
         self.checker.check_read(block, entry.version, where=self._l1_names[tile])
-        state = L1State.P if self.provider_on_read else L1State.P
         self.fill_l1(
             tile,
             block,
-            L1Line(state=state, version=entry.version),
+            L1Line(state=L1State.P, version=entry.version),
             now,
             supplier=None,
         )
@@ -335,28 +269,8 @@ class DiCoArinProtocol(DiCoProtocol):
             return self._l2_tag_lat + lat, links, "unpredicted_home"
         if entry is not None and entry.is_owner:
             # home-owned: precise area-local invalidation
-            t = self._l2_tag_lat
-            inv_worst = self._invalidate_sharers(
-                home, tile, block, entry.sharers, now, skip=tile
-            )
-            if had_copy:
-                grant = self.msg(home, tile, MessageType.CHANGE_OWNER_ACK, now)
-                data_lat, data_hops = grant.latency, grant.hops
-            else:
-                if entry.has_data:
-                    self.stats.l2_data_hits += 1
-                    self.l2s[home].charge_data_read()
-                    data_lat = self.config.l2.data_latency
-                else:
-                    data_lat = self.mem_fetch(home, block)
-                data = self.msg(home, tile, MessageType.DATA_OWNER, now)
-                data_lat += data.latency
-                data_hops = data.hops
-            self._demote_to_copy(home, block)
-            self._set_l1_owner(block, tile, now)
-            t += max(inv_worst, data_lat)
-            self._commit_write(tile, block, now)
-            return t, data_hops, "unpredicted_home"
+            lat, links = self._write_home_owned(home, tile, block, entry, had_copy, now)
+            return self._l2_tag_lat + lat, links, "unpredicted_home"
         return super()._write_at_home(tile, block, now, had_copy)
 
     def _broadcast_write(
@@ -382,10 +296,9 @@ class DiCoArinProtocol(DiCoProtocol):
             grant = self.msg(home, tile, MessageType.CHANGE_OWNER_ACK, now)
             data_lat, data_hops = grant.latency, grant.hops
         else:
-            self.stats.l2_data_hits += 1
-            self.l2s[home].charge_data_read()
+            data_lat = self._l2_data_read(home)
             data = self.msg(home, tile, MessageType.DATA_OWNER, now)
-            data_lat = self.config.l2.data_latency + data.latency
+            data_lat += data.latency
             data_hops = data.hops
         latency = max(phase1.latency + ack_worst, data_lat)
         # phase 3: the requestor broadcasts the unblock; it is off the
@@ -406,58 +319,36 @@ class DiCoArinProtocol(DiCoProtocol):
         if line.state in (L1State.E, L1State.M, L1State.O):
             self._evict_owner(tile, block, line, now)
 
-    def _evict_owner(self, tile: int, block: int, line: L1Line, now: int) -> None:
+    def _return_ownership_home(
+        self, tile: int, block: int, line: L1Line, now: int
+    ) -> None:
+        """The ownership always travels home with the data (PUT), never
+        as a control message over a plain copy."""
         home = (block & self._home_mask)
-        live = self._live_sharers(block, line.sharers, exclude=tile)
-        if live:
-            target = live[0]
-            self.msg(tile, target, MessageType.CHANGE_OWNER, now)
-            tline = self.l1s[target].peek(block)
-            assert tline is not None
-            self.trace_transition(
-                target, block, tline.state.name, "O", "ownership_transfer"
-            )
-            tline.state = L1State.O
-            tline.dirty = line.dirty
-            tline.sharers = line.sharers & ~(1 << target) & ~(1 << tile)
-            self.msg(target, home, MessageType.CHANGE_OWNER, now)
-            self.msg(home, target, MessageType.CHANGE_OWNER_ACK, now)
-            self._set_l1_owner(block, target, now)
-            self._send_hints(block, live[1:], target, now)
-        else:
-            self.msg(tile, home, MessageType.PUT, now)
-            self._clear_l1_owner(block)
-            self.fill_l2(
-                home,
-                block,
-                L2Line(
-                    has_data=True,
-                    dirty=line.dirty,
-                    version=line.version,
-                    is_owner=True,
-                    sharers=0,
-                    owner_area=None,
-                ),
-                now,
-            )
+        self.msg(tile, home, MessageType.PUT, now)
+        self._clear_l1_owner(block)
+        self.fill_l2(
+            home,
+            block,
+            L2Line(
+                has_data=True,
+                dirty=line.dirty,
+                version=line.version,
+                is_owner=True,
+                sharers=0,
+                owner_area=None,
+            ),
+            now,
+        )
 
-    def _forced_relinquish(self, block: int, owner: int, now: int) -> None:
+    def _relinquish_to_home(
+        self, owner: int, block: int, line: L1Line, now: int
+    ) -> L2Line:
         """L2C$ eviction: the home becomes owner and records the area's
         sharers in its area-local bit vector (plus the area number)."""
-        home = (block & self._home_mask)
-        self.msg(home, owner, MessageType.OWNER_RELINQUISH, now)
-        line = self.l1s[owner].peek(block)
-        if line is None or line.state not in (L1State.E, L1State.M, L1State.O):
-            return
-        entry = self._put_ownership_home(owner, block, line, now)
-        entry.sharers = line.sharers | (1 << owner)
+        entry = super()._relinquish_to_home(owner, block, line, now)
         entry.owner_area = self.areas.area_of(owner)
-        self.trace_transition(
-            owner, block, line.state.name, "S", "forced_relinquish"
-        )
-        line.state = L1State.S
-        line.dirty = False
-        line.sharers = 0
+        return entry
 
     def _evict_l2_entry(self, home: int, block: int, entry: L2Line, now: int) -> None:
         if entry.inter_area:

@@ -17,8 +17,9 @@ Subclasses implement the four hooks:
 * ``_evict_l1_line``     — Table II replacement actions
 * ``_evict_l2_entry``    — home-bank eviction (full invalidation)
 
-and use the helpers here for network legs, L1 fills, busy marking and
-statistics.
+and use the helpers here for network legs, L1 fills, L2 data reads,
+the write commit (:meth:`CoherenceProtocol._write_line`), busy marking
+and statistics.
 """
 
 from __future__ import annotations
@@ -446,6 +447,13 @@ class CoherenceProtocol(ABC):
     def mem_version(self, block: int) -> int:
         return self._mem_version.get(block, 0)
 
+    def _l2_data_read(self, bank: int) -> int:
+        """The L2 ``bank`` supplies the block's data: one L2 data hit
+        and one data-array read.  Returns the data latency."""
+        self.stats.l2_data_hits += 1
+        self.l2s[bank].charge_data_read()
+        return self.config.l2.data_latency
+
     def mem_writeback(self, home: int, block: int, version: int) -> None:
         """Write dirty data back to memory (block leaves the chip dirty)."""
         self.stats.writebacks += 1
@@ -490,6 +498,28 @@ class CoherenceProtocol(ABC):
         self.l1cs[tile].block_cached(block, supplier)
         if self._trace is not None:
             self._trace.transition(tile, block, "I", line.state.name, "fill")
+
+    def _write_line(
+        self, tile: int, block: int, version: int, now: int
+    ) -> Optional[L1Line]:
+        """A committed write: the writer's line becomes M at
+        ``version``, or an M line fills.  Returns the line changed in
+        place (None after a fill)."""
+        line = self.l1s[tile].peek(block)
+        if line is None:
+            self.fill_l1(
+                tile,
+                block,
+                L1Line(state=L1State.M, version=version, dirty=True),
+                now,
+            )
+            return None
+        self.trace_transition(tile, block, line.state.name, "M", "write_commit")
+        line.state = L1State.M
+        line.dirty = True
+        line.version = version
+        self.l1s[tile].charge_data_write()
+        return line
 
     def drop_l1(self, tile: int, block: int) -> Optional[L1Line]:
         """Invalidate an L1 copy (external invalidation, no actions)."""

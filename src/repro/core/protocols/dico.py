@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence, Tuple
 
+from ...noc.network import Delivery
 from ..messages import MessageType
 from ..states import L1State
 from .base import CoherenceProtocol, L1Line, L2Line, iter_bits
@@ -152,27 +153,23 @@ class DiCoProtocol(CoherenceProtocol):
         line = self.l1s[owner].peek(block)
         if line is None or line.state not in (L1State.E, L1State.M, L1State.O):
             return  # pointer was stale (should not happen; be safe)
+        self._relinquish_to_home(owner, block, line, now)
+
+    def _relinquish_to_home(
+        self, owner: int, block: int, line: L1Line, now: int
+    ) -> L2Line:
+        """Home becomes owner and takes the sharing code; the former
+        owner keeps a demoted copy.  Returns the home entry."""
         entry = self._put_ownership_home(owner, block, line, now)
         entry.sharers = line.sharers | (1 << owner)
-        self._install_home_ownership(home, block, entry, owner, line, now)
-
-    def _install_home_ownership(
-        self,
-        home: int,
-        block: int,
-        entry: L2Line,
-        former_owner: int,
-        line: L1Line,
-        now: int,
-    ) -> None:
-        """Home becomes owner; the former owner keeps a demoted copy."""
         self.trace_transition(
-            former_owner, block, line.state.name, "S", "forced_relinquish"
+            owner, block, line.state.name, "S", "forced_relinquish"
         )
         line.state = L1State.S
         line.dirty = False
         line.sharers = 0
         line.propos = {}
+        return entry
 
     # ------------------------------------------------------------------
     # read misses
@@ -213,24 +210,37 @@ class DiCoProtocol(CoherenceProtocol):
         line = self.l1s[holder].lookup(block)
         if line is None or line.state not in (L1State.E, L1State.M, L1State.O):
             return None
-        t = self.config.l1.access_latency
-        self.l1s[holder].charge_data_read()
+        return self._supply_copy(holder, requestor, block, line, now)
+
+    def _supply_copy(
+        self,
+        supplier: int,
+        requestor: int,
+        block: int,
+        line: L1Line,
+        now: int,
+        category: str = "pred_owner_hit",
+    ) -> Tuple[int, int, str]:
+        """An L1 that orders its copies (an owner, or a Providers
+        provider) serves a read: the requestor joins its sharing code
+        and fills S, and an E/M owner becomes O."""
+        self.l1s[supplier].charge_data_read()
         line.sharers |= 1 << requestor
         if line.state in (L1State.E, L1State.M):
             self.trace_transition(
-                holder, block, line.state.name, "O", "read_share"
+                supplier, block, line.state.name, "O", "read_share"
             )
             line.state = L1State.O
-        data = self.msg(holder, requestor, MessageType.DATA, now)
+        data = self.msg(supplier, requestor, MessageType.DATA, now)
         self.checker.check_read(block, line.version, where=self._l1_names[requestor])
         self.fill_l1(
             requestor,
             block,
             L1Line(state=L1State.S, version=line.version),
             now,
-            supplier=holder,
+            supplier=supplier,
         )
-        return t + data.latency, data.hops, "pred_owner_hit"
+        return self.config.l1.access_latency + data.latency, data.hops, category
 
     def _read_at_home(
         self, tile: int, block: int, now: int, forwarder: Optional[int]
@@ -250,42 +260,56 @@ class DiCoProtocol(CoherenceProtocol):
 
         entry = self.l2s[home].lookup(block)
         if entry is not None and entry.is_owner:
-            # ownership (and data) move to the requesting L1
-            if not entry.has_data:
-                t += self.mem_fetch(home, block)
-                entry.version = self.mem_version(block)
-                entry.has_data = True
-            else:
-                self.stats.l2_data_hits += 1
-                t += self.config.l2.data_latency
-                self.l2s[home].charge_data_read()
-            data = self.msg(home, tile, MessageType.DATA_OWNER, now)
-            t += data.latency
-            links += data.hops
-            sharers = entry.sharers & ~(1 << tile)
-            state = L1State.O if sharers else (
-                L1State.M if entry.dirty else L1State.E
-            )
-            self.checker.check_read(block, entry.version, where=self._l1_names[tile])
-            version, dirty = entry.version, entry.dirty
-            self._demote_to_copy(home, block)
-            self.fill_l1(
-                tile,
-                block,
-                L1Line(state=state, version=version, dirty=dirty, sharers=sharers),
-                now,
-                supplier=None,
-            )
-            self._set_l1_owner(block, tile, now)
-            self._send_hints(block, self._live_sharers(block, sharers), tile, now)
-            return t, links, "unpredicted_home"
+            lat, hops = self._grant_home_ownership(home, tile, block, entry, now)
+            return t + lat, links + hops, "unpredicted_home"
+        return self._read_from_memory(home, tile, block, now)
 
-        # not on chip: the home keeps a plain copy alongside the grant
-        t += self.mem_fetch(home, block)
+    def _home_data(self, home: int, block: int, entry: L2Line) -> int:
+        """The home's data for an ownership grant: a memory fetch when
+        the entry holds none, else an L2 data read.  Returns its
+        latency."""
+        if entry.has_data:
+            return self._l2_data_read(home)
+        latency = self.mem_fetch(home, block)
+        entry.version = self.mem_version(block)
+        entry.has_data = True
+        return latency
+
+    def _grant_home_ownership(
+        self, home: int, tile: int, block: int, entry: L2Line, now: int
+    ) -> Tuple[int, int]:
+        """A read at the home-owned ``entry``: ownership, data and the
+        sharing code move to the reader, and the home keeps a plain
+        copy.  Returns (latency, hops)."""
+        t = self._home_data(home, block, entry)
+        data = self.msg(home, tile, MessageType.DATA_OWNER, now)
+        sharers = entry.sharers & ~(1 << tile)
+        state = L1State.O if sharers else (
+            L1State.M if entry.dirty else L1State.E
+        )
+        self.checker.check_read(block, entry.version, where=self._l1_names[tile])
+        version, dirty = entry.version, entry.dirty
+        self._demote_to_copy(home, block)
+        self.fill_l1(
+            tile,
+            block,
+            L1Line(state=state, version=version, dirty=dirty, sharers=sharers),
+            now,
+            supplier=None,
+        )
+        self._set_l1_owner(block, tile, now)
+        self._send_hints(block, self._live_sharers(block, sharers), tile, now)
+        return t + data.latency, data.hops
+
+    def _read_from_memory(
+        self, home: int, tile: int, block: int, now: int
+    ) -> Tuple[int, int, str]:
+        """A read of a block no cache holds: the reader fills E and owns
+        it, and the home keeps a plain copy alongside the grant."""
+        t = self._l2_tag_lat + self.mem_fetch(home, block)
         version = self.mem_version(block)
         data = self.msg(home, tile, MessageType.DATA_OWNER, now)
         t += data.latency
-        links += data.hops
         self.checker.check_read(block, version, where=self._l1_names[tile])
         self._fill_plain_copy(home, block, version, now)
         self.fill_l1(
@@ -297,7 +321,7 @@ class DiCoProtocol(CoherenceProtocol):
         )
         self._set_l1_owner(block, tile, now)
         self.set_busy(block, now + t)
-        return t, links, "memory"
+        return t, data.hops, "memory"
 
     # ------------------------------------------------------------------
     # write misses
@@ -358,7 +382,6 @@ class DiCoProtocol(CoherenceProtocol):
         self, owner: int, tile: int, block: int, now: int, had_copy: bool
     ) -> Tuple[int, int]:
         """The owner L1 orders the write: invalidation + ownership move."""
-        home = (block & self._home_mask)
         line = self.l1s[owner].peek(block)
         assert line is not None
         t = self.config.l1.access_latency
@@ -367,24 +390,32 @@ class DiCoProtocol(CoherenceProtocol):
         )
         if owner == tile:
             # upgrade at the owner itself: no data or ownership movement
-            t += inv_worst
             self._commit_write(tile, block, now)
-            return t, 0
+            return t + inv_worst, 0
+        data, handoff = self._hand_over_ownership(owner, tile, block, had_copy, now)
+        self._commit_write(tile, block, now)
+        return t + max(inv_worst, data.latency, handoff), data.hops
+
+    def _hand_over_ownership(
+        self, owner: int, tile: int, block: int, had_copy: bool, now: int
+    ) -> Tuple[Delivery, int]:
+        """The owner L1 passes the ownership to the writer and drops its
+        copy, and the home repoints its L2C$ entry (``Change_Owner``).
+        Returns the data (or grant) leg and the Change_Owner round
+        trip's latency."""
+        home = (block & self._home_mask)
         # data (or ownership grant when the writer already has a copy)
         msg_type = (
             MessageType.CHANGE_OWNER_ACK if had_copy else MessageType.DATA_OWNER
         )
         data = self.msg(owner, tile, msg_type, now)
-        data_lat, data_hops = data.latency, data.hops
         self.l1s[owner].charge_data_read()
         self.l1cs[owner].update(block, tile)  # Fig. 5: writer becomes supplier
         self.drop_l1(owner, block)
         co = self.msg(owner, home, MessageType.CHANGE_OWNER, now)
         ack = self.msg(home, tile, MessageType.CHANGE_OWNER_ACK, now)
         self._set_l1_owner(block, tile, now)
-        t += max(inv_worst, data_lat, co.latency + ack.latency)
-        self._commit_write(tile, block, now)
-        return t, data_hops
+        return data, co.latency + ack.latency
 
     def _write_at_home(
         self, tile: int, block: int, now: int, had_copy: bool
@@ -402,28 +433,8 @@ class DiCoProtocol(CoherenceProtocol):
 
         entry = self.l2s[home].lookup(block)
         if entry is not None and entry.is_owner:
-            inv_worst = self._invalidate_sharers(
-                home, tile, block, entry.sharers, now, skip=tile
-            )
-            if had_copy:
-                grant = self.msg(home, tile, MessageType.CHANGE_OWNER_ACK, now)
-                data_lat, data_hops = grant.latency, grant.hops
-            else:
-                if entry.has_data:
-                    self.stats.l2_data_hits += 1
-                    self.l2s[home].charge_data_read()
-                    data_lat = self.config.l2.data_latency
-                else:
-                    data_lat = self.mem_fetch(home, block)
-                data = self.msg(home, tile, MessageType.DATA_OWNER, now)
-                data_lat += data.latency
-                data_hops = data.hops
-            self._demote_to_copy(home, block)
-            self._set_l1_owner(block, tile, now)
-            t += max(inv_worst, data_lat)
-            links += data_hops
-            self._commit_write(tile, block, now)
-            return t, links, "unpredicted_home"
+            lat, hops = self._write_home_owned(home, tile, block, entry, had_copy, now)
+            return t + lat, links + hops, "unpredicted_home"
 
         # not on chip
         t += self.mem_fetch(home, block)
@@ -433,6 +444,48 @@ class DiCoProtocol(CoherenceProtocol):
         self._set_l1_owner(block, tile, now)
         self._commit_write(tile, block, now)
         return t, links, "memory"
+
+    def _write_home_owned(
+        self,
+        home: int,
+        tile: int,
+        block: int,
+        entry: L2Line,
+        had_copy: bool,
+        now: int,
+    ) -> Tuple[int, int]:
+        """A write at the home-owned ``entry``: the home invalidates the
+        sharers and grants the ownership, keeping a plain copy.
+        Returns (latency, hops)."""
+        inv_worst = self._invalidate_sharers(
+            home, tile, block, entry.sharers, now, skip=tile
+        )
+        data_lat, data_hops = self._write_grant(home, tile, block, entry, had_copy, now)
+        self._demote_to_copy(home, block)
+        self._set_l1_owner(block, tile, now)
+        self._commit_write(tile, block, now)
+        return max(inv_worst, data_lat), data_hops
+
+    def _write_grant(
+        self,
+        home: int,
+        tile: int,
+        block: int,
+        entry: L2Line,
+        had_copy: bool,
+        now: int,
+    ) -> Tuple[int, int]:
+        """A home-owned entry's write grant: the ownership ack when the
+        writer holds a copy, else the data.  Returns (latency, hops)."""
+        if had_copy:
+            grant = self.msg(home, tile, MessageType.CHANGE_OWNER_ACK, now)
+            return grant.latency, grant.hops
+        if entry.has_data:
+            latency = self._l2_data_read(home)
+        else:
+            latency = self.mem_fetch(home, block)
+        data = self.msg(home, tile, MessageType.DATA_OWNER, now)
+        return latency + data.latency, data.hops
 
     def _invalidate_sharers(
         self,
@@ -460,27 +513,19 @@ class DiCoProtocol(CoherenceProtocol):
         return worst
 
     def _commit_write(self, tile: int, block: int, now: int) -> None:
-        version = self.checker.commit_write(block)
-        existing = self.l1s[tile].peek(block)
-        if existing is not None:
-            self.trace_transition(
-                tile, block, existing.state.name, "M", "write_commit"
-            )
-            existing.state = L1State.M
-            existing.dirty = True
-            existing.version = version
-            existing.sharers = 0
-            existing.propos = {}
-            self.l1s[tile].charge_data_write()
+        self._write_line(tile, block, self.checker.commit_write(block), now)
+
+    def _write_line(
+        self, tile: int, block: int, version: int, now: int
+    ) -> Optional[L1Line]:
+        """The written line is the block's only copy: its sharing code
+        and ProPos empty, and its L1C$ entry names no supplier."""
+        line = super()._write_line(tile, block, version, now)
+        if line is not None:
+            line.sharers = 0
+            line.propos = {}
             self.l1cs[tile].block_cached(block, None)
-        else:
-            self.fill_l1(
-                tile,
-                block,
-                L1Line(state=L1State.M, version=version, dirty=True),
-                now,
-                supplier=None,
-            )
+        return line
 
     # ------------------------------------------------------------------
     # replacements (Table II, DiCo rows)
@@ -496,8 +541,9 @@ class DiCoProtocol(CoherenceProtocol):
         live = self._live_sharers(block, line.sharers, exclude=tile)
         if live:
             target = live[0]
-            # ownership + sharing code to a sharer; data travels only if
-            # dirty (the sharers hold the current version already)
+            # ownership + sharing code (and ProPos) to a sharer; data
+            # travels only if dirty (the sharers hold the current
+            # version already)
             self.msg(tile, target, MessageType.CHANGE_OWNER, now)
             tline = self.l1s[target].peek(block)
             assert tline is not None
@@ -506,16 +552,22 @@ class DiCoProtocol(CoherenceProtocol):
             )
             tline.state = L1State.O
             tline.dirty = line.dirty
-            tline.sharers = (line.sharers | (1 << tile)) & ~(1 << target) & ~(
-                1 << tile
-            )
+            tline.sharers = line.sharers & ~(1 << target) & ~(1 << tile)
+            tline.propos = dict(line.propos)
             # new owner notifies the home; home acks
             self.msg(target, home, MessageType.CHANGE_OWNER, now)
             self.msg(home, target, MessageType.CHANGE_OWNER_ACK, now)
             self._set_l1_owner(block, target, now)
             self._send_hints(block, live[1:], target, now)
         else:
-            self._put_ownership_home(tile, block, line, now)
+            self._return_ownership_home(tile, block, line, now)
+
+    def _return_ownership_home(
+        self, tile: int, block: int, line: L1Line, now: int
+    ) -> None:
+        """An evicted owner with no live sharer returns the ownership to
+        the home (Table II last row)."""
+        self._put_ownership_home(tile, block, line, now)
 
     # ------------------------------------------------------------------
     # dynamic consolidation

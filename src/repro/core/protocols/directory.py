@@ -137,9 +137,7 @@ class DirectoryProtocol(CoherenceProtocol):
 
         if has_data:
             assert l2_entry is not None
-            self.stats.l2_data_hits += 1
-            t += self.config.l2.data_latency
-            self.l2s[home].charge_data_read()
+            t += self._l2_data_read(home)
             data = self.msg(home, tile, MessageType.DATA, now)
             t += data.latency
             links += data.hops
@@ -264,9 +262,7 @@ class DirectoryProtocol(CoherenceProtocol):
             self._dir_drop(home, block)
         elif l2_entry is not None and l2_entry.has_data:
             # no copies in any L1, but the home L2 holds the data
-            self.stats.l2_data_hits += 1
-            self.l2s[home].charge_data_read()
-            t += self.config.l2.data_latency
+            t += self._l2_data_read(home)
             data = self.msg(home, tile, MessageType.DATA, now)
             t += data.latency
             links += data.hops
@@ -298,23 +294,7 @@ class DirectoryProtocol(CoherenceProtocol):
             self._dircache_insert(
                 home, block, L2Line(version=new_version, owner_tile=tile), now
             )
-        existing = self.l1s[tile].peek(block)
-        if existing is not None:
-            self.trace_transition(
-                tile, block, existing.state.name, "M", "write_commit"
-            )
-            existing.state = L1State.M
-            existing.dirty = True
-            existing.version = new_version
-            self.l1s[tile].charge_data_write()
-        else:
-            self.fill_l1(
-                tile,
-                block,
-                L1Line(state=L1State.M, version=new_version, dirty=True),
-                now,
-                supplier=None,
-            )
+        self._write_line(tile, block, new_version, now)
         self.set_busy(block, now + t)
         return t, links, category
 

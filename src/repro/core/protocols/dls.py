@@ -100,9 +100,7 @@ class DLSProtocol(CoherenceProtocol):
             version = self.mem_version(block)
             category = "memory"
         else:
-            self.stats.l2_data_hits += 1
-            t += self.config.l2.data_latency
-            self.l2s[home].charge_data_read()
+            t += self._l2_data_read(home)
             version = entry.version
 
         data = self.msg(home, tile, MessageType.DATA, now)
@@ -205,22 +203,7 @@ class DLSProtocol(CoherenceProtocol):
             data = self.msg(home, tile, MessageType.DATA, now)
             t += data.latency
             links += data.hops
-            existing = self.l1s[tile].peek(block)
-            if existing is not None:
-                self.trace_transition(
-                    tile, block, existing.state.name, "M", "write_commit"
-                )
-                existing.state = L1State.M
-                existing.dirty = True
-                existing.version = new_version
-                self.l1s[tile].charge_data_write()
-            else:
-                self.fill_l1(
-                    tile,
-                    block,
-                    L1Line(state=L1State.M, version=new_version, dirty=True),
-                    now,
-                )
+            self._write_line(tile, block, new_version, now)
         self.set_busy(block, now + t)
         return t, links, category
 

@@ -49,78 +49,58 @@ class DiCoProvidersProtocol(DiCoProtocol):
             t = self.config.l1.access_latency
             if local:
                 # owner serves its own area: requestor becomes sharer
-                return self._supply(holder, requestor, block, line, now, t,
-                                    as_provider=False, category="pred_owner_hit")
+                return self._supply_copy(holder, requestor, block, line, now)
             area_r = self.areas.area_of(requestor)
             provider = line.propos.get(area_r)
             if provider is not None:
                 # forward into the requestor's area
-                fwd = self.msg(holder, provider, MessageType.FWD_GETS, now)
-                pline = self.l1s[provider].lookup(block)
-                assert pline is not None and pline.state is L1State.P, (
-                    "owner's ProPo must point at a live provider"
+                lat, hops = self._provider_serves(
+                    holder, provider, requestor, block, now
                 )
-                t += fwd.latency
-                lat, hops, _ = self._supply(
-                    provider, requestor, block, pline, now,
-                    self.config.l1.access_latency,
-                    as_provider=False, category="unpredicted_provider",
-                )
-                return t + lat, fwd.hops + hops, "unpredicted_provider"
+                return t + lat, hops, "unpredicted_provider"
             # no supplier in the requestor's area: it becomes the provider
             line.propos[area_r] = requestor
-            return self._supply(holder, requestor, block, line, now, t,
-                                as_provider=True, category="pred_owner_hit")
+            self.l1s[holder].charge_data_read()
+            if line.state in (L1State.E, L1State.M):
+                self.trace_transition(
+                    holder, block, line.state.name, "O", "read_share"
+                )
+                line.state = L1State.O
+            data = self.msg(holder, requestor, MessageType.DATA, now)
+            self.checker.check_read(block, line.version, where=self._l1_names[requestor])
+            # the supplier identity is retained even when the requestor
+            # becomes a provider itself: after this copy is evicted the
+            # L1C$ still points at a live supplier (Fig. 5)
+            self.fill_l1(
+                requestor,
+                block,
+                L1Line(state=L1State.P, version=line.version),
+                now,
+                supplier=holder,
+            )
+            return t + data.latency, data.hops, "pred_owner_hit"
 
         if line.state is L1State.P:
             if local:
-                t = self.config.l1.access_latency
-                return self._supply(holder, requestor, block, line, now, t,
-                                    as_provider=False,
-                                    category="pred_provider_hit")
+                return self._supply_copy(
+                    holder, requestor, block, line, now, "pred_provider_hit"
+                )
             return None  # Table I: provider forwards remote reads to home
 
         return None
 
-    def _supply(
-        self,
-        supplier: int,
-        requestor: int,
-        block: int,
-        line: L1Line,
-        now: int,
-        base_latency: int,
-        as_provider: bool,
-        category: str,
-    ) -> Tuple[int, int, str]:
-        """Send data from an L1 supplier and register the requestor."""
-        self.l1s[supplier].charge_data_read()
-        if not as_provider:
-            line.sharers |= 1 << requestor
-            if line.state in (L1State.E, L1State.M):
-                self.trace_transition(
-                    supplier, block, line.state.name, "O", "read_share"
-                )
-                line.state = L1State.O
-        elif line.state in (L1State.E, L1State.M):
-            self.trace_transition(
-                supplier, block, line.state.name, "O", "read_share"
-            )
-            line.state = L1State.O
-        data = self.msg(supplier, requestor, MessageType.DATA, now)
-        self.checker.check_read(block, line.version, where=self._l1_names[requestor])
-        new_state = L1State.P if as_provider else L1State.S
-        # the supplier identity is retained even when the requestor
-        # becomes a provider itself: after this copy is evicted the
-        # L1C$ still points at a live supplier (Fig. 5)
-        self.fill_l1(
-            requestor,
-            block,
-            L1Line(state=new_state, version=line.version),
-            now,
-            supplier=supplier,
+    def _provider_serves(
+        self, sender: int, provider: int, requestor: int, block: int, now: int
+    ) -> Tuple[int, int]:
+        """The ordering point forwards a read to the requestor's area
+        provider, which supplies it.  Returns (latency, hops)."""
+        fwd = self.msg(sender, provider, MessageType.FWD_GETS, now)
+        pline = self.l1s[provider].lookup(block)
+        assert pline is not None and pline.state is L1State.P, (
+            "ProPo must point at a live provider"
         )
-        return base_latency + data.latency, data.hops, category
+        lat, hops, _ = self._supply_copy(provider, requestor, block, pline, now)
+        return fwd.latency + lat, fwd.hops + hops
 
     # ------------------------------------------------------------------
     # Table I: reads received by the home L2
@@ -148,26 +128,10 @@ class DiCoProvidersProtocol(DiCoProtocol):
             area_r = self.areas.area_of(tile)
             provider = entry.propos.get(area_r)
             if provider is not None:
-                fwd = self.msg(home, provider, MessageType.FWD_GETS, now)
-                pline = self.l1s[provider].lookup(block)
-                assert pline is not None and pline.state is L1State.P
-                t += fwd.latency
-                links += fwd.hops
-                lat, hops, _ = self._supply(
-                    provider, tile, block, pline, now,
-                    self.config.l1.access_latency,
-                    as_provider=False, category="unpredicted_provider",
-                )
+                lat, hops = self._provider_serves(home, provider, tile, block, now)
                 return t + lat, links + hops, "unpredicted_provider"
             # Table I: no provider in the area -> requestor becomes owner
-            if not entry.has_data:
-                t += self.mem_fetch(home, block)
-                entry.version = self.mem_version(block)
-                entry.has_data = True
-            else:
-                self.stats.l2_data_hits += 1
-                t += self.config.l2.data_latency
-                self.l2s[home].charge_data_read()
+            t += self._home_data(home, block, entry)
             data = self.msg(home, tile, MessageType.DATA_OWNER, now)
             t += data.latency
             links += data.hops
@@ -188,21 +152,7 @@ class DiCoProvidersProtocol(DiCoProtocol):
             )
             self._set_l1_owner(block, tile, now)
             return t, links, "unpredicted_home"
-
-        # not on chip: the home keeps a plain copy alongside the grant
-        t += self.mem_fetch(home, block)
-        version = self.mem_version(block)
-        data = self.msg(home, tile, MessageType.DATA_OWNER, now)
-        t += data.latency
-        links += data.hops
-        self.checker.check_read(block, version, where=self._l1_names[tile])
-        self._fill_plain_copy(home, block, version, now)
-        self.fill_l1(
-            tile, block, L1Line(state=L1State.E, version=version), now, supplier=None
-        )
-        self._set_l1_owner(block, tile, now)
-        self.set_busy(block, now + t)
-        return t, links, "memory"
+        return self._read_from_memory(home, tile, block, now)
 
     # ------------------------------------------------------------------
     # writes: tree invalidation through owner + providers
@@ -210,7 +160,6 @@ class DiCoProvidersProtocol(DiCoProtocol):
     def _write_at_owner(
         self, owner: int, tile: int, block: int, now: int, had_copy: bool
     ) -> Tuple[int, int]:
-        home = (block & self._home_mask)
         line = self.l1s[owner].peek(block)
         assert line is not None
         t = self.config.l1.access_latency
@@ -218,28 +167,17 @@ class DiCoProvidersProtocol(DiCoProtocol):
             owner, tile, block, line.sharers, line.propos, now, skip=tile
         )
         if owner == tile:
-            t += inv_worst
             self._commit_write(tile, block, now)
-            return t, 0
-        msg_type = (
-            MessageType.CHANGE_OWNER_ACK if had_copy else MessageType.DATA_OWNER
-        )
-        data = self.msg(owner, tile, msg_type, now)
-        self.l1s[owner].charge_data_read()
-        self.l1cs[owner].update(block, tile)
-        self.drop_l1(owner, block)
-        co = self.msg(owner, home, MessageType.CHANGE_OWNER, now)
-        ack = self.msg(home, tile, MessageType.CHANGE_OWNER_ACK, now)
-        self._set_l1_owner(block, tile, now)
+            return t + inv_worst, 0
+        data, handoff = self._hand_over_ownership(owner, tile, block, had_copy, now)
         extra = 0
         if self_inval_needed:
             # Sec. IV-A special case: the requestor is a provider and
             # must invalidate its own area's sharers, but only after it
             # receives the ownership (the data/grant message)
             extra = data.latency + self._invalidate_own_area(tile, block, now)
-        t += max(inv_worst, data.latency, co.latency + ack.latency, extra)
         self._commit_write(tile, block, now)
-        return t, data.hops
+        return t + max(inv_worst, data.latency, handoff, extra), data.hops
 
     def _invalidate_tree(
         self,
@@ -252,14 +190,14 @@ class DiCoProvidersProtocol(DiCoProtocol):
         ack_to: Optional[int] = None,
         skip: Optional[int] = None,
     ) -> Tuple[int, bool]:
-        if ack_to is None:
-            ack_to = requestor
         """Owner-rooted invalidation of sharers and provider subtrees.
 
         Returns ``(worst leg latency, requestor_is_provider)``; in the
         latter case the requestor's own area is left for it to clean up
         once it holds the ownership.
         """
+        if ack_to is None:
+            ack_to = requestor
         worst = self._invalidate_sharers(
             orderer, ack_to, block, sharer_mask, now, skip=skip
         )
@@ -293,55 +231,26 @@ class DiCoProvidersProtocol(DiCoProtocol):
             tile, tile, block, line.sharers, now, skip=tile
         )
 
-    def _write_at_home(
-        self, tile: int, block: int, now: int, had_copy: bool
-    ) -> Tuple[int, int, str]:
-        home = (block & self._home_mask)
-        t = self._l2_tag_lat
-        links = 0
-        owner = self._owner_tile(block)
-        if owner is not None:
-            fwd = self.msg(home, owner, MessageType.FWD_GETX, now)
-            t += fwd.latency
-            links += fwd.hops
-            lat, hops = self._write_at_owner(owner, tile, block, now, had_copy)
-            return t + lat, links + hops, "unpredicted_fwd"
-
-        entry = self.l2s[home].lookup(block)
-        if entry is not None and entry.is_owner:
-            inv_worst, self_inval = self._invalidate_tree(
-                home, tile, block, entry.sharers, entry.propos, now, skip=tile
-            )
-            if had_copy:
-                grant = self.msg(home, tile, MessageType.CHANGE_OWNER_ACK, now)
-                data_lat, data_hops = grant.latency, grant.hops
-            else:
-                if entry.has_data:
-                    self.stats.l2_data_hits += 1
-                    self.l2s[home].charge_data_read()
-                    data_lat = self.config.l2.data_latency
-                else:
-                    data_lat = self.mem_fetch(home, block)
-                data = self.msg(home, tile, MessageType.DATA_OWNER, now)
-                data_lat += data.latency
-                data_hops = data.hops
-            extra = 0
-            if self_inval:
-                extra = data_lat + self._invalidate_own_area(tile, block, now)
-            self._demote_to_copy(home, block)
-            self._set_l1_owner(block, tile, now)
-            t += max(inv_worst, data_lat, extra)
-            links += data_hops
-            self._commit_write(tile, block, now)
-            return t, links, "unpredicted_home"
-
-        t += self.mem_fetch(home, block)
-        data = self.msg(home, tile, MessageType.DATA_OWNER, now)
-        t += data.latency
-        links += data.hops
+    def _write_home_owned(
+        self,
+        home: int,
+        tile: int,
+        block: int,
+        entry: L2Line,
+        had_copy: bool,
+        now: int,
+    ) -> Tuple[int, int]:
+        inv_worst, self_inval = self._invalidate_tree(
+            home, tile, block, entry.sharers, entry.propos, now, skip=tile
+        )
+        data_lat, data_hops = self._write_grant(home, tile, block, entry, had_copy, now)
+        extra = 0
+        if self_inval:
+            extra = data_lat + self._invalidate_own_area(tile, block, now)
+        self._demote_to_copy(home, block)
         self._set_l1_owner(block, tile, now)
         self._commit_write(tile, block, now)
-        return t, links, "memory"
+        return max(inv_worst, data_lat, extra), data_hops
 
     # ------------------------------------------------------------------
     # Table II replacements
@@ -408,41 +317,20 @@ class DiCoProvidersProtocol(DiCoProtocol):
         else:
             propos[area] = provider
 
-    def _evict_owner(self, tile: int, block: int, line: L1Line, now: int) -> None:
-        home = (block & self._home_mask)
-        live = self._live_sharers(block, line.sharers, exclude=tile)
-        if live:
-            # ownership + sharing code stay inside the area
-            target = live[0]
-            self.msg(tile, target, MessageType.CHANGE_OWNER, now)
-            tline = self.l1s[target].peek(block)
-            assert tline is not None
-            self.trace_transition(
-                target, block, tline.state.name, "O", "ownership_transfer"
-            )
-            tline.state = L1State.O
-            tline.dirty = line.dirty
-            tline.sharers = line.sharers & ~(1 << target) & ~(1 << tile)
-            tline.propos = dict(line.propos)
-            self.msg(target, home, MessageType.CHANGE_OWNER, now)
-            self.msg(home, target, MessageType.CHANGE_OWNER_ACK, now)
-            self._set_l1_owner(block, target, now)
-            self._send_hints(block, live[1:], target, now)
-        else:
-            # no sharers in the area: ownership goes to the home L2,
-            # which keeps only the ProPos (Table V: no sharer info in L2)
-            entry = self._put_ownership_home(tile, block, line, now)
-            entry.propos = dict(line.propos)
+    def _return_ownership_home(
+        self, tile: int, block: int, line: L1Line, now: int
+    ) -> None:
+        # no sharers in the area: ownership goes to the home L2, which
+        # keeps only the ProPos (Table V: no sharer info in L2)
+        entry = self._put_ownership_home(tile, block, line, now)
+        entry.propos = dict(line.propos)
 
     # ------------------------------------------------------------------
     # forced relinquish: former owner stays as its area's provider
 
-    def _forced_relinquish(self, block: int, owner: int, now: int) -> None:
-        home = (block & self._home_mask)
-        self.msg(home, owner, MessageType.OWNER_RELINQUISH, now)
-        line = self.l1s[owner].peek(block)
-        if line is None or line.state not in (L1State.E, L1State.M, L1State.O):
-            return
+    def _relinquish_to_home(
+        self, owner: int, block: int, line: L1Line, now: int
+    ) -> L2Line:
         propos = dict(line.propos)
         propos[self.areas.area_of(owner)] = owner
         entry = self._put_ownership_home(owner, block, line, now)
@@ -454,6 +342,7 @@ class DiCoProvidersProtocol(DiCoProtocol):
         line.state = L1State.P
         line.dirty = False
         line.propos = {}
+        return entry
 
     # ------------------------------------------------------------------
 

@@ -184,22 +184,7 @@ class _SnoopProtocolBase(CoherenceProtocol):
         new_version = self.checker.commit_write(block)
         d.owner = tile
         d.sharers = 0
-        existing = self.l1s[tile].peek(block)
-        if existing is not None:
-            self.trace_transition(
-                tile, block, existing.state.name, "M", "write_commit"
-            )
-            existing.state = L1State.M
-            existing.dirty = True
-            existing.version = new_version
-            self.l1s[tile].charge_data_write()
-        else:
-            self.fill_l1(
-                tile,
-                block,
-                L1Line(state=L1State.M, version=new_version, dirty=True),
-                now,
-            )
+        self._write_line(tile, block, new_version, now)
         self.set_busy(block, now + t)
         return t, links, category
 

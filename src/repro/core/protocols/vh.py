@@ -193,9 +193,7 @@ class VirtualHierarchyProtocol(CoherenceProtocol):
 
         if entry is not None and entry.has_data:
             # the VH fast path: an intra-domain two-hop miss
-            self.stats.l2_data_hits += 1
-            t += self.config.l2.data_latency
-            self.l2s[h1].charge_data_read()
+            t += self._l2_data_read(h1)
             data = self.msg(h1, tile, MessageType.DATA, now)
             t += data.latency
             links += data.hops
@@ -396,22 +394,7 @@ class VirtualHierarchyProtocol(CoherenceProtocol):
         h1_entry.owner_tile = tile
         h1_entry.plain_copy = True  # never served while the L1 owner holds it
         self._l2dir_set(block, 1 << domain, domain, now)
-
-        existing = self.l1s[tile].peek(block)
-        if existing is not None:
-            self.trace_transition(
-                tile, block, existing.state.name, "M", "write_commit"
-            )
-            existing.state = L1State.M
-            existing.dirty = True
-            existing.version = new_version
-            self.l1s[tile].charge_data_write()
-        else:
-            self.fill_l1(
-                tile, block,
-                L1Line(state=L1State.M, version=new_version, dirty=True),
-                now, supplier=None,
-            )
+        self._write_line(tile, block, new_version, now)
         self.set_busy(block, now + t)
         return t, links, category
 

@@ -628,10 +628,12 @@ class ExperimentServer:
                 ),
                 headers={"Retry-After": str(_RETRY_AFTER_S)},
             )
-        self._pending += len(specs)
         self._jobs_seq += 1
         job_id = f"{self._jobs_seq:04d}-{os.urandom(4).hex()}"
         job = Job(job_id, specs, policy)
+        # counted only once the job exists: an error building it must
+        # not hold queue capacity no point will ever release
+        self._pending += len(specs)
         self.jobs[job_id] = job
         self.store.save(self._job_record(job))
         for point in job.points:

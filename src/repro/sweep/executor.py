@@ -45,7 +45,6 @@ import os
 import signal
 import stat
 import time
-import traceback
 from typing import Any, Callable, Dict, Optional, Sequence, Tuple
 
 # the workload generator's first run imports numpy.random; every worker
@@ -57,7 +56,7 @@ from ..faults.policy import backoff_delay
 from ..stats.counters import RunStats
 from ..stats.io import stats_from_dict
 from .cache import ResultCache
-from .runner import SweepResult, _execute_payload
+from .runner import SweepResult, _execute_payload, _traceback_tail
 from .spec import RunSpec
 
 __all__ = [
@@ -78,11 +77,6 @@ _CRASH_EXIT = 87
 #: (data: the failure fields), ``crash`` or ``timeout`` (data: a
 #: message; elapsed: wall seconds)
 AttemptOutcome = Tuple[str, Any, float]
-
-
-def _traceback_tail(limit: int = 15) -> str:
-    lines = traceback.format_exc().strip().splitlines()
-    return "\n".join(lines[-limit:])
 
 
 def _drop_inherited_sockets(keep: int) -> None:

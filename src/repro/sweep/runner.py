@@ -22,10 +22,12 @@ after another.  Everything else goes through
 :mod:`repro.sweep.executor`, in up to ``jobs`` forked worker processes
 that each run point after point until an attempt fails: it kills a
 hung attempt at its deadline, contains a worker that dies, retries in a
-new worker with seeded backoff and injects a plan's faults.  Either way each completed
-point lands in the result cache as it finishes, so the cache is the
-sweep's checkpoint: re-running an interrupted or partly failed sweep
-re-executes only the points it does not hold.
+new worker with seeded backoff and injects a plan's faults.  Either way
+a failing point raises :class:`SweepExecutionError` under the default
+policy, and each completed point lands in the result cache as it
+finishes, so the cache is the sweep's checkpoint: re-running an
+interrupted or partly failed sweep re-executes only the points it does
+not hold.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ import logging
 import os
 import sys
 import time
+import traceback
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -92,13 +95,11 @@ class SweepResult:
     def ok(self) -> bool:
         return self.failure is None
 
-    @property
-    def ops_per_s(self) -> float:
-        """Simulator throughput for this point; 0.0 when served from
-        the cache (no simulation happened, so there is no rate)."""
-        if self.stats is None or self.cached or self.elapsed_s <= 0:
-            return 0.0
-        return self.stats.operations / self.elapsed_s
+
+def _traceback_tail(limit: int = 15) -> str:
+    """The last ``limit`` lines of the exception being handled."""
+    lines = traceback.format_exc().strip().splitlines()
+    return "\n".join(lines[-limit:])
 
 
 def _execute_payload(payload: Dict[str, Any]) -> Tuple[Dict[str, Any], float]:
@@ -224,8 +225,8 @@ class SweepRunner:
         """Execute every spec; results are returned in spec order.
 
         Under the default :class:`~repro.faults.FaultPolicy` a failing
-        point raises (the point's own exception in process,
-        :class:`SweepExecutionError` from the executor); with
+        point raises :class:`SweepExecutionError`, chained to the
+        point's own exception when it ran in process; with
         ``on_failure="skip"`` it comes back as a failed
         :class:`SweepResult` carrying a
         :class:`~repro.faults.FailureRecord`.  ``KeyboardInterrupt``
@@ -280,13 +281,29 @@ class SweepRunner:
                     pending.append((i, spec))
 
             in_process = self.fault_plan is None and self.policy.is_default
-            # kept: the 32-point sweep-short grid at jobs=1 ran 1.04-1.06x
-            # faster here than in the executor's one reused worker (a
-            # median 46-51 against 48-54 ms a point, the worker faster
-            # in 7 of 20 alternating pairs; 2-vCPU host, CPython 3.11)
+            # kept: one run() of the 32 sweep-short points of seed 1 took
+            # 1.30 s here against 1.25 s in one reused executor worker,
+            # but 32 one-point run() calls (as benchmarks/common.run_one
+            # makes them) took 1.18 s here against 1.77 s, each call
+            # forking, warming and ending its own worker (2-vCPU host,
+            # CPython 3.11; ROADMAP item 4)
             if in_process and (self.jobs == 1 or len(pending) == 1):
                 for i, spec in pending:
-                    doc, elapsed = _execute_payload(self._payload(spec))
+                    started = time.perf_counter()
+                    try:
+                        doc, elapsed = _execute_payload(self._payload(spec))
+                    except Exception as exc:
+                        # the executor's failure record, so a failing
+                        # point raises the same error at any jobs
+                        record = FailureRecord(
+                            kind="exception",
+                            exc_type=type(exc).__name__,
+                            message=str(exc),
+                            traceback_tail=_traceback_tail(),
+                            elapsed_s=round(time.perf_counter() - started, 6),
+                            fingerprint=fps[i],
+                        )
+                        raise SweepExecutionError(record, spec) from exc
                     # the codec round-trip keeps in-process results
                     # bit-identical to worker ones
                     stats = stats_from_dict(doc)
@@ -313,6 +330,3 @@ class SweepRunner:
 
         assert all(r is not None for r in results)
         return results  # type: ignore[return-value]
-
-    def run_one(self, spec: RunSpec) -> SweepResult:
-        return self.run([spec])[0]

@@ -159,6 +159,52 @@ def placement_spec(placement: VMPlacement) -> Dict[str, Any]:
     return {str(vm): list(placement.tiles_of(vm)) for vm in vms}
 
 
+def _parse_placement(
+    doc: Mapping[Any, Any], n_tiles: int
+) -> Dict[int, Tuple[int, ...]]:
+    """An explicit ``{vm: [tiles]}`` placement as ``{vm: (tiles)}``.
+
+    VM keys are non-negative ints or their decimal strings (a JSON
+    document's keys are strings), and each tile is an ``int`` in
+    ``[0, n_tiles)``; :class:`VMPlacement` then rejects an empty VM or a
+    tile in two VMs.  Anything else is a :class:`ConfigError` naming
+    ``placement``.
+    """
+    tiles_by_vm: Dict[int, Tuple[int, ...]] = {}
+    for key, tiles in doc.items():
+        if isinstance(key, str) and key.isascii() and key.isdigit():
+            vm = int(key)
+        elif isinstance(key, int) and not isinstance(key, bool) and key >= 0:
+            vm = key
+        else:
+            raise ConfigError(
+                "placement", f"VM key {key!r} is not a non-negative integer"
+            )
+        if vm in tiles_by_vm:
+            raise ConfigError("placement", f"VM {vm} is given twice")
+        if not isinstance(tiles, (list, tuple)):
+            raise ConfigError(
+                "placement", f"VM {vm}: expected a list of tiles, got {tiles!r}"
+            )
+        for tile in tiles:
+            if (
+                isinstance(tile, bool)
+                or not isinstance(tile, int)
+                or not 0 <= tile < n_tiles
+            ):
+                raise ConfigError(
+                    "placement",
+                    f"VM {vm}: tile {tile!r} is not a tile id in "
+                    f"[0, {n_tiles})",
+                )
+        tiles_by_vm[vm] = tuple(tiles)
+    try:
+        VMPlacement(tiles_by_vm)
+    except ValueError as exc:
+        raise ConfigError("placement", str(exc)) from None
+    return tiles_by_vm
+
+
 #: :class:`WorkloadSpec` field names in declaration order, the key order
 #: of a workload document
 _WORKLOAD_FIELDS = tuple(f.name for f in dataclasses.fields(WorkloadSpec))
@@ -284,9 +330,18 @@ class RunSpec:
                 f"expected a name or vm->tiles mapping, got "
                 f"{type(self.placement).__name__}",
             )
-        # a bad config, override or workload document fails here, at
-        # construction, not in whichever worker first builds the chip
+        # a bad config, override, placement or workload document fails
+        # here, at construction, not in whichever worker first builds
+        # the chip
         cfg = self.resolve_config()
+        if not isinstance(self.placement, str):
+            # the parse is kept beside the document, which to_dict and
+            # the fingerprint serialize as given
+            object.__setattr__(
+                self,
+                "_tiles_by_vm",
+                _parse_placement(self.placement, cfg.n_tiles),
+            )
         self.resolve_workload_specs()
         if self.plan is not None:
             if not isinstance(self.plan, Mapping):
@@ -328,19 +383,20 @@ class RunSpec:
                 f"its options: {', '.join(options) or 'none'}",
             )
 
-    def _initial_tiles_by_vm(self, cfg: ChipConfig) -> Dict[int, Tuple[int, ...]]:
-        """The run's starting ``vm -> tiles`` map (pre-plan)."""
+    def _vm_placement(self, cfg: ChipConfig) -> VMPlacement:
+        """The run's starting VM placement (pre-plan)."""
         if self.placement == "aligned":
             areas = AreaMap(cfg.mesh_width, cfg.mesh_height, cfg.n_areas)
-            placement = VMPlacement.area_aligned(areas, self.n_vms)
-        elif self.placement == "alt":
-            placement = VMPlacement.alternative(
+            return VMPlacement.area_aligned(areas, self.n_vms)
+        if self.placement == "alt":
+            return VMPlacement.alternative(
                 cfg.mesh_width, cfg.mesh_height, self.n_vms
             )
-        else:
-            placement = VMPlacement(
-                {int(vm): tuple(t) for vm, t in dict(self.placement).items()}
-            )
+        return VMPlacement(self._tiles_by_vm)
+
+    def _initial_tiles_by_vm(self, cfg: ChipConfig) -> Dict[int, Tuple[int, ...]]:
+        """The run's starting ``vm -> tiles`` map (pre-plan)."""
+        placement = self._vm_placement(cfg)
         return {vm: placement.tiles_of(vm) for vm in placement.vms}
 
     # ------------------------------------------------------------------
@@ -496,28 +552,12 @@ class RunSpec:
     def build_chip(self) -> Chip:
         """Construct the chip this spec describes."""
         cfg = self.resolve_config()
-        if isinstance(self.placement, str):
-            if self.placement == "aligned":
-                placement = None  # Chip default: area-aligned
-            elif self.placement == "alt":
-                placement = VMPlacement.alternative(
-                    cfg.mesh_width, cfg.mesh_height, self.n_vms
-                )
-            else:
-                raise ValueError(
-                    f"unknown placement {self.placement!r} "
-                    "(expected 'aligned', 'alt' or a vm->tiles mapping)"
-                )
-        else:
-            placement = VMPlacement(
-                {int(vm): tuple(tiles) for vm, tiles in dict(self.placement).items()}
-            )
         return Chip(
             self.protocol,
             self.workload,
             config=cfg,
             seed=self.seed,
-            placement=placement,
+            placement=self._vm_placement(cfg),
             n_vms=self.n_vms,
             protocol_kwargs=dict(self.protocol_kwargs),
             workload_specs=self.resolve_workload_specs(),

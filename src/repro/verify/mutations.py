@@ -64,9 +64,7 @@ def _directory_stale_eviction() -> type:
 
 
 def _dico_lost_commit() -> type:
-    from ..core.protocols.base import L1Line
     from ..core.protocols.dico import DiCoProtocol
-    from ..core.states import L1State
 
     class LostCommitDiCo(DiCoProtocol):
         """Every third write commit is dropped from the global order:
@@ -82,23 +80,7 @@ def _dico_lost_commit() -> type:
                 super()._commit_write(tile, block, now)
                 return
             version = self.checker.current_version(block)  # no bump
-            existing = self.l1s[tile].peek(block)
-            if existing is not None:
-                existing.state = L1State.M
-                existing.dirty = True
-                existing.version = version
-                existing.sharers = 0
-                existing.propos = {}
-                self.l1s[tile].charge_data_write()
-                self.l1cs[tile].block_cached(block, None)
-            else:
-                self.fill_l1(
-                    tile,
-                    block,
-                    L1Line(state=L1State.M, version=version, dirty=True),
-                    now,
-                    supplier=None,
-                )
+            self._write_line(tile, block, version, now)
 
     return LostCommitDiCo
 

@@ -2,10 +2,14 @@
 
 Every cell's full statistics (``stats_to_dict``) hash to a
 ``stats_sha256`` digest.  ``golden_digests.json`` holds the digests of
-32 small cells — every protocol on a miss-heavy and a hit-heavy
+40 small cells — every protocol on a miss-heavy and a hit-heavy
 workload, every protocol under the five-kind consolidation storyline,
-and every protocol run to a fixed op count (``run_ops``).  A change
-that moves any simulation result changes a digest here.  After an
+every protocol run to a fixed op count (``run_ops``), and every
+protocol on the miss-heavy workload with link contention and link-load
+tracking on (``contention``).  A change that moves any simulation
+result changes a digest here; the ``contention`` cells also catch a
+reordered message send, since a link's queueing delay depends on the
+order its packets arrive in.  After an
 intentional change (a new stats field, a protocol fix), regenerate the
 file with::
 
@@ -13,6 +17,7 @@ file with::
 """
 
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -32,6 +37,7 @@ def cells():
             yield f"{protocol}/{workload}"
         yield f"{protocol}/storyline"
         yield f"{protocol}/run_ops"
+        yield f"{protocol}/contention"
 
 
 def run_cell(cell: str) -> str:
@@ -42,6 +48,14 @@ def run_cell(cell: str) -> str:
         )
     elif workload == "run_ops":
         stats = Chip(protocol, "tomcatv", config=tiny_chip()).run_ops(300)
+    elif workload == "contention":
+        config = tiny_chip()
+        config = replace(config, noc=replace(
+            config.noc, model_contention=True, track_link_load=True
+        ))
+        stats = Chip(protocol, "apache", config=config).run_cycles(
+            3_000, warmup=1_000
+        )
     else:
         stats = Chip(protocol, workload, config=tiny_chip()).run_cycles(
             3_000, warmup=1_000

@@ -354,6 +354,27 @@ def test_queue_full_gives_429_with_retry_after(tmp_path):
         st.stop(client)
 
 
+def test_bad_placement_is_400_and_holds_no_queue_capacity(tmp_path):
+    st = ServerThread(make_config(
+        tmp_path, workers=1, max_queue_points=2,
+    ))
+    client = st.start()
+    try:
+        # two refused one-point jobs would fill the queue if they held
+        # their point
+        bad = dict(tiny_docs(1)[0], placement={"0": 5}, n_vms=1)
+        for _ in range(2):
+            with pytest.raises(ServeError) as err:
+                client.submit([bad])
+            assert err.value.status == 400
+            assert "placement" in str(err.value)
+        accepted = client.submit(tiny_docs(2, seed0=70))
+        events = client.wait_job(accepted["job_id"])
+        assert [e["status"] for e in events] == ["ok", "ok"]
+    finally:
+        st.stop(client)
+
+
 def test_submit_with_retry_waits_out_a_full_queue(tmp_path):
     st = ServerThread(make_config(tmp_path, workers=1, max_queue_points=1))
     client = st.start()

@@ -93,6 +93,26 @@ def test_sweep_rejects_bad_override_value_at_any_jobs(capsys, monkeypatch):
     assert "invalid configuration — size_bytes" in err
 
 
+def test_sweep_point_failure_exits_1_at_jobs_1(capsys, monkeypatch):
+    # the in-process path reports a failing point like the executor:
+    # an error line and exit 1, not the point's own traceback
+    from repro.sweep import RunSpec
+
+    def boom(self, *args, **kwargs):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(RunSpec, "execute", boom)
+    rc = main([
+        "sweep", "--protocols", "dico", "--workloads", "radix",
+        "--seeds", "1", "--cycles", "1000", "--warmup", "0",
+        "--no-cache", "--quiet", "--jobs", "1",
+    ])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "error: sweep point 'dico/radix seed=1' failed" in err
+    assert "RuntimeError: boom" in err
+
+
 def test_run_checker_flag(capsys):
     rc = main([
         "run", "--protocol", "directory", "--workload", "radix",

@@ -1,5 +1,7 @@
 """Unit tests for the sweep runner (in-process, worker, cached paths)."""
 
+import os
+
 import pytest
 
 from repro.sim.config import small_test_chip
@@ -156,6 +158,29 @@ def test_keyboard_interrupt_carries_partial_results(tmp_path, monkeypatch):
     rerun = SweepRunner(jobs=1, cache_dir=str(tmp_path))
     assert all(r.ok for r in rerun.run(grid))
     assert rerun.executed == 2 and rerun.cache_hits == 1
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_failing_point_raises_sweep_execution_error_at_any_jobs(
+    monkeypatch, jobs
+):
+    # a one-point grid runs in this process at any jobs; its failure is
+    # the executor's SweepExecutionError, chained to the point's error
+    from repro.sweep import SweepExecutionError
+
+    def boom(self, *args, **kwargs):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)  # keep jobs=2
+    monkeypatch.setattr(RunSpec, "execute", boom)
+    [spec] = tiny_grid(("dico",))
+    with pytest.raises(SweepExecutionError, match="RuntimeError: boom") as err:
+        SweepRunner(jobs=jobs).run([spec])
+    record = err.value.record
+    assert record.kind == "exception" and record.exc_type == "RuntimeError"
+    assert record.message == "boom" and "boom" in record.traceback_tail
+    assert record.attempts == 1 and record.fingerprint == spec.fingerprint()
+    assert isinstance(err.value.__cause__, RuntimeError)
 
 
 def test_pooled_path_leaves_no_live_children():

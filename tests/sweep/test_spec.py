@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.sim.config import DEFAULT_CHIP, small_test_chip
+from repro.sim.config import DEFAULT_CHIP, ConfigError, small_test_chip
 from repro.sweep.spec import (
     RunSpec,
     apply_overrides,
@@ -142,6 +142,40 @@ def test_placement_spec_round_trip():
     assert rebuilt.tiles_used == placement.tiles_used
     for vm in range(2):
         assert rebuilt.tiles_of(vm) == placement.tiles_of(vm)
+
+
+@pytest.mark.parametrize(
+    "placement",
+    [
+        {"0": 5},
+        {"x": [1]},
+        {"0": []},
+        {"0": [0, 1], "1": [1, 2]},
+        {"0": [999]},
+        {"0": ["a"]},
+        {"0": [0.5]},
+        {"0": [True]},
+        {"0": [-1]},
+        {},
+        {-1: [0]},
+        {0: [0], "0": [1]},
+    ],
+)
+def test_bad_explicit_placement_is_a_config_error(placement):
+    # each used to build a spec whose chip then failed (or ran on the
+    # wrong tiles) in whichever worker built it
+    with pytest.raises(ConfigError) as err:
+        tiny_spec(placement=placement, n_vms=2)
+    assert err.value.key == "placement"
+
+
+def test_explicit_placement_keeps_its_document_and_builds_its_chip():
+    placement = {"1": [9, 10], 0: (0, 3, 5)}
+    spec = tiny_spec(placement=placement, n_vms=2)
+    assert spec.to_dict()["placement"] == {"1": [9, 10], "0": [0, 3, 5]}
+    chip = spec.build_chip()
+    assert chip.placement.tiles_of(0) == (0, 3, 5)
+    assert chip.placement.tiles_of(1) == (9, 10)
 
 
 def test_build_chip_rejects_unknown_placement_name():

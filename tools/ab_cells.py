@@ -4,26 +4,33 @@
         --workload hit-heavy --seed 1 --reps 4 [--protocols mesi-snoop,dls]
 
 Two sequential ``perfbench/run.py`` processes drift apart on a shared
-host by more than a few-percent change, so this keeps one worker process
-per tree alive and alternates them cell by cell, the side that runs
-first alternating by rep and cell.  A worker imports only its tree's
-``src/`` and simulates the spec documents it reads on stdin; the specs
+host by more than a few-percent change, so this alternates one worker
+process per tree cell by cell, the side that runs first alternating by
+rep and cell.  Each rep starts a new pair of workers, each warmed on
+the first cell, because one process can run a few percent faster than
+another on the same tree for its whole life.  A worker imports only
+its tree's ``src/`` and simulates the spec documents it reads on stdin;
+the specs
 come from this checkout's ``perfbench/grid.py`` (``sweep-short`` points
-run in process).  It prints each protocol's fastest seconds per side
-(its cells summed per rep), the change's paired wins and the geomean of
-the per-protocol speed ratios, and exits 1 if a cell's digests differ.
+run in process).  A paired ratio is the parent's seconds over the
+change's for the same work, so above 1 the change is faster.  Per
+protocol it prints the median seconds per side (its cells summed per
+rep) and the median and quartiles of the per-rep paired ratios; over
+all paired cell runs it prints the same beside the change's wins.  It
+exits 1 if a cell's digests differ.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
+import statistics
 import subprocess
 import sys
 import time
 from pathlib import Path
+from typing import List, Tuple
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -62,6 +69,14 @@ def run(proc: subprocess.Popen, doc: dict) -> dict:
     return json.loads(proc.stdout.readline())
 
 
+def quartiles(values: List[float]) -> Tuple[float, float, float]:
+    """(first quartile, median, third quartile) of ``values``."""
+    if len(values) == 1:
+        return values[0], values[0], values[0]
+    q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, q2, q3
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True, type=Path)
@@ -79,20 +94,23 @@ def main() -> int:
     else:
         specs = grid.sim_cells(args.workload, args.seed, names=names)
     docs = [spec.to_dict() for spec in specs]
-    sides = {"parent": start(args.parent), "change": start(ROOT)}
+    trees = {"parent": args.parent, "change": ROOT}
     # seconds[side][rep][cell], and every digest each cell returned
-    seconds = {side: [[0.0] * len(docs) for _ in range(args.reps)] for side in sides}
+    seconds = {side: [[0.0] * len(docs) for _ in range(args.reps)] for side in trees}
     digests = [set() for _ in docs]
     for rep in range(args.reps):
+        sides = {side: start(trees[side]) for side in trees}
+        for proc in sides.values():
+            run(proc, docs[0])  # warm-up, not timed
         for k, doc in enumerate(docs):
             order = ("parent", "change") if (rep + k) % 2 == 0 else ("change", "parent")
             for side in order:
                 out = run(sides[side], doc)
                 seconds[side][rep][k] = out["s"]
                 digests[k].add(out["sha"])
-    for proc in sides.values():
-        proc.stdin.close()
-        proc.wait()
+        for proc in sides.values():
+            proc.stdin.close()
+            proc.wait()
     bad = [spec.label for spec, seen in zip(specs, digests) if len(seen) > 1]
     if bad:
         print(f"ab_cells: digests differ on {', '.join(bad)}", file=sys.stderr)
@@ -100,21 +118,29 @@ def main() -> int:
 
     print(f"ab_cells: {args.workload} seed {args.seed}, {len(docs)} cells x "
           f"{args.reps} reps; parent {args.parent}")
-    print(f"{'protocol':<16}{'parent_s':>10}{'change_s':>10}{'speed':>8}{'wins':>8}")
-    ratios, wins, pairs = [], 0, 0
+    print(f"{'protocol':<16}{'parent_s':>10}{'change_s':>10}"
+          f"{'q1':>8}{'median':>8}{'q3':>8}{'wins':>8}")
+    wins = 0
     for proto in dict.fromkeys(spec.protocol for spec in specs):
         cells = [k for k, spec in enumerate(specs) if spec.protocol == proto]
-        best = {side: min(sum(seconds[side][r][k] for k in cells)
-                          for r in range(args.reps)) for side in sides}
+        summed = {side: [sum(seconds[side][r][k] for k in cells)
+                         for r in range(args.reps)] for side in trees}
+        q1, median, q3 = quartiles([
+            p / c for p, c in zip(summed["parent"], summed["change"])
+        ])
         won = sum(seconds["change"][r][k] < seconds["parent"][r][k]
                   for r in range(args.reps) for k in cells)
-        wins, pairs = wins + won, pairs + args.reps * len(cells)
-        ratios.append(best["parent"] / best["change"])
-        print(f"{proto:<16}{best['parent']:>10.4f}{best['change']:>10.4f}"
-              f"{ratios[-1]:>7.3f}x{won:>4}/{args.reps * len(cells)}")
-    geo = math.exp(sum(map(math.log, ratios)) / len(ratios))
-    print(f"geomean speed ratio {geo:.3f}x; change faster in {wins} of {pairs} "
-          "paired runs; digests equal")
+        wins += won
+        print(f"{proto:<16}{statistics.median(summed['parent']):>10.4f}"
+              f"{statistics.median(summed['change']):>10.4f}"
+              f"{q1:>7.3f}x{median:>7.3f}x{q3:>7.3f}x"
+              f"{won:>4}/{args.reps * len(cells)}")
+    ratios = [seconds["parent"][r][k] / seconds["change"][r][k]
+              for r in range(args.reps) for k in range(len(docs))]
+    q1, median, q3 = quartiles(ratios)
+    print(f"all paired runs: median ratio {median:.3f}x (quartiles "
+          f"{q1:.3f}-{q3:.3f}x); change faster in {wins} of {len(ratios)}; "
+          "digests equal")
     return 0
 
 

@@ -9,10 +9,10 @@ memoized here.
 All simulations route through :class:`repro.sweep.SweepRunner`; three
 environment knobs apply:
 
-* ``REPRO_SWEEP_JOBS``  — worker processes (default ``1`` = serial
-  in-process, the bit-identical reference path; above ``1`` every
-  point runs in one of that many worker processes of
-  :mod:`repro.sweep.executor`, with bit-identical results);
+* ``REPRO_SWEEP_JOBS``  — worker processes of
+  :mod:`repro.sweep.executor` (default ``1``: every point runs in one
+  worker, one after another; above ``1`` in up to that many, with
+  bit-identical results);
 * ``REPRO_SWEEP_CACHE`` — on-disk result-cache directory (default:
   unset, no cross-session caching);
 * ``REPRO_TRACE_DIR``   — when set, every *executed* benchmark run

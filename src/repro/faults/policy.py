@@ -94,8 +94,7 @@ class FaultPolicy:
     """How the sweep runner treats failing grid points."""
 
     #: wall-clock budget for one attempt of one spec; ``None`` = no
-    #: limit.  Enforced only for process-isolated execution (a hung
-    #: in-process simulation cannot be preempted from within).
+    #: limit
     timeout_s: Optional[float] = None
     #: additional attempts after the first failure
     max_retries: int = 0
@@ -137,15 +136,6 @@ class FaultPolicy:
             timeout_s=doc.get("timeout_s"),
             max_retries=doc.get("max_retries", 0),
             on_failure=doc.get("on_failure", "raise"),
-        )
-
-    @property
-    def is_default(self) -> bool:
-        """True when the policy adds nothing over historical behavior."""
-        return (
-            self.timeout_s is None
-            and self.max_retries == 0
-            and self.on_failure == "raise"
         )
 
 

@@ -7,10 +7,10 @@ function of its :class:`RunSpec`:
 
 * :class:`RunSpec` (``spec.py``) — a complete, serializable run
   description;
-* :class:`SweepRunner` (``runner.py``) — runs specs in process with
-  ``jobs=1`` and through ``executor.py`` above, with bit-identical
-  results regardless of job count;
-* ``executor.py`` — the one out-of-process executor, shared with
+* :class:`SweepRunner` (``runner.py``) — runs specs through
+  ``executor.py`` in up to ``jobs`` worker processes, with
+  bit-identical results regardless of job count;
+* ``executor.py`` — the one executor of sweep points, shared with
   ``repro serve``: worker processes that run attempt after attempt
   until one fails, deadline kills, seeded-backoff retries, fault
   injection;

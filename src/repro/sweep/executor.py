@@ -1,11 +1,11 @@
-"""The one executor that runs sweep points outside the calling process.
+"""The one executor of sweep points: each runs in a worker process.
 
-``repro sweep`` (through :class:`~repro.sweep.runner.SweepRunner`) and
-``repro serve`` (through :class:`~repro.serve.daemon.ExperimentServer`)
-execute grid points here, so fault injection, crash containment,
-retries and the stats codec behave the same under either.  It is the
-only code that forks, waits on, deadline-kills and retries a worker
-process.  Three layers:
+``repro sweep`` (through :class:`~repro.sweep.runner.SweepRunner`) at
+any ``--jobs`` and ``repro serve`` (through
+:class:`~repro.serve.daemon.ExperimentServer`) execute every grid point
+here, so fault injection, crash containment, retries and the stats
+codec behave the same under either.  It is the only code that forks,
+waits on, deadline-kills and retries a worker process.  Three layers:
 
 * :func:`run_attempt` runs one attempt of one point in a worker
   process.  A worker runs attempt after attempt: after an ``ok`` reply
@@ -30,9 +30,7 @@ process.  Three layers:
 
 Only a worker ever receives a :class:`~repro.faults.FaultPlan` (in its
 payload), so ``crash``, ``hang`` and ``corrupt-result`` injection live
-in :func:`_attempt`.  The simulation itself is
-:func:`repro.sweep.runner._execute_payload`, the same function the
-in-process path calls.
+in :func:`_attempt`.  The simulation itself is :func:`_execute_payload`.
 """
 
 from __future__ import annotations
@@ -45,6 +43,7 @@ import os
 import signal
 import stat
 import time
+import traceback
 from typing import Any, Callable, Dict, Optional, Sequence, Tuple
 
 # the workload generator's first run imports numpy.random; every worker
@@ -54,9 +53,9 @@ import numpy.random  # noqa: F401
 from ..faults import FailureRecord, FaultPlan, FaultPolicy, InjectedFault
 from ..faults.policy import backoff_delay
 from ..stats.counters import RunStats
-from ..stats.io import stats_from_dict
+from ..stats.io import stats_from_dict, stats_to_dict
 from .cache import ResultCache
-from .runner import SweepResult, _execute_payload, _traceback_tail
+from .runner import SweepResult
 from .spec import RunSpec
 
 __all__ = [
@@ -77,6 +76,40 @@ _CRASH_EXIT = 87
 #: (data: the failure fields), ``crash`` or ``timeout`` (data: a
 #: message; elapsed: wall seconds)
 AttemptOutcome = Tuple[str, Any, float]
+
+
+def _traceback_tail(limit: int = 15) -> str:
+    """The last ``limit`` lines of the exception being handled."""
+    lines = traceback.format_exc().strip().splitlines()
+    return "\n".join(lines[-limit:])
+
+
+def _execute_payload(payload: Dict[str, Any]) -> Tuple[Dict[str, Any], float]:
+    """Simulate one spec document; return its stats document and the
+    simulation's seconds.
+
+    Fed plain dicts, so it works under both ``fork`` and ``spawn``.
+    ``__trace_dir__`` makes it write a JSONL trace plus manifest there;
+    it is not part of the spec's identity.
+    """
+    payload = dict(payload)
+    trace_dir = payload.pop("__trace_dir__", None)
+    spec = RunSpec.from_dict(payload)
+    trace = None
+    if trace_dir is not None:
+        from pathlib import Path
+
+        from ..api import TraceOptions
+
+        out_dir = Path(trace_dir)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        trace = TraceOptions(
+            path=out_dir / f"{spec.fingerprint()[:16]}.jsonl"
+        )
+    start = time.perf_counter()
+    stats = spec.execute(trace=trace)
+    elapsed = time.perf_counter() - start
+    return stats_to_dict(stats), elapsed
 
 
 def _drop_inherited_sockets(keep: int) -> None:

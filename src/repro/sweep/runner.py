@@ -1,4 +1,4 @@
-"""Run a grid of specs, in process or out of it, with result caching.
+"""Run a grid of specs in worker processes, with result caching.
 
 The grid points of an experiment sweep are embarrassingly parallel —
 each :class:`~repro.sweep.spec.RunSpec` is an independent,
@@ -6,28 +6,27 @@ deterministic simulation — so :class:`SweepRunner` runs them side by
 side in worker processes.  Three properties are load-bearing:
 
 * **Bit-identical results.**  Statistics always travel through the
-  JSON codec of :mod:`repro.stats.io` — in-process runs included — so
-  a spec's stats are byte-for-byte the same whether they came from this
-  process, a worker process, or the on-disk cache.
+  JSON codec of :mod:`repro.stats.io`, so a spec's stats are
+  byte-for-byte the same whether they came from a worker process or
+  the on-disk cache, and equal those of :func:`repro.api.simulate`
+  run in this process.
 * **Deterministic ordering.**  Results come back in spec order, so
   downstream aggregation never depends on worker scheduling.
 * **Content-keyed caching.**  With a cache directory configured, specs
   already on disk are never re-simulated; a warm re-run of a whole
   sweep executes zero simulations.
 
-A point runs one of two ways.  When one worker would run the pending
-points under the default :class:`~repro.faults.FaultPolicy` with no
-:class:`~repro.faults.FaultPlan`, they run here, in this process, one
-after another.  Everything else goes through
+Every point the cache does not hold runs through
 :mod:`repro.sweep.executor`, in up to ``jobs`` forked worker processes
 that each run point after point until an attempt fails: it kills a
 hung attempt at its deadline, contains a worker that dies, retries in a
-new worker with seeded backoff and injects a plan's faults.  Either way
-a failing point raises :class:`SweepExecutionError` under the default
-policy, and each completed point lands in the result cache as it
-finishes, so the cache is the sweep's checkpoint: re-running an
-interrupted or partly failed sweep re-executes only the points it does
-not hold.
+new worker with seeded backoff and injects a plan's faults.  A failing
+point raises :class:`SweepExecutionError` under the default policy,
+and each completed point lands in the result cache as it finishes, so
+the cache is the sweep's checkpoint: re-running an interrupted or
+partly failed sweep re-executes only the points it does not hold.  To
+run one point in this process (under a debugger or a profiler), use
+:func:`repro.api.simulate` or ``repro run``.
 """
 
 from __future__ import annotations
@@ -35,14 +34,11 @@ from __future__ import annotations
 import logging
 import os
 import sys
-import time
-import traceback
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..faults import FailureRecord, FaultPlan, FaultPolicy
 from ..stats.counters import RunStats
-from ..stats.io import stats_from_dict, stats_to_dict
 from .cache import ResultCache
 from .spec import RunSpec
 
@@ -96,48 +92,12 @@ class SweepResult:
         return self.failure is None
 
 
-def _traceback_tail(limit: int = 15) -> str:
-    """The last ``limit`` lines of the exception being handled."""
-    lines = traceback.format_exc().strip().splitlines()
-    return "\n".join(lines[-limit:])
-
-
-def _execute_payload(payload: Dict[str, Any]) -> Tuple[Dict[str, Any], float]:
-    """Simulate one spec document; return its stats document and the
-    simulation's seconds.
-
-    The one function that simulates a payload, in process or in an
-    executor worker.  Fed plain dicts, so it works under both ``fork``
-    and ``spawn``.  ``__trace_dir__`` makes it write a JSONL trace plus
-    manifest there; it is not part of the spec's identity.
-    """
-    payload = dict(payload)
-    trace_dir = payload.pop("__trace_dir__", None)
-    spec = RunSpec.from_dict(payload)
-    trace = None
-    if trace_dir is not None:
-        from pathlib import Path
-
-        from ..api import TraceOptions
-
-        out_dir = Path(trace_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        trace = TraceOptions(
-            path=out_dir / f"{spec.fingerprint()[:16]}.jsonl"
-        )
-    start = time.perf_counter()
-    stats = spec.execute(trace=trace)
-    elapsed = time.perf_counter() - start
-    return stats_to_dict(stats), elapsed
-
-
 def _default_progress(line: str) -> None:
     print(line, file=sys.stderr, flush=True)
 
 
 class SweepRunner:
-    """Runs :class:`RunSpec` grids: in process with ``jobs=1``, in up
-    to ``jobs`` worker processes above.
+    """Runs :class:`RunSpec` grids in up to ``jobs`` worker processes.
 
     ``cache_dir=None`` disables the on-disk cache.  ``progress`` may be
     ``False`` (silent), ``True`` (lines on stderr) or a callable that
@@ -225,8 +185,7 @@ class SweepRunner:
         """Execute every spec; results are returned in spec order.
 
         Under the default :class:`~repro.faults.FaultPolicy` a failing
-        point raises :class:`SweepExecutionError`, chained to the
-        point's own exception when it ran in process; with
+        point raises :class:`SweepExecutionError`; with
         ``on_failure="skip"`` it comes back as a failed
         :class:`SweepResult` carrying a
         :class:`~repro.faults.FailureRecord`.  ``KeyboardInterrupt``
@@ -236,7 +195,7 @@ class SweepRunner:
         specs = list(specs)
         total = len(specs)
         results: List[Optional[SweepResult]] = [None] * total
-        pending: List[Tuple[int, RunSpec]] = []
+        pending: List[Tuple[int, RunSpec, Dict[str, Any], str]] = []
         done = 0
         self.failed = 0
         # each spec's content identity, computed once: the result cache,
@@ -278,45 +237,14 @@ class SweepRunner:
                         ),
                     )
                 else:
-                    pending.append((i, spec))
-
-            in_process = self.fault_plan is None and self.policy.is_default
-            # kept: one run() of the 32 sweep-short points of seed 1 took
-            # 1.30 s here against 1.25 s in one reused executor worker,
-            # but 32 one-point run() calls (as benchmarks/common.run_one
-            # makes them) took 1.18 s here against 1.77 s, each call
-            # forking, warming and ending its own worker (2-vCPU host,
-            # CPython 3.11; ROADMAP item 4)
-            if in_process and (self.jobs == 1 or len(pending) == 1):
-                for i, spec in pending:
-                    started = time.perf_counter()
-                    try:
-                        doc, elapsed = _execute_payload(self._payload(spec))
-                    except Exception as exc:
-                        # the executor's failure record, so a failing
-                        # point raises the same error at any jobs
-                        record = FailureRecord(
-                            kind="exception",
-                            exc_type=type(exc).__name__,
-                            message=str(exc),
-                            traceback_tail=_traceback_tail(),
-                            elapsed_s=round(time.perf_counter() - started, 6),
-                            fingerprint=fps[i],
-                        )
-                        raise SweepExecutionError(record, spec) from exc
-                    # the codec round-trip keeps in-process results
-                    # bit-identical to worker ones
-                    stats = stats_from_dict(doc)
-                    if self.cache is not None:
-                        self.cache.put(spec, stats, elapsed, fps[i])
-                    mark(i, SweepResult(spec, stats, elapsed, cached=False))
-            elif pending:
+                    pending.append((i, spec, self._payload(spec), fps[i]))
+            if pending:
                 # imported here: the executor pulls in asyncio, which a
-                # warm or in-process sweep never needs
+                # warm sweep never needs
                 from .executor import run_points
 
                 run_points(
-                    [(i, s, self._payload(s), fps[i]) for i, s in pending],
+                    pending,
                     self.jobs,
                     self.policy,
                     accept,

@@ -1,9 +1,10 @@
 """Determinism and accounting invariants across the sweep machinery.
 
 The sweep runner's contract is bit-identity: the same :class:`RunSpec`
-must produce the same ``RunStats.summary()`` whether it ran in
-process, in the executor's worker processes, or came back from the
-on-disk cache.  These
+must produce the same ``RunStats.summary()`` whether it ran in this
+process (:meth:`RunSpec.execute`, through :func:`repro.api.simulate`),
+in the executor's worker processes at any ``jobs``, or came back from
+the on-disk cache.  These
 tests pin that contract for every protocol, and check the miss-
 classification books balance (every L1 miss lands in exactly one
 category of Fig. 5's taxonomy).
@@ -43,13 +44,16 @@ def test_same_spec_twice_is_bit_identical(protocol):
 
 
 def test_pool_and_serial_agree_for_all_protocols():
+    # the reference runs in this process; a sweep runs every point in
+    # worker processes, at jobs=1 too
     grid = [spec_for(p) for p in sorted(PROTOCOLS)]
-    serial = SweepRunner(jobs=1).run(grid)
-    pooled = SweepRunner(jobs=2).run(grid)
-    for a, b in zip(serial, pooled):
-        assert a.spec == b.spec
-        assert a.stats.summary() == b.stats.summary()
-        assert stats_to_dict(a.stats) == stats_to_dict(b.stats)
+    reference = [spec.execute() for spec in grid]
+    for jobs in (1, 2):
+        results = SweepRunner(jobs=jobs).run(grid)
+        for spec, ref, res in zip(grid, reference, results):
+            assert res.spec == spec
+            assert res.stats.summary() == ref.summary()
+            assert stats_to_dict(res.stats) == stats_to_dict(ref)
 
 
 def test_cache_round_trip_is_bit_identical(tmp_path):

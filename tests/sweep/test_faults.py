@@ -190,8 +190,6 @@ def test_policy_validation():
         with pytest.raises(ValueError, match="policy must be a mapping"):
             FaultPolicy.from_dict(doc)
     assert FaultPolicy(timeout_s=5).timeout_s == 5
-    assert FaultPolicy().is_default
-    assert not FaultPolicy(max_retries=1).is_default
 
 
 def test_failure_record_round_trip():

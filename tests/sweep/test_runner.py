@@ -1,6 +1,8 @@
-"""Unit tests for the sweep runner (in-process, worker, cached paths)."""
+"""Unit tests for the sweep runner (worker and cached paths)."""
 
 import os
+import signal
+import time
 
 import pytest
 
@@ -131,30 +133,43 @@ def test_empty_grid_is_a_no_op(tmp_path):
 
 
 def test_keyboard_interrupt_carries_partial_results(tmp_path, monkeypatch):
+    # Ctrl-C reaches this process while the second point runs in its
+    # worker: the worker sleeps on it, and a timer armed by the first
+    # point's progress line raises KeyboardInterrupt here (no helper
+    # thread: workers fork from a single-threaded parent)
     from repro.sweep import SweepInterrupted
-    from repro.sweep import runner as runner_mod
 
     grid = tiny_grid(("directory", "dico", "dico-providers"))
-    real_execute = runner_mod._execute_payload
-    calls = {"n": 0}
+    real_execute = RunSpec.execute
 
-    def interrupt_second(payload):
-        calls["n"] += 1
-        if calls["n"] == 2:
-            raise KeyboardInterrupt
-        return real_execute(payload)
+    def stall_second(self, *args, **kwargs):
+        if self.protocol == "dico":
+            time.sleep(60)
+        return real_execute(self, *args, **kwargs)
 
-    monkeypatch.setattr(runner_mod, "_execute_payload", interrupt_second)
-    runner = SweepRunner(jobs=1, cache_dir=str(tmp_path))
-    with pytest.raises(SweepInterrupted) as exc_info:
-        runner.run(grid)
+    def interrupt(signum, frame):
+        raise KeyboardInterrupt
+
+    def arm(line):
+        if "[1/3]" in line:
+            signal.setitimer(signal.ITIMER_REAL, 0.3)
+
+    monkeypatch.setattr(RunSpec, "execute", stall_second)
+    previous = signal.signal(signal.SIGALRM, interrupt)
+    try:
+        runner = SweepRunner(jobs=1, cache_dir=str(tmp_path), progress=arm)
+        with pytest.raises(SweepInterrupted) as exc_info:
+            runner.run(grid)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
     partial = exc_info.value.results
     assert len(partial) == 1
     assert partial[0].spec.protocol == "directory" and partial[0].ok
     # the cache already holds the completed point, so a plain re-run
     # executes exactly the two missing ones
     assert runner.cache.get(grid[0]) is not None
-    monkeypatch.setattr(runner_mod, "_execute_payload", real_execute)
+    monkeypatch.setattr(RunSpec, "execute", real_execute)
     rerun = SweepRunner(jobs=1, cache_dir=str(tmp_path))
     assert all(r.ok for r in rerun.run(grid))
     assert rerun.executed == 2 and rerun.cache_hits == 1
@@ -164,8 +179,8 @@ def test_keyboard_interrupt_carries_partial_results(tmp_path, monkeypatch):
 def test_failing_point_raises_sweep_execution_error_at_any_jobs(
     monkeypatch, jobs
 ):
-    # a one-point grid runs in this process at any jobs; its failure is
-    # the executor's SweepExecutionError, chained to the point's error
+    # the point raises in its worker at any jobs; the error crosses the
+    # process boundary as the failure record, not as the exception
     from repro.sweep import SweepExecutionError
 
     def boom(self, *args, **kwargs):
@@ -180,7 +195,6 @@ def test_failing_point_raises_sweep_execution_error_at_any_jobs(
     assert record.kind == "exception" and record.exc_type == "RuntimeError"
     assert record.message == "boom" and "boom" in record.traceback_tail
     assert record.attempts == 1 and record.fingerprint == spec.fingerprint()
-    assert isinstance(err.value.__cause__, RuntimeError)
 
 
 def test_pooled_path_leaves_no_live_children():

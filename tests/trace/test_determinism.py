@@ -3,7 +3,7 @@ boundaries, and unchanged statistics when tracing is on."""
 
 import json
 
-from repro.api import RunSpec
+from repro.api import RunSpec, TraceOptions, simulate
 from repro.stats.io import stats_to_dict
 from repro.sweep import SweepRunner
 from repro.sweep.spec import config_to_dict
@@ -22,11 +22,15 @@ def tiny_spec(protocol="dico-providers", **kwargs):
 
 
 def test_trace_files_identical_serial_vs_pooled(tmp_path, monkeypatch):
-    # same specs, one traced serially and one through worker processes —
-    # the JSONL payloads must agree byte for byte
+    # same specs, one traced in this process (as `repro trace` runs)
+    # and one through sweep worker processes — the JSONL payloads must
+    # agree byte for byte
     specs = [tiny_spec(p) for p in ("dico", "dico-providers")]
     serial_dir, pooled_dir = tmp_path / "serial", tmp_path / "pooled"
-    SweepRunner(jobs=1, trace_dir=str(serial_dir)).run(specs)
+    serial_dir.mkdir()
+    for spec in specs:
+        path = serial_dir / f"{spec.fingerprint()[:16]}.jsonl"
+        simulate(spec, trace=TraceOptions(path=path), checker=True)
     SweepRunner(jobs=2, trace_dir=str(pooled_dir)).run(specs)
     for spec in specs:
         name = f"{spec.fingerprint()[:16]}.jsonl"

@@ -258,6 +258,25 @@ def test_spec_from_doc_names_the_bad_key(change, message):
         spec_from_doc({"protocol": "dico"})
 
 
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        ({"workload": "nope"}, "workload: unknown workload 'nope'"),
+        ({"protocol": ["dico"]}, "protocol: expected a name"),
+        ({"overrides": [["l1.assoc", "x"]]}, "overrides: l1.assoc='x'"),
+        ({"n_vms": 1000}, "placement: 'aligned' placement of 1000 VMs"),
+        ({"placement": "alt", "n_vms": 3}, "placement: 'alt' placement"),
+    ],
+)
+def test_bad_spec_value_is_400_before_any_attempt(server, change, message):
+    client, _ = server
+    with pytest.raises(ServeError) as err:
+        client.submit([dict(tiny_docs(1)[0], **change)])
+    assert err.value.status == 400
+    assert message in str(err.value)
+    assert client.stats()["points"]["executed"] == 0
+
+
 def test_bad_workload_document_is_400(server):
     client, _ = server
     doc = tiny_docs(1)[0]

@@ -103,6 +103,37 @@ def test_malformed_document_is_a_config_error_naming_its_key(
     assert exc.value.key == key
 
 
+@pytest.mark.parametrize(
+    "change, key, message",
+    [
+        ({"protocol": ["dico"]}, "protocol", "expected a name"),
+        ({"workload": 5}, "workload", "expected a name"),
+        ({"workload": "nope"}, "workload", "unknown workload 'nope'"),
+        ({"overrides": [["l1.assoc", "x"]]}, "overrides", "l1.assoc='x'"),
+        ({"overrides": [["l1c_entries", "x"]]}, "overrides",
+         "l1c_entries='x'"),
+        ({"n_vms": 1000}, "placement", "'aligned' placement of 1000 VMs"),
+        ({"placement": "alt", "n_vms": 3}, "placement",
+         "'alt' placement of 3 VMs"),
+    ],
+)
+def test_bad_value_is_a_config_error_where_the_spec_is_built(
+    change, key, message
+):
+    # each used to build a spec (or raise TypeError/KeyError) and fail
+    # only when a worker built the chip or the cache hashed the spec
+    doc = dict(tiny_spec().to_dict(), **change)
+    with pytest.raises(ConfigError, match=message) as exc:
+        RunSpec.from_dict(doc)
+    assert exc.value.key == key
+
+
+def test_pinned_workload_content_needs_no_registered_name():
+    specs = snapshot_workload("radix", 4)
+    spec = tiny_spec(workload="radix-copy", workload_specs=specs)
+    assert spec.fingerprint() != tiny_spec().fingerprint()
+
+
 def test_canonical_json_is_stable_and_content_sensitive():
     a, b = tiny_spec(), tiny_spec()
     assert a.canonical_json() == b.canonical_json()

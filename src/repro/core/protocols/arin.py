@@ -154,11 +154,14 @@ class DiCoArinProtocol(DiCoProtocol):
 
         entry = self.l2s[home].lookup(block)
         if entry is not None and entry.inter_area:
-            return self._serve_inter_area(home, tile, block, entry, forwarder, now)
-
-        if entry is not None and entry.is_owner:
-            return self._serve_home_owned(home, tile, block, entry, now)
-        return self._read_from_memory(home, tile, block, now)
+            lat, hops, cat = self._serve_inter_area(
+                home, tile, block, entry, forwarder, now
+            )
+        elif entry is not None and entry.is_owner:
+            lat, hops, cat = self._serve_home_owned(home, tile, block, entry, now)
+        else:
+            return self._read_from_memory(home, tile, block, now)
+        return t + lat, links + hops, cat
 
     def _serve_inter_area(
         self,

@@ -1,9 +1,12 @@
 """Scenario tests for DiCo-Arin (Secs. III-B and IV-B)."""
 
+import dataclasses
+
 import pytest
 
 from repro.core.messages import MessageType
 from repro.core.protocols.arin import DiCoArinProtocol
+from repro.core.protocols.dico import DiCoProtocol
 from repro.core.states import L1State
 
 from ..conftest import addr_homed_at, block_homed_at, tiny_chip
@@ -80,6 +83,41 @@ def test_inter_area_reads_always_served_by_home_or_provider(proto):
     entry = proto.l2s[HOME].peek(block)
     assert entry.propos[proto.areas.area_of(12)] == 12
     proto.check_block(block)
+
+
+def test_home_reads_pay_the_l2_tag_latency():
+    """A read served at the home looks up the home's L2 tags first, as
+    DiCo's home reads and Arin's forwarded and memory reads do."""
+    cfg = tiny_chip()
+    block = block_homed_at(cfg, HOME)
+    addr = addr_homed_at(cfg, HOME)
+
+    def home_owned_read(cls):
+        # a dirty owner returns the block to the home; another tile
+        # then reads it there
+        proto = cls(cfg, seed=0)
+        proto.access(1, addr, True, 0)
+        line = proto.l1s[1].invalidate(block)
+        proto._evict_l1_line(1, block, line, 2500)
+        assert proto.l2s[HOME].peek(block).is_owner
+        r = proto.access(3, addr, False, 5000)
+        assert r.category == "unpredicted_home"
+        return r.latency
+
+    assert home_owned_read(DiCoArinProtocol) == home_owned_read(DiCoProtocol)
+
+    def inter_area_read(tag_latency):
+        l2 = dataclasses.replace(cfg.l2, tag_latency=tag_latency)
+        proto = DiCoArinProtocol(dataclasses.replace(cfg, l2=l2), seed=0)
+        proto.access(0, addr, False, 0)
+        proto.access(10, addr, False, 1250)  # dissolve: inter-area
+        r = proto.access(12, addr, False, 2500)  # third area, at the home
+        assert r.category == "unpredicted_home"
+        assert proto.l2s[HOME].peek(block).inter_area
+        return r.latency
+
+    tag = cfg.l2.tag_latency
+    assert inter_area_read(tag + 5) - inter_area_read(tag) == 5
 
 
 def test_provider_serves_read_directly(proto):

@@ -44,7 +44,6 @@ from .analysis import fig7_rows, fig9a_performance, fig9b_miss_breakdown
 from .api import RunSpec, TraceOptions, simulate
 from .core.protocols import REGISTRY, expand_selection
 from .sim.config import ConfigError
-from .sweep.spec import valid_override_keys
 
 PROTOCOL_ORDER = ("directory", "dico", "dico-providers", "dico-arin")
 
@@ -61,31 +60,12 @@ def _protocol_arg(name: str) -> str:
         )
 
 
-def _expand_protocols(selection: str):
-    """Registry-backed ``--protocols`` expansion for list-taking commands.
-
-    Accepts canonical names, aliases, ``family:*`` globs and the keyword
-    ``all``; raises :class:`ValueError` with the sorted options on any
-    unknown entry.
-    """
-    return list(expand_selection(selection))
-
-
 def _parse_override(text: str):
-    """``key=value`` with value parsed as JSON when possible.
-
-    Unknown keys are rejected here, at the CLI boundary, with the full
-    list of valid dotted paths — not deep inside a worker process.
-    """
+    """``key=value`` with value parsed as JSON when possible; the key
+    and value are checked where the :class:`RunSpec` applies them."""
     key, sep, raw = text.partition("=")
     if not sep:
-        raise ValueError(f"override {text!r} is not of the form key=value")
-    valid = valid_override_keys()
-    if key not in valid:
-        raise ValueError(
-            f"unknown config override key {key!r}; valid keys: "
-            + ", ".join(valid)
-        )
+        raise ConfigError("--set", f"{text!r} is not of the form key=value")
     try:
         value = json.loads(raw)
     except json.JSONDecodeError:
@@ -95,11 +75,11 @@ def _parse_override(text: str):
 
 def _seed_arg(text: str) -> int:
     """One ``--seeds`` item; anything but a decimal integer is a
-    ``ValueError`` naming it."""
+    :class:`ConfigError` naming it."""
     try:
         return int(text)
     except ValueError:
-        raise ValueError(f"--seeds: {text!r} is not an integer") from None
+        raise ConfigError("--seeds", f"{text!r} is not an integer") from None
 
 
 def _spec_for(args, protocol: str) -> RunSpec:
@@ -176,24 +156,27 @@ def _parse_trace_filters(filters):
             key, sep, raw = part.partition("=")
             field = _FILTER_KEYS.get(key.strip())
             if not sep or field is None:
-                raise ValueError(
+                raise ConfigError(
+                    "--filter",
                     f"bad trace filter {part!r} (expected "
-                    f"{'|'.join(sorted(set(_FILTER_KEYS)))}=v1+v2,...)"
+                    f"{'|'.join(sorted(set(_FILTER_KEYS)))}=v1+v2,...)",
                 )
             values = [v for v in raw.split("+") if v]
             if field in ("addrs", "tiles"):
-                values = [int(v, 0) for v in values]
+                try:
+                    values = [int(v, 0) for v in values]
+                except ValueError:
+                    raise ConfigError(
+                        "--filter",
+                        f"bad trace filter {part!r} ({field} are integers)",
+                    ) from None
             existing = out[field] or []
             out[field] = existing + values
     return out
 
 
 def cmd_trace(args) -> int:
-    try:
-        filters = _parse_trace_filters(args.filter)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    filters = _parse_trace_filters(args.filter)
     spec = RunSpec(
         protocol=args.protocol,
         workload=args.workload,
@@ -300,48 +283,28 @@ def cmd_sweep(args) -> int:
         figure_grid,
     )
 
-    try:
-        overrides = tuple(_parse_override(o) for o in args.set or ())
-        protocols = _expand_protocols(args.protocols)
-        seeds = tuple(_seed_arg(s) for s in args.seeds.split(","))
-        if args.jobs < 1:
-            raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    if args.jobs < 1:
+        raise ConfigError("--jobs", f"--jobs must be >= 1, got {args.jobs}")
     specs = figure_grid(
-        protocols=protocols,
+        protocols=expand_selection(args.protocols),
         workloads=args.workloads.split(","),
-        seeds=seeds,
+        seeds=tuple(_seed_arg(s) for s in args.seeds.split(",")),
         placement=args.placement,
         cycles=args.cycles,
         warmup=args.warmup,
-        overrides=overrides,
+        overrides=tuple(_parse_override(o) for o in args.set or ()),
     )
-    try:
-        policy = FaultPolicy(
-            timeout_s=args.timeout,
-            max_retries=args.retries,
-            on_failure=args.on_failure,
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    fault_plan = None
-    if args.fault_plan:
-        try:
-            fault_plan = FaultPlan.load(args.fault_plan)
-        except (OSError, ValueError) as exc:
-            print(f"error: bad fault plan {args.fault_plan!r}: {exc}",
-                  file=sys.stderr)
-            return 2
     runner = SweepRunner(
         jobs=args.jobs,
         cache_dir=None if args.no_cache else args.cache_dir,
         progress=not args.quiet,
         trace_dir=args.trace_dir,
-        policy=policy,
-        fault_plan=fault_plan,
+        policy=FaultPolicy(
+            timeout_s=args.timeout,
+            max_retries=args.retries,
+            on_failure=args.on_failure,
+        ),
+        fault_plan=FaultPlan.load(args.fault_plan) if args.fault_plan else None,
     )
     start = time.perf_counter()
     try:
@@ -380,33 +343,21 @@ def cmd_serve(args) -> int:
         format="%(asctime)s %(name)s %(levelname)s %(message)s",
         stream=sys.stderr,
     )
-    fault_plan = None
-    if args.fault_plan:
-        try:
-            fault_plan = FaultPlan.load(args.fault_plan)
-        except (OSError, ValueError) as exc:
-            print(f"error: bad fault plan {args.fault_plan!r}: {exc}",
-                  file=sys.stderr)
-            return 2
-    try:
-        config = ServeConfig(
-            cache_dir=args.cache_dir,
-            host=args.host,
-            port=args.port,
-            workers=args.workers,
-            max_queue_points=args.max_queue,
-            default_policy=FaultPolicy(
-                timeout_s=args.timeout,
-                max_retries=args.retries,
-                on_failure="skip",
-            ),
-            fault_plan=fault_plan,
-            drain_s=args.drain_s,
-            port_file=args.port_file,
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    config = ServeConfig(
+        cache_dir=args.cache_dir,
+        host=args.host,
+        port=args.port,
+        workers=args.workers,
+        max_queue_points=args.max_queue,
+        default_policy=FaultPolicy(
+            timeout_s=args.timeout,
+            max_retries=args.retries,
+            on_failure="skip",
+        ),
+        fault_plan=FaultPlan.load(args.fault_plan) if args.fault_plan else None,
+        drain_s=args.drain_s,
+        port_file=args.port_file,
+    )
     return serve(config)
 
 
@@ -430,37 +381,8 @@ def cmd_verify(args) -> int:
         )
         return 1
 
-    protocols = None
-    if args.protocols:
-        try:
-            protocols = _expand_protocols(args.protocols)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-    if args.mutate:
-        from .verify.mutations import MUTATIONS
-
-        if args.mutate not in MUTATIONS:
-            print(
-                f"error: unknown mutation {args.mutate!r}; options: "
-                + ", ".join(sorted(MUTATIONS)),
-                file=sys.stderr,
-            )
-            return 2
-    if args.scenario:
-        from .verify.fuzzer import EVENT_SCENARIOS, SCENARIOS
-
-        catalogue = {**SCENARIOS, **EVENT_SCENARIOS}
-        unknown = [s for s in args.scenario if s not in catalogue]
-        if unknown:
-            print(
-                f"error: unknown fuzz scenario(s) {unknown}; options: "
-                + ", ".join(sorted(catalogue)),
-                file=sys.stderr,
-            )
-            return 2
     report = verify(
-        protocols,
+        args.protocols,
         rounds=args.rounds,
         budget_seconds=args.budget_seconds,
         seed=args.seed,
@@ -817,8 +739,9 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except ConfigError as exc:
-        # exc's message leads with the offending key ("cycles: ...")
-        print(f"error: invalid configuration — {exc}", file=sys.stderr)
+        # the one exit for bad input, at any command: the message leads
+        # with the offending key ("cycles: ...", "--jobs must be ...")
+        print(f"error: {exc}", file=sys.stderr)
         return 2
 
 

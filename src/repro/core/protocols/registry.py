@@ -34,6 +34,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Dict, Iterator, Mapping, Sequence, Tuple, Type
 
+from ...sim.config import ConfigError
+
 if TYPE_CHECKING:  # pragma: no cover - import cycle with .base
     from .base import CoherenceProtocol
 
@@ -89,13 +91,17 @@ class ProtocolRegistry:
     # -- queries -------------------------------------------------------
 
     def resolve(self, name: str) -> str:
-        """Canonical name for ``name`` (which may be an alias)."""
+        """Canonical name for ``name`` (which may be an alias); an
+        unknown one is a :class:`~repro.sim.config.ConfigError` naming
+        ``protocol``."""
         if name in self._infos:
             return name
         if name in self._aliases:
             return self._aliases[name]
-        raise ValueError(
-            f"unknown protocol {name!r}; choose from {', '.join(sorted(self._infos))}"
+        raise ConfigError(
+            "protocol",
+            f"unknown protocol {name!r}; "
+            f"choose from {', '.join(sorted(self._infos))}",
         )
 
     def get(self, name: str) -> ProtocolInfo:
@@ -127,16 +133,19 @@ class ProtocolRegistry:
 
         ``selection`` is a comma-separated string or a sequence of
         tokens; each token is ``all``, a ``family:*`` glob, a canonical
-        name or an alias.  Unknown tokens raise ``ValueError`` listing
-        the registry's sorted options.
+        name or an alias.  An empty selection or an unknown token is a
+        :class:`~repro.sim.config.ConfigError` listing the registry's
+        sorted options.
         """
         if isinstance(selection, str):
             tokens = [t.strip() for t in selection.split(",") if t.strip()]
         else:
             tokens = [str(t) for t in selection]
         if not tokens:
-            raise ValueError(
-                f"empty protocol selection; choose from {', '.join(sorted(self._infos))}"
+            raise ConfigError(
+                "protocols",
+                "empty protocol selection; choose from "
+                + ", ".join(sorted(self._infos)),
             )
         out: Dict[str, None] = {}
         for token in tokens:
@@ -147,9 +156,10 @@ class ProtocolRegistry:
                 family = token[:-2]
                 matches = self.by_family(family)
                 if not matches:
-                    raise ValueError(
+                    raise ConfigError(
+                        "protocols",
                         f"unknown protocol family {family!r}; "
-                        f"families: {', '.join(sorted(self.families()))}"
+                        f"families: {', '.join(sorted(self.families()))}",
                     )
                 for info in matches:
                     out.setdefault(info.name, None)

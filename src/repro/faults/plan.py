@@ -32,9 +32,11 @@ A sweep takes its plan as an argument (``repro sweep --fault-plan``,
 payload.  Only the worker process of :mod:`repro.sweep.executor` reads
 it, so a sweep with a plan always runs its points out of process.
 :meth:`FaultPlan.from_dict` rejects a malformed document — a wrong
-shape, an unknown key, a mistyped value — with a :class:`ValueError`
-naming the field: a chaos run that silently ran fault-free, or with
-coerced values, would defeat its purpose.
+shape, an unknown key, a mistyped value — with a
+:class:`~repro.sim.config.ConfigError` naming the field, and
+:meth:`FaultPlan.load` a missing file or bad JSON too: a chaos run
+that silently ran fault-free, or with coerced values, would defeat its
+purpose.
 """
 
 from __future__ import annotations
@@ -44,6 +46,8 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+
+from ..sim.config import ConfigError, check_document
 
 __all__ = [
     "FAULT_KINDS",
@@ -56,25 +60,13 @@ FAULT_KINDS = ("crash", "hang", "corrupt-result", "corrupt-cache")
 
 
 def _check_type(name: str, value: Any, kinds: Tuple[type, ...]) -> None:
-    """A ``ValueError`` naming ``name`` unless ``value`` is one of
+    """A :class:`ConfigError` naming ``name`` unless ``value`` is one of
     ``kinds`` (never a ``bool``, which would pass as an ``int``)."""
     if isinstance(value, bool) or not isinstance(value, kinds):
-        raise ValueError(
+        raise ConfigError(
+            name,
             f"{name} must be {' or '.join(k.__name__ for k in kinds)}"
-            f", got {value!r}"
-        )
-
-
-def _check_mapping(what: str, doc: Any, keys: Tuple[str, ...]) -> None:
-    if not isinstance(doc, Mapping):
-        raise ValueError(
-            f"{what} must be a mapping, got {type(doc).__name__}"
-        )
-    unknown = sorted(set(doc) - set(keys))
-    if unknown:
-        raise ValueError(
-            f"unknown {what} key(s): {', '.join(map(str, unknown))}; "
-            f"options: {', '.join(keys)}"
+            f", got {value!r}",
         )
 
 
@@ -96,17 +88,18 @@ class FaultRule:
 
     def __post_init__(self) -> None:
         if self.kind not in FAULT_KINDS:
-            raise ValueError(
-                f"unknown fault kind {self.kind!r}; options: {FAULT_KINDS}"
+            raise ConfigError(
+                "kind",
+                f"unknown fault kind {self.kind!r}; options: {FAULT_KINDS}",
             )
         _check_type("rate", self.rate, (int, float))
         _check_type("times", self.times, (int,))
         if self.match is not None:
             _check_type("match", self.match, (str,))
         if not 0.0 <= self.rate <= 1.0:
-            raise ValueError(f"rate must be in [0, 1], got {self.rate}")
+            raise ConfigError("rate", f"rate must be in [0, 1], got {self.rate}")
         if self.times < 1:
-            raise ValueError(f"times must be >= 1, got {self.times}")
+            raise ConfigError("times", f"times must be >= 1, got {self.times}")
 
     def selects(self, seed: int, fingerprint: str) -> bool:
         """Deterministically decide whether this rule hits ``fingerprint``."""
@@ -130,9 +123,9 @@ class FaultRule:
 
     @classmethod
     def from_dict(cls, doc: Mapping[str, Any]) -> "FaultRule":
-        _check_mapping("fault rule", doc, ("kind", "rate", "match", "times"))
+        check_document("", "fault rule", doc, ("kind", "rate", "match", "times"))
         if "kind" not in doc:
-            raise ValueError("a fault rule needs a 'kind'")
+            raise ConfigError("kind", "a fault rule needs a 'kind'")
         return cls(
             kind=doc["kind"],
             rate=doc.get("rate", 0.0),
@@ -186,18 +179,19 @@ class FaultPlan:
 
     @classmethod
     def from_dict(cls, doc: Mapping[str, Any]) -> "FaultPlan":
-        _check_mapping("fault plan", doc, ("seed", "rules", "hang_s"))
+        check_document("", "fault plan", doc, ("seed", "rules", "hang_s"))
         raw_rules = doc.get("rules", [])
         if not isinstance(raw_rules, list):
-            raise ValueError(
-                f"rules must be a list, got {type(raw_rules).__name__}"
+            raise ConfigError(
+                "rules",
+                f"rules must be a list, got {type(raw_rules).__name__}",
             )
         rules = []
         for i, raw in enumerate(raw_rules):
             try:
                 rules.append(FaultRule.from_dict(raw))
-            except ValueError as exc:
-                raise ValueError(f"rules[{i}]: {exc}") from None
+            except ConfigError as exc:
+                raise ConfigError(f"rules[{i}]", str(exc)) from None
         return cls(
             seed=doc.get("seed", 0),
             rules=tuple(rules),
@@ -211,5 +205,13 @@ class FaultPlan:
 
     @classmethod
     def load(cls, path: Union[str, Path]) -> "FaultPlan":
-        return cls.from_dict(json.loads(Path(path).read_text()))
+        """Read and parse a plan file; a missing or unreadable file,
+        bad JSON and a malformed document are each a
+        :class:`ConfigError` naming the file."""
+        try:
+            return cls.from_dict(json.loads(Path(path).read_text()))
+        except (OSError, ValueError) as exc:  # ConfigError is a ValueError
+            raise ConfigError(
+                "", f"bad fault plan {str(path)!r}: {exc}"
+            ) from None
 

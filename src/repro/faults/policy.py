@@ -19,9 +19,10 @@ from __future__ import annotations
 
 import hashlib
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Any, Dict, List, Mapping, Optional
 
+from ..sim.config import ConfigError, check_document
 from .plan import _check_type
 
 __all__ = ["FailureRecord", "FaultPolicy", "backoff_delay", "failure_summary"]
@@ -35,6 +36,10 @@ BACKOFF_BASE_S = 0.05
 BACKOFF_MAX_S = 5.0
 #: seed of the deterministic backoff jitter
 BACKOFF_SEED = 0
+
+#: policy keys of job records written while the backoff settings were
+#: fields; :meth:`FaultPolicy.from_dict` drops them
+_RETIRED_KEYS = ("backoff_base_s", "backoff_max_s", "backoff_seed")
 
 
 @dataclass
@@ -107,13 +112,19 @@ class FaultPolicy:
         if self.timeout_s is not None:
             _check_type("timeout_s", self.timeout_s, (int, float))
         if self.on_failure not in ("raise", "skip"):
-            raise ValueError(
-                f"on_failure must be 'raise' or 'skip', got {self.on_failure!r}"
+            raise ConfigError(
+                "on_failure",
+                f"on_failure must be 'raise' or 'skip', got {self.on_failure!r}",
             )
         if self.max_retries < 0:
-            raise ValueError(f"max_retries must be >= 0, got {self.max_retries}")
+            raise ConfigError(
+                "max_retries",
+                f"max_retries must be >= 0, got {self.max_retries}",
+            )
         if self.timeout_s is not None and self.timeout_s <= 0:
-            raise ValueError(f"timeout_s must be > 0, got {self.timeout_s}")
+            raise ConfigError(
+                "timeout_s", f"timeout_s must be > 0, got {self.timeout_s}"
+            )
 
     def to_dict(self) -> Dict[str, Any]:
         """JSON-ready form (inverse of :meth:`from_dict`); the serve
@@ -125,18 +136,16 @@ class FaultPolicy:
         }
 
     @classmethod
-    def from_dict(cls, doc: Mapping[str, Any]) -> "FaultPolicy":
-        """Inverse of :meth:`to_dict`.  Unknown keys are ignored, so a
-        job record written by an older version still resumes."""
-        if not isinstance(doc, Mapping):
-            raise ValueError(
-                f"a policy must be a mapping, got {type(doc).__name__}"
-            )
-        return cls(
-            timeout_s=doc.get("timeout_s"),
-            max_retries=doc.get("max_retries", 0),
-            on_failure=doc.get("on_failure", "raise"),
-        )
+    def from_dict(cls, doc: Any) -> "FaultPolicy":
+        """Inverse of :meth:`to_dict`; an omitted key takes its field's
+        default.  An unknown key is a :class:`ConfigError` naming the
+        valid ones, except the three retired backoff keys, which are
+        dropped so a job record written by an older version still
+        resumes."""
+        if isinstance(doc, Mapping):
+            doc = {k: v for k, v in doc.items() if k not in _RETIRED_KEYS}
+        check_document("policy", "policy", doc, [f.name for f in fields(cls)])
+        return cls(**doc)
 
 
 def backoff_delay(fingerprint: str, retry: int) -> float:

@@ -67,7 +67,7 @@ from pathlib import Path
 from typing import Any, AsyncIterator, Dict, List, Optional, Tuple
 
 from ..faults import FailureRecord, FaultPlan, FaultPolicy
-from ..sim.config import ConfigError
+from ..sim.config import ConfigError, is_int
 from ..stats.counters import RunStats
 from ..stats.io import stats_digest
 from ..sweep.cache import ResultCache
@@ -120,31 +120,21 @@ class ServeConfig:
     port_file: Optional[str] = None
 
     def __post_init__(self) -> None:
-        if self.workers < 1:
-            raise ValueError(f"workers must be >= 1, got {self.workers}")
-        if self.max_queue_points < 1:
-            raise ValueError(
-                "max_queue_points must be >= 1, "
-                f"got {self.max_queue_points}"
-            )
+        if not self.cache_dir:
+            raise ConfigError("cache_dir", "serve requires a cache directory")
+        for key in ("workers", "max_queue_points"):
+            value = getattr(self, key)
+            if not is_int(value) or value < 1:
+                raise ConfigError(key, f"{key} must be >= 1, got {value!r}")
 
 
 def spec_from_doc(doc: Any) -> RunSpec:
     """A submitted point document -> :class:`RunSpec` via
     :meth:`RunSpec.from_dict`; bad outside input becomes a ``400``."""
-    if not isinstance(doc, dict):
-        raise HttpError(400, f"spec must be an object, got {type(doc).__name__}")
-    for key in ("protocol", "workload"):
-        if key not in doc:
-            raise HttpError(400, f"spec is missing required key {key!r}")
     try:
         return RunSpec.from_dict(doc)
-    except KeyError as exc:  # inside a nested document
-        raise HttpError(400, f"malformed spec: missing key {exc.args[0]!r}")
     except ConfigError as exc:
         raise HttpError(400, f"invalid spec: {exc}")
-    except (TypeError, ValueError) as exc:
-        raise HttpError(400, f"malformed spec: {exc}")
 
 
 class _Flight:
@@ -161,8 +151,6 @@ class ExperimentServer:
     """The daemon: queue cap, execution, cancellation, persistence."""
 
     def __init__(self, config: ServeConfig) -> None:
-        if not config.cache_dir:
-            raise ValueError("serve requires a cache directory")
         self.config = config
         self.cache = ResultCache(config.cache_dir)
         self.store = JobStore(config.cache_dir)
@@ -300,9 +288,9 @@ class ExperimentServer:
         for doc in self.store.load_active():
             job_id = doc["job_id"]
             try:
-                specs = [spec_from_doc(d) for d in doc["specs"]]
+                specs = [RunSpec.from_dict(d) for d in doc["specs"]]
                 policy = FaultPolicy.from_dict(doc.get("policy") or {})
-            except (HttpError, KeyError, TypeError, ValueError) as exc:
+            except ConfigError as exc:
                 _log.warning("cannot resume job %s (%s); leaving its "
                              "record on disk", job_id, exc)
                 continue
@@ -597,23 +585,19 @@ class ExperimentServer:
         if not isinstance(raw_specs, list) or not raw_specs:
             raise HttpError(400, "submission needs a non-empty 'specs' list")
         specs = [spec_from_doc(d) for d in raw_specs]
-        policy_doc = dict(self.config.default_policy.to_dict())
         overlay = doc.get("policy") or {}
         if not isinstance(overlay, dict):
             raise HttpError(400, "'policy' must be an object")
-        unknown = set(overlay) - set(policy_doc)
-        if unknown:
-            raise HttpError(
-                400,
-                "unknown policy key(s): " + ", ".join(sorted(unknown)),
-            )
-        policy_doc.update(overlay)
         # the daemon always records per-point failures; a job cannot
         # opt into aborting the whole daemon
-        policy_doc["on_failure"] = "skip"
+        policy_doc = {
+            **self.config.default_policy.to_dict(),
+            **overlay,
+            "on_failure": "skip",
+        }
         try:
             policy = FaultPolicy.from_dict(policy_doc)
-        except (TypeError, ValueError) as exc:
+        except ConfigError as exc:
             raise HttpError(400, f"invalid policy: {exc}")
         cap = self.config.max_queue_points
         if self._pending + len(specs) > cap:

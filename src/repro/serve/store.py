@@ -82,8 +82,15 @@ class JobStore:
                 _log.warning("skipping unreadable job record %s (%s)",
                              path.name, exc)
                 continue
-            if isinstance(doc, dict) and "job_id" in doc:
+            if (
+                isinstance(doc, dict)
+                and isinstance(doc.get("job_id"), str)
+                and isinstance(doc.get("specs"), list)
+                and isinstance(doc.get("created_unix", 0.0), (int, float))
+            ):
                 docs.append(doc)
+            else:
+                _log.warning("skipping malformed job record %s", path.name)
         docs.sort(key=lambda d: d.get("created_unix", 0.0))
         return docs
 

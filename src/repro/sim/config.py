@@ -18,11 +18,14 @@ plain frozen dataclass so experiment sweeps can derive variants with
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
+from typing import Any, Mapping, Sequence
 
 __all__ = [
     "CacheGeometry",
     "ConfigError",
+    "check_document",
+    "is_int",
     "NocConfig",
     "MemoryConfig",
     "ChipConfig",
@@ -36,18 +39,65 @@ def _is_pow2(x: int) -> bool:
 
 
 class ConfigError(ValueError):
-    """An invalid configuration value.
+    """Bad input, raised where it is parsed.
 
-    Structured so callers (the CLI, sweep grids) can name the offending
-    field: ``key`` is the dataclass field (dotted for nested sections,
-    e.g. ``"l1.size_bytes"``) and ``str(exc)`` always starts with it.
-    Subclasses :class:`ValueError`, so existing ``except ValueError``
-    handling keeps working.
+    The one exception of every parser of outside input: a chip config,
+    a run spec with its plan and workload documents, a fault plan or
+    policy, a verify bundle, a daemon setting or a CLI flag.  ``key``
+    names the offending value: a config field (dotted for nested
+    sections, e.g. ``"l2.block_bytes"``), a document key (``"plan"``,
+    ``"rules[0]"``), a flag (``"--jobs"``), or ``""`` for a document as
+    a whole.  ``str(exc)`` always starts with it: a message that
+    already does (``"seed must be int, got 1.7"``) is kept as it is,
+    any other gets ``"key: "`` in front.  Subclasses
+    :class:`ValueError`, so existing ``except ValueError`` handling
+    keeps working.
     """
 
     def __init__(self, key: str, message: str) -> None:
-        super().__init__(f"{key}: {message}")
+        super().__init__(
+            message if message.startswith(key) else f"{key}: {message}"
+        )
         self.key = key
+
+
+def is_int(value: Any) -> bool:
+    """An ``int`` that is not a ``bool``: what an integer field of an
+    input document must hold (a JSON ``true`` is no count)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def check_document(key: str, what: str, doc: Any, valid: Sequence[str]) -> None:
+    """A :class:`ConfigError` naming ``key`` unless ``doc`` (a ``what``)
+    is a mapping whose keys are all in ``valid``; an unknown key is
+    listed beside the valid ones, because a misspelt key must not run
+    as its default."""
+    if not isinstance(doc, Mapping):
+        raise ConfigError(
+            key, f"{what} must be a mapping, got {type(doc).__name__}"
+        )
+    unknown = sorted(map(str, set(doc) - set(valid)))
+    if unknown:
+        raise ConfigError(
+            key,
+            f"unknown {what} key(s) {', '.join(unknown)}; "
+            f"valid keys: {', '.join(valid)}",
+        )
+
+
+def _check_field_types(obj: Any) -> None:
+    """Each field of a config dataclass must hold its annotated type, so
+    the range checks after this never compare a ``str`` or mask a
+    ``float``; a ``bool`` is no ``int`` here, nor an ``int`` a
+    ``bool``."""
+    for f in fields(obj):
+        want = _FIELD_TYPES[f.type]
+        value = getattr(obj, f.name)
+        if isinstance(value, bool) != (want is bool) or not isinstance(
+            value, want
+        ):
+            name = "an integer" if want is int else want.__name__
+            raise ConfigError(f.name, f"expected {name}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -65,6 +115,7 @@ class CacheGeometry:
     data_latency: int = 2
 
     def __post_init__(self) -> None:
+        _check_field_types(self)
         if not _is_pow2(self.block_bytes):
             raise ConfigError(
                 "block_bytes", f"cache line size {self.block_bytes} must be a power of two"
@@ -145,6 +196,7 @@ class NocConfig:
     bus_flit_cycles: int = 1
 
     def __post_init__(self) -> None:
+        _check_field_types(self)
         for key in ("link_cycles", "switch_cycles", "router_cycles"):
             if getattr(self, key) < 0:
                 raise ConfigError(key, "NoC stage latencies must be >= 0")
@@ -180,6 +232,7 @@ class MemoryConfig:
     total_bytes: int = 4 << 30
 
     def __post_init__(self) -> None:
+        _check_field_types(self)
         if self.latency_cycles < 0 or self.jitter_cycles < 0:
             raise ConfigError(
                 "latency_cycles" if self.latency_cycles < 0 else "jitter_cycles",
@@ -233,6 +286,7 @@ class ChipConfig:
     memory: MemoryConfig = field(default_factory=MemoryConfig)
 
     def __post_init__(self) -> None:
+        _check_field_types(self)
         if self.mesh_width < 1 or self.mesh_height < 1:
             raise ConfigError(
                 "mesh_width" if self.mesh_width < 1 else "mesh_height",
@@ -303,6 +357,16 @@ class ChipConfig:
     def with_areas(self, n_areas: int) -> "ChipConfig":
         return replace(self, n_areas=n_areas)
 
+
+#: a field annotation (a string under ``from __future__ import
+#: annotations``) -> the type its value must have
+_FIELD_TYPES = {
+    "int": int,
+    "bool": bool,
+    "CacheGeometry": CacheGeometry,
+    "NocConfig": NocConfig,
+    "MemoryConfig": MemoryConfig,
+}
 
 #: the paper's 64-tile, 4-area evaluation platform
 DEFAULT_CHIP = ChipConfig()

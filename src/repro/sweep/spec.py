@@ -28,18 +28,22 @@ from __future__ import annotations
 import dataclasses
 import inspect
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, Mapping, Optional, Tuple
 
 from ..core.area import AreaMap
 from ..core.protocols.registry import REGISTRY
-from ..sim.chip import PROTOCOLS, Chip, paper_scaled_chip
+from ..mem.controller import border_positions
+from ..sim.chip import Chip, paper_scaled_chip
 from ..sim.config import (
     CacheGeometry,
     ChipConfig,
     ConfigError,
     MemoryConfig,
     NocConfig,
+    check_document,
+    is_int,
 )
 from ..stats.counters import RunStats
 from ..workloads.dynamics import ConsolidationPlan
@@ -76,34 +80,38 @@ _NESTED = {
 }
 
 
-def config_from_dict(doc: Mapping[str, Any]) -> ChipConfig:
-    """Inverse of :func:`config_to_dict`.  A missing key, a top-level
-    value that is not an integer, or a section that is not a document
-    of its fields, is a :class:`ConfigError` naming its path
-    (``config.mesh_height``, ``config.l1``)."""
+def config_from_dict(doc: Any) -> ChipConfig:
+    """Inverse of :func:`config_to_dict`.  The document and each of its
+    sections must hold every field of its dataclass and no other key,
+    and each value its field's type; anything else is a
+    :class:`ConfigError` naming ``config`` with the dotted path
+    (``missing key config.mesh_height``,
+    ``config.noc.link_cycles: expected an integer``)."""
+    return _config_section(ChipConfig, doc, "config")
+
+
+def _config_section(cls: type, doc: Any, path: str) -> Any:
     if not isinstance(doc, Mapping):
         raise ConfigError(
             "config",
-            f"expected a chip-config document, got {type(doc).__name__}",
+            f"{path}: expected a document of {cls.__name__} fields, "
+            f"got {type(doc).__name__}",
         )
-    fields = {}
-    for f in dataclasses.fields(ChipConfig):
-        if f.name not in doc:
-            raise ConfigError("config", f"missing key config.{f.name}")
-        value = doc[f.name]
-        if f.name in _NESTED:
-            try:
-                value = _NESTED[f.name](**value)
-            except TypeError as exc:
-                raise ConfigError(
-                    "config", f"config.{f.name}: {exc}"
-                ) from None
-        elif isinstance(value, bool) or not isinstance(value, int):
-            raise ConfigError(
-                "config", f"config.{f.name}: expected an integer, got {value!r}"
-            )
-        fields[f.name] = value
-    return ChipConfig(**fields)
+    names = [f.name for f in dataclasses.fields(cls)]
+    for name in names:
+        if name not in doc:
+            raise ConfigError("config", f"missing key {path}.{name}")
+    check_document("config", path, doc, names)
+    values = {
+        name: _config_section(_NESTED[name], doc[name], f"{path}.{name}")
+        if name in _NESTED
+        else doc[name]
+        for name in names
+    }
+    try:
+        return cls(**values)
+    except ConfigError as exc:
+        raise ConfigError("config", f"{path}.{exc}") from None
 
 
 def valid_override_keys() -> Tuple[str, ...]:
@@ -128,7 +136,8 @@ def apply_overrides(
     Unknown paths raise :class:`ConfigError` naming the valid keys, so
     a typo in a sweep grid fails loudly instead of silently exploring
     the wrong axis (``dataclasses.replace`` would raise a bare TypeError
-    deep in a worker otherwise).
+    deep in a worker otherwise).  A value the config rejects is a
+    :class:`ConfigError` naming the override that carried it.
     """
     if overrides:
         valid = valid_override_keys()
@@ -148,12 +157,11 @@ def apply_overrides(
                 config = dataclasses.replace(config, **{head: sub})
             else:
                 config = dataclasses.replace(config, **{head: value})
-        except ConfigError:
-            raise
-        except (TypeError, ValueError) as exc:
-            # a value of the wrong type fails inside the config's own
-            # checks (``"x" < 1``): name the override that carried it
-            raise ConfigError("overrides", f"{path}={value!r}: {exc}") from None
+        except ConfigError as exc:
+            raise ConfigError(
+                "overrides",
+                f"{path}={value!r} gives an invalid configuration — {exc}",
+            ) from None
     return config
 
 
@@ -237,10 +245,36 @@ def snapshot_workload(
     return tuple(out)
 
 
-def _workload_spec_from_doc(doc: Mapping[str, Any]) -> WorkloadSpec:
+#: a :class:`WorkloadSpec` field annotation -> the test its value in a
+#: workload document must pass (``think`` is a JSON list)
+_WORKLOAD_VALUE_OK = {
+    "str": lambda v: isinstance(v, str),
+    "int": is_int,
+    "float": lambda v: is_int(v) or isinstance(v, float) and math.isfinite(v),
+    "Tuple[int, int]": lambda v: isinstance(v, (list, tuple))
+    and len(v) == 2
+    and all(map(is_int, v)),
+}
+
+
+def _workload_spec_from_doc(vm: Any, doc: Any) -> WorkloadSpec:
+    """A pinned workload document -> :class:`WorkloadSpec`; a bad one
+    is a :class:`ConfigError` naming ``workload_specs`` and its VM."""
+    where = f"VM {vm}"
+    check_document("workload_specs", f"{where} workload", doc, _WORKLOAD_FIELDS)
+    for f in dataclasses.fields(WorkloadSpec):
+        if f.name in doc and not _WORKLOAD_VALUE_OK[f.type](doc[f.name]):
+            raise ConfigError(
+                "workload_specs",
+                f"{where}: {f.name}: expected {f.type}, got {doc[f.name]!r}",
+            )
     doc = dict(doc)
-    doc["think"] = tuple(doc["think"])  # JSON round-trips tuples as lists
-    return WorkloadSpec(**doc)
+    if "think" in doc:
+        doc["think"] = tuple(doc["think"])  # JSON round-trips tuples as lists
+    try:
+        return WorkloadSpec(**doc)
+    except (TypeError, ValueError) as exc:  # a missing field, a range
+        raise ConfigError("workload_specs", f"{where}: {exc}") from None
 
 
 def _freeze(value: Any) -> Any:
@@ -301,14 +335,7 @@ class RunSpec:
             value = getattr(self, key)
             if not isinstance(value, str):
                 raise ConfigError(key, f"expected a name, got {value!r}")
-        try:
-            canonical = REGISTRY.resolve(self.protocol)
-        except ValueError:
-            raise ConfigError(
-                "protocol",
-                f"unknown protocol {self.protocol!r}; "
-                f"choose from {', '.join(sorted(PROTOCOLS))}",
-            ) from None
+        canonical = REGISTRY.resolve(self.protocol)
         if canonical != self.protocol:
             # canonicalize aliases so a spec's fingerprint — and with it
             # the sweep result cache — does not depend on which alias
@@ -345,9 +372,24 @@ class RunSpec:
         # here, at construction, not in whichever worker first builds
         # the chip
         cfg = self.resolve_config()
+        try:
+            # a chip config need not be buildable (the storage model
+            # sizes any mesh); the chip a spec runs must be
+            border_positions(
+                cfg.mesh_width, cfg.mesh_height, cfg.memory.n_controllers
+            )
+        except ValueError as exc:
+            raise ConfigError("memory.n_controllers", str(exc)) from None
         # the starting placement is kept beside the document, which
         # to_dict and the fingerprint serialize as given
         object.__setattr__(self, "_tiles_by_vm", self._starting_placement(cfg))
+        if self.n_vms > cfg.n_tiles:
+            # every VM needs a tile, and the fingerprint builds one
+            # workload document per VM
+            raise ConfigError(
+                "n_vms",
+                f"{self.n_vms} VMs do not fit the chip's {cfg.n_tiles} tiles",
+            )
         pinned = self.resolve_workload_specs()
         if pinned is None and self.workload not in spec_names():
             raise ConfigError(
@@ -355,13 +397,13 @@ class RunSpec:
                 f"unknown workload {self.workload!r}; "
                 f"choose from {', '.join(spec_names())}",
             )
+        if pinned is not None and not set(self._tiles_by_vm) <= set(pinned):
+            raise ConfigError(
+                "workload_specs",
+                "no workload document for placed VM(s) "
+                f"{sorted(set(self._tiles_by_vm) - set(pinned))}",
+            )
         if self.plan is not None:
-            if not isinstance(self.plan, Mapping):
-                raise ConfigError(
-                    "plan",
-                    f"expected a plan document, got "
-                    f"{type(self.plan).__name__}",
-                )
             plan = ConsolidationPlan.from_dict(self.plan)
             if len(plan) == 0:
                 # an empty plan is a static run: normalize to None so
@@ -370,6 +412,16 @@ class RunSpec:
                 object.__setattr__(self, "plan", None)
             else:
                 plan.validate(self.cycles, self._tiles_by_vm, cfg.n_tiles)
+                if self.workload not in spec_names() and any(
+                    ev.kind == "vm_arrive" and ev.benchmark is None
+                    for ev in plan.events
+                ):
+                    # the arriving VM would run the spec's workload
+                    raise ConfigError(
+                        "plan",
+                        "a vm_arrive event without a benchmark runs "
+                        f"{self.workload!r}, which is no workload name",
+                    )
                 # store the canonical document (events cycle-sorted) so
                 # equal plans serialize — and fingerprint — identically
                 object.__setattr__(self, "plan", plan.to_dict())
@@ -461,19 +513,17 @@ class RunSpec:
         return doc
 
     @classmethod
-    def from_dict(cls, doc: Mapping[str, Any]) -> "RunSpec":
+    def from_dict(cls, doc: Any) -> "RunSpec":
         """Inverse of :meth:`to_dict`.  Only ``protocol`` and
         ``workload`` are required; an omitted key takes its field's
-        default, so a sparse hand-written document parses too.  A
+        default, so a sparse hand-written document parses too, but a
+        key that is no field is an error naming the valid ones.  A
         malformed document raises :class:`ConfigError` naming its key
         path, never a bare ``KeyError`` or ``TypeError``."""
-        if not isinstance(doc, Mapping):
-            raise ConfigError(
-                "spec", f"expected a spec document, got {type(doc).__name__}"
-            )
+        check_document("", "spec", doc, [f.name for f in dataclasses.fields(cls)])
         for name in ("protocol", "workload"):
             if name not in doc:
-                raise ConfigError(name, "missing required key")
+                raise ConfigError(name, f"missing required key {name!r}")
         scalars = {
             name: doc[name]
             for name in (
@@ -549,19 +599,19 @@ class RunSpec:
         return apply_overrides(base, self.overrides)
 
     def resolve_workload_specs(self) -> Optional[Dict[int, WorkloadSpec]]:
-        """The pinned per-VM specs, or ``None`` to resolve by name; a
-        document :class:`WorkloadSpec` rejects is a :class:`ConfigError`
-        naming ``workload_specs``."""
+        """The pinned per-VM specs, or ``None`` to resolve by name; a VM
+        that is not a distinct integer, or a document :class:`WorkloadSpec`
+        rejects, is a :class:`ConfigError` naming ``workload_specs``."""
         if self.workload_specs is None:
             return None
         specs = {}
         for vm, doc in self.workload_specs:
-            try:
-                specs[vm] = _workload_spec_from_doc(doc)
-            except (KeyError, TypeError, ValueError) as exc:
+            if not is_int(vm) or vm in specs:
                 raise ConfigError(
-                    "workload_specs", f"VM {vm}: {exc}"
-                ) from None
+                    "workload_specs",
+                    f"VM {vm!r} is not an integer given once",
+                )
+            specs[vm] = _workload_spec_from_doc(vm, doc)
         return specs
 
     def build_chip(self) -> Chip:

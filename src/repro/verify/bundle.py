@@ -6,7 +6,9 @@ seed, the (shrunk) op list, the violation that was observed, the
 mutation in effect (if the failure came from a deliberately broken
 variant), and the git revision that produced it.  ``python -m repro
 verify --replay bundle.json`` re-executes the trace and checks that
-the same failure recurs at the same op.
+the same failure recurs at the same op.  :func:`parse_bundle` checks a
+bundle document before anything runs: a malformed one is a
+:class:`~repro.sim.config.ConfigError` naming its key.
 """
 
 from __future__ import annotations
@@ -15,23 +17,36 @@ import json
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Union
+from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple, Union
 
+from ..core.protocols.registry import REGISTRY
 from ..sweep.spec import config_from_dict, config_to_dict
-from ..sim.config import ChipConfig
+from ..sim.config import ChipConfig, ConfigError, check_document, is_int
 from ..trace.manifest import git_rev
 from .differential import Violation, run_trace
 from .fuzzer import Op
+from .mutations import make_mutated_factory
 
 __all__ = [
     "BUNDLE_SCHEMA",
+    "Bundle",
     "ReplayResult",
     "load_bundle",
+    "parse_bundle",
     "replay_bundle",
     "write_bundle",
 ]
 
 BUNDLE_SCHEMA = "repro-verify-bundle/v1"
+
+#: the keys :func:`write_bundle` writes; the first six are required
+_BUNDLE_KEYS = (
+    "schema", "protocol", "seed", "config", "ops", "violation",
+    "git_rev", "created_unix", "scenario", "mutation",
+)
+_VIOLATION_KEYS = ("kind", "protocol", "op_index", "message", "details")
+_VIOLATION_KINDS = ("coherence", "oracle", "stuck", "divergence")
+_EVENT_OPS = ("migrate", "drain", "shootdown")
 
 
 def write_bundle(
@@ -66,18 +81,115 @@ def write_bundle(
     return path
 
 
-def load_bundle(path: Union[str, Path]) -> Dict[str, Any]:
-    """Load and schema-check a bundle document."""
-    doc = json.loads(Path(path).read_text())
-    schema = doc.get("schema")
-    if schema != BUNDLE_SCHEMA:
-        raise ValueError(
-            f"{path}: not a verify bundle (schema {schema!r}, "
-            f"expected {BUNDLE_SCHEMA!r})"
+@dataclass(frozen=True)
+class Bundle:
+    """A checked bundle document: everything a replay runs."""
+
+    protocol: str
+    seed: int
+    config: ChipConfig
+    ops: Tuple[Op, ...]
+    violation: Violation
+    #: ``make_protocol``-compatible factory of the bundle's mutation
+    factory: Optional[Callable[..., Any]]
+
+
+def _parse_op(i: int, item: Any, n_tiles: int) -> Op:
+    """``[tile, block, w]`` or ``[tile, block, w, event, arg]``."""
+    if not isinstance(item, list) or len(item) not in (3, 5):
+        raise ConfigError(
+            "ops", f"ops[{i}]: expected a list of 3 or 5 items, got {item!r}"
         )
-    for key in ("protocol", "seed", "config", "ops", "violation"):
+    tile, block, w = item[:3]
+    event, arg = item[3:] if len(item) == 5 else (None, 0)
+    tile_ids = range(n_tiles)
+    if (
+        not (is_int(tile) and tile in tile_ids)
+        or not (is_int(block) and block >= 0)
+        or w not in (0, 1)
+        or not (event is None or isinstance(event, str) and event in _EVENT_OPS)
+        or not (is_int(arg) and (event != "migrate" or arg in tile_ids))
+    ):
+        raise ConfigError(
+            "ops",
+            f"ops[{i}]: {item!r} is not [tile, block, 0|1] or [tile, "
+            f"block, 0|1, {'|'.join(_EVENT_OPS)}, arg] on a "
+            f"{n_tiles}-tile chip",
+        )
+    return Op(tile, block, bool(w), event, arg)
+
+
+def _parse_violation(doc: Any) -> Violation:
+    check_document("violation", "violation", doc, _VIOLATION_KEYS)
+    details = doc.get("details", {})
+    if (
+        doc.get("kind") not in _VIOLATION_KINDS
+        or not isinstance(doc.get("protocol"), str)
+        or not (is_int(doc.get("op_index")) and doc["op_index"] >= 0)
+        or not isinstance(doc.get("message"), str)
+        or not isinstance(details, Mapping)
+    ):
+        raise ConfigError(
+            "violation",
+            f"expected kind ({'|'.join(_VIOLATION_KINDS)}), protocol, "
+            f"op_index >= 0, message and a details object, got {dict(doc)!r}",
+        )
+    return Violation.from_dict(doc)
+
+
+def parse_bundle(doc: Any) -> Bundle:
+    """Check a bundle document and build what its replay runs.
+
+    A document of the wrong shape or schema, a missing or unknown key,
+    an unregistered protocol or mutation, a bad chip config, an op that
+    does not fit the chip or a malformed violation is a
+    :class:`ConfigError` naming its key.
+    """
+    schema = doc.get("schema") if isinstance(doc, Mapping) else None
+    if schema != BUNDLE_SCHEMA:
+        raise ConfigError(
+            "schema",
+            f"not a verify bundle (schema {schema!r}, "
+            f"expected {BUNDLE_SCHEMA!r})",
+        )
+    check_document("", "verify bundle", doc, _BUNDLE_KEYS)
+    for key in _BUNDLE_KEYS[1:6]:
         if key not in doc:
-            raise ValueError(f"{path}: bundle is missing {key!r}")
+            raise ConfigError(key, f"bundle is missing {key!r}")
+    if not isinstance(doc["protocol"], str):
+        raise ConfigError(
+            "protocol", f"expected a name, got {doc['protocol']!r}"
+        )
+    if not is_int(doc["seed"]):
+        raise ConfigError("seed", f"expected an integer, got {doc['seed']!r}")
+    config = config_from_dict(doc["config"])
+    if not isinstance(doc["ops"], list):
+        raise ConfigError(
+            "ops", f"expected a list, got {type(doc['ops']).__name__}"
+        )
+    mutation = doc.get("mutation")
+    return Bundle(
+        protocol=REGISTRY.resolve(doc["protocol"]),
+        seed=doc["seed"],
+        config=config,
+        ops=tuple(
+            _parse_op(i, item, config.n_tiles)
+            for i, item in enumerate(doc["ops"])
+        ),
+        violation=_parse_violation(doc["violation"]),
+        factory=None if mutation is None else make_mutated_factory(mutation),
+    )
+
+
+def load_bundle(path: Union[str, Path]) -> Dict[str, Any]:
+    """Read a bundle file and check it with :func:`parse_bundle`; a
+    missing or unreadable file, bad JSON or a malformed document is a
+    :class:`ConfigError` naming the file."""
+    try:
+        doc = json.loads(Path(path).read_text())
+        parse_bundle(doc)
+    except (OSError, ValueError) as exc:  # ConfigError is a ValueError
+        raise ConfigError("", f"bad verify bundle {str(path)!r}: {exc}") from None
     return doc
 
 
@@ -106,17 +218,15 @@ def replay_bundle(path: Union[str, Path]) -> ReplayResult:
     violation kind at the same op index.  A bundle that no longer fails
     means the bug was fixed (or the protocol changed) since capture.
     """
-    doc = load_bundle(path)
-    ops = [Op.from_list(o) for o in doc["ops"]]
-    config = config_from_dict(doc["config"])
-    expected = Violation.from_dict(doc["violation"])
-    factory = None
-    if doc.get("mutation"):
-        from .mutations import make_mutated_factory
-
-        factory = make_mutated_factory(doc["mutation"])
+    # re-parsing the checked document is cheap: a few hundred ops
+    bundle = parse_bundle(load_bundle(path))
+    ops, expected = bundle.ops, bundle.violation
     result = run_trace(
-        doc["protocol"], ops, config, seed=doc["seed"], factory=factory
+        bundle.protocol,
+        ops,
+        bundle.config,
+        seed=bundle.seed,
+        factory=bundle.factory,
     )
     observed = result.violation
     if observed is None:

@@ -45,6 +45,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Optional
 
+from ..sim.config import ConfigError
+
 __all__ = ["MUTATIONS", "Mutation", "make_mutated_factory"]
 
 
@@ -383,12 +385,12 @@ def make_mutated_factory(name: str) -> Callable[..., Any]:
     otherwise, so it can be handed to the differential runner for the
     whole protocol list.
     """
-    try:
-        mutation = MUTATIONS[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown mutation {name!r}; options: {sorted(MUTATIONS)}"
-        ) from None
+    if not isinstance(name, str) or name not in MUTATIONS:
+        raise ConfigError(
+            "mutation",
+            f"unknown mutation {name!r}; options: {sorted(MUTATIONS)}",
+        )
+    mutation = MUTATIONS[name]
 
     def factory(protocol: str, config, seed: int = 0, checker=None, **kwargs):
         from ..sim.chip import make_protocol

@@ -16,13 +16,13 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Union
 
-from ..core.protocols.registry import protocol_names
-from ..sim.config import ChipConfig
+from ..core.protocols.registry import expand_selection, protocol_names
+from ..sim.config import ChipConfig, ConfigError, is_int
 from ..trace.manifest import git_rev
 from .bundle import write_bundle
 from .differential import Violation, default_config, run_differential, run_trace
 from .fuzzer import EVENT_SCENARIOS, SCENARIOS, generate_ops
-from .mutations import MUTATIONS, make_mutated_factory
+from .mutations import make_mutated_factory
 from .shrinker import ddmin
 
 __all__ = ["VerifyReport", "run_verification", "DEFAULT_PROTOCOLS"]
@@ -111,22 +111,33 @@ def run_verification(
     scenarios (``migrate-race``, ``depart-dirty-owner``,
     ``shootdown-upgrade``), which the default rotation deliberately
     excludes to keep its long-standing baselines stable.
+
+    An unknown protocol, scenario or mutation name, a count below 1 or
+    a budget that is not positive is a :class:`ConfigError`, so a run
+    can never pass on zero rounds or zero ops.
     """
-    if protocols is None:
-        protocols = list(DEFAULT_PROTOCOLS)
-    protocols = list(protocols)
+    protocols = list(
+        DEFAULT_PROTOCOLS if protocols is None else expand_selection(protocols)
+    )
+    for key, count in (("rounds", rounds), ("n_ops", n_ops)):
+        if not is_int(count) or count < 1:
+            raise ConfigError(key, f"{key} must be an integer >= 1, got {count!r}")
+    if budget_seconds is not None and not budget_seconds > 0:
+        raise ConfigError(
+            "budget_seconds",
+            f"budget_seconds must be > 0, got {budget_seconds!r}",
+        )
     if scenarios is not None:
         catalogue = {**SCENARIOS, **EVENT_SCENARIOS}
-        unknown = [s for s in scenarios if s not in catalogue]
-        if unknown:
-            raise ValueError(
+        unknown = [
+            s for s in scenarios if not isinstance(s, str) or s not in catalogue
+        ]
+        if unknown or not scenarios:
+            raise ConfigError(
+                "scenarios",
                 f"unknown fuzz scenario(s) {unknown}; options: "
-                f"{sorted(catalogue)}"
+                f"{sorted(catalogue)}",
             )
-    if mutation is not None and mutation not in MUTATIONS:
-        raise ValueError(
-            f"unknown mutation {mutation!r}; options: {sorted(MUTATIONS)}"
-        )
     factories = None
     if mutation is not None:
         f = make_mutated_factory(mutation)
@@ -134,7 +145,7 @@ def run_verification(
     if config is None:
         config = default_config()
     started = time.monotonic()
-    deadline = started + budget_seconds if budget_seconds else None
+    deadline = None if budget_seconds is None else started + budget_seconds
     report = VerifyReport(
         verdict="pass",
         protocols=protocols,

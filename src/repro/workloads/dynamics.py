@@ -42,7 +42,8 @@ import random
 from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from ..sim.config import ConfigError
+from ..sim.config import ConfigError, check_document, is_int
+from .spec import spec_names
 
 __all__ = ["EVENT_KINDS", "ConsolidationEvent", "ConsolidationPlan"]
 
@@ -53,6 +54,21 @@ EVENT_KINDS = (
     "vm_depart",
     "vm_migrate",
 )
+
+#: the keys of an event document, in :meth:`ConsolidationEvent.to_dict`
+#: order
+_EVENT_KEYS = ("cycle", "kind", "vm", "tiles", "pages", "benchmark")
+
+
+def _malformed(detail: str) -> ConfigError:
+    return ConfigError("plan", f"malformed plan: {detail}")
+
+
+def _literal(where: str, key: str, value: Any, expected: str) -> ConfigError:
+    return _malformed(
+        f"{where}: invalid literal for {where}.{key}: expected {expected}, "
+        f"got {value!r}"
+    )
 
 
 @dataclass(frozen=True)
@@ -85,14 +101,38 @@ class ConsolidationEvent:
         return doc
 
     @classmethod
-    def from_dict(cls, doc: Mapping[str, Any]) -> "ConsolidationEvent":
+    def from_dict(cls, doc: Any, where: str = "event") -> "ConsolidationEvent":
+        """Inverse of :meth:`to_dict`.  A document that is not one, an
+        unknown or missing key, or a value of the wrong type is a
+        :class:`ConfigError` naming ``plan`` and the key's path below
+        ``where`` (``plan.events[0].cycle`` inside a plan); integers
+        are never coerced, so ``cycle: 100.7`` does not run at 100."""
+        if not isinstance(doc, Mapping):
+            raise _malformed(
+                f"{where} must be an object, got {type(doc).__name__}"
+            )
+        check_document("plan", where, doc, _EVENT_KEYS)
+        for key in ("cycle", "kind", "vm"):
+            if key not in doc:
+                raise _malformed(f"missing key {where}.{key}")
+        for key in ("cycle", "vm", "pages"):
+            if key in doc and not is_int(doc[key]):
+                raise _literal(where, key, doc[key], "an integer")
+        tiles = doc.get("tiles", [])
+        if not isinstance(tiles, (list, tuple)) or not all(map(is_int, tiles)):
+            raise _literal(where, "tiles", tiles, "a list of integers")
+        if not isinstance(doc["kind"], str):
+            raise _literal(where, "kind", doc["kind"], "a name")
+        benchmark = doc.get("benchmark")
+        if benchmark is not None and benchmark not in spec_names():
+            raise _literal(where, "benchmark", benchmark, "a workload name")
         return cls(
-            cycle=int(doc["cycle"]),
+            cycle=doc["cycle"],
             kind=doc["kind"],
-            vm=int(doc["vm"]),
-            tiles=tuple(int(t) for t in doc.get("tiles") or ()),
-            pages=int(doc.get("pages") or 0),
-            benchmark=doc.get("benchmark"),
+            vm=doc["vm"],
+            tiles=tuple(tiles),
+            pages=doc.get("pages", 0),
+            benchmark=benchmark,
         )
 
 
@@ -124,40 +164,26 @@ class ConsolidationPlan:
         }
 
     @classmethod
-    def from_dict(cls, doc: Mapping[str, Any]) -> "ConsolidationPlan":
+    def from_dict(cls, doc: Any) -> "ConsolidationPlan":
         """Inverse of :meth:`to_dict`; a malformed document is a
-        :class:`ConfigError` naming its path (``plan.events[0].cycle``)."""
-        events = doc.get("events") or ()
+        :class:`ConfigError` naming its path (``plan.seed``,
+        ``plan.events[0].cycle``)."""
+        check_document("plan", "plan", doc, ("seed", "events"))
+        events = doc.get("events", [])
         if not isinstance(events, (list, tuple)):
-            raise ConfigError(
-                "plan",
-                "malformed plan: plan.events must be a list, got "
-                f"{type(events).__name__}",
+            raise _malformed(
+                f"plan.events must be a list, got {type(events).__name__}"
             )
-        parsed = []
-        for i, ev in enumerate(events):
-            where = f"plan.events[{i}]"
-            if not isinstance(ev, Mapping):
-                raise ConfigError(
-                    "plan",
-                    f"malformed plan: {where} must be an object, got "
-                    f"{type(ev).__name__}",
-                )
-            try:
-                parsed.append(ConsolidationEvent.from_dict(ev))
-            except KeyError as exc:
-                raise ConfigError(
-                    "plan", f"malformed plan: missing key {where}.{exc.args[0]}"
-                ) from None
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(
-                    "plan", f"malformed plan: {where}: {exc}"
-                ) from None
-        try:
-            seed = int(doc.get("seed") or 0)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError("plan", f"malformed plan: plan.seed: {exc}") from None
-        return cls(events=tuple(parsed), seed=seed)
+        seed = doc.get("seed", 0)
+        if not is_int(seed):
+            raise _malformed(f"plan.seed: expected an integer, got {seed!r}")
+        return cls(
+            events=tuple(
+                ConsolidationEvent.from_dict(ev, f"plan.events[{i}]")
+                for i, ev in enumerate(events)
+            ),
+            seed=seed,
+        )
 
     # ------------------------------------------------------------------
 

@@ -266,6 +266,21 @@ def test_spec_from_doc_names_the_bad_key(change, message):
         ({"overrides": [["l1.assoc", "x"]]}, "overrides: l1.assoc='x'"),
         ({"n_vms": 1000}, "placement: 'aligned' placement of 1000 VMs"),
         ({"placement": "alt", "n_vms": 3}, "placement: 'alt' placement"),
+        # mistyped config values: each used to be admitted (and to run
+        # 1-cycle links, a 1-way L1, or fail every attempt)
+        ({"overrides": [["l1c_entries", 1.5]]}, "overrides: l1c_entries=1.5"),
+        ({"config": dict(TINY, noc=dict(TINY["noc"], link_cycles=True))},
+         "config.noc.link_cycles: expected an integer, got True"),
+        ({"config": dict(TINY, l1=dict(TINY["l1"], assoc=True))},
+         "config.l1.assoc: expected an integer, got True"),
+        ({"config": dict(TINY, noc=dict(TINY["noc"], model_contention="yes"))},
+         "config.noc.model_contention: expected bool, got 'yes'"),
+        ({"config": dict(TINY, l1=dict(TINY["l1"], assoc=2.0))},
+         "config.l1.assoc: expected an integer, got 2.0"),
+        # one workload document per VM: the fingerprint used to stall
+        # the event loop for seconds before admitting the job
+        ({"placement": {"0": [0]}, "n_vms": 100_000},
+         "n_vms: 100000 VMs do not fit the chip's 16 tiles"),
     ],
 )
 def test_bad_spec_value_is_400_before_any_attempt(server, change, message):

@@ -43,6 +43,9 @@ def test_load_all_sorted_and_skips_garbage(tmp_path):
     store.save(doc("b", created=2.0))
     store.save(doc("a", created=1.0))
     (store.root / "junk.json").write_text("{ not json")
+    # a record of the wrong shape is skipped, not a crash of the sort
+    store.save(dict(doc("c"), created_unix="x"))
+    store.save(dict(doc("d"), specs=5))
     docs = store.load_all()
     assert [d["job_id"] for d in docs] == ["a", "b"]
 

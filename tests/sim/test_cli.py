@@ -112,6 +112,29 @@ def test_bad_sweep_input_prints_an_error_and_exits_2(capsys, argv, message):
     assert err.startswith("error: ") and message in err
 
 
+@pytest.mark.parametrize(
+    "override",
+    [
+        "l1c_entries=1.5",
+        "noc.link_cycles=true",
+        "l1.assoc=true",
+        "noc.model_contention=yes",
+        "l1.assoc=2.0",
+    ],
+)
+def test_sweep_rejects_mistyped_override_before_any_point(capsys, override):
+    # each used to build its specs: 1.5 failed in the worker (exit 1),
+    # true ran 1-cycle links or a 1-way L1
+    rc = main([
+        "sweep", "--protocols", "dico", "--workloads", "radix",
+        "--cycles", "500", "--warmup", "0", "--no-cache", "--quiet",
+        "--set", override,
+    ])
+    out, err = capsys.readouterr()
+    assert rc == 2 and out == ""
+    assert err.startswith(f"error: overrides: {override.partition('=')[0]}=")
+
+
 def test_sweep_point_failure_exits_1_at_jobs_1(capsys, monkeypatch):
     # a failing point in the one worker of --jobs 1: an error line and
     # exit 1, not the point's own traceback

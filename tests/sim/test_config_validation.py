@@ -6,6 +6,7 @@ import pytest
 
 from repro.sim.config import (
     CacheGeometry,
+    ChipConfig,
     ConfigError,
     MemoryConfig,
     NocConfig,
@@ -38,6 +39,37 @@ def test_cache_geometry_rejections(kwargs, key):
     with pytest.raises(ConfigError) as exc:
         CacheGeometry(**kwargs)
     assert exc.value.key == key
+
+
+@pytest.mark.parametrize(
+    "cls, kwargs, key",
+    [
+        # an int field rejects a bool and a float; True used to build
+        # 1-cycle links, 2.0 to fail in ``2.0 & 1``
+        (NocConfig, dict(link_cycles=True), "link_cycles"),
+        (CacheGeometry, dict(size_bytes=1 << 10, assoc=True), "assoc"),
+        (CacheGeometry, dict(size_bytes=1 << 10, assoc=2.0), "assoc"),
+        # a bool field takes only a bool
+        (NocConfig, dict(model_contention="yes"), "model_contention"),
+        (NocConfig, dict(track_link_load=1), "track_link_load"),
+        (MemoryConfig, dict(page_bytes=4096.0), "page_bytes"),
+        # 1.5 used to fail in the worker that built the chip
+        (ChipConfig, dict(l1c_entries=1.5), "l1c_entries"),
+        (ChipConfig, dict(l1=None), "l1"),
+    ],
+)
+def test_config_fields_hold_their_annotated_type(cls, kwargs, key):
+    with pytest.raises(ConfigError) as exc:
+        cls(**kwargs)
+    assert exc.value.key == key
+
+
+def test_config_error_message_leads_with_its_key_once():
+    assert str(ConfigError("seed", "must be >= 0")) == "seed: must be >= 0"
+    assert str(ConfigError("seed", "seed must be int")) == "seed must be int"
+    assert str(ConfigError("", "fault plan must be a mapping")) == (
+        "fault plan must be a mapping"
+    )
 
 
 def test_noc_rejects_negative_stage_latency():

@@ -192,6 +192,34 @@ def test_policy_validation():
     assert FaultPolicy(timeout_s=5).timeout_s == 5
 
 
+def test_policy_document_rejects_unknown_keys_but_drops_retired_ones():
+    from repro.sim.config import ConfigError
+
+    # used to run as the default policy
+    with pytest.raises(ConfigError, match="unknown policy key.s. retries; "
+                       "valid keys: timeout_s, max_retries, on_failure"):
+        FaultPolicy.from_dict({"retries": -1})
+    old = {"max_retries": 2, "backoff_base_s": 0.05, "backoff_max_s": 5.0,
+           "backoff_seed": 0}
+    assert FaultPolicy.from_dict(old) == FaultPolicy(max_retries=2)
+
+
+@pytest.mark.parametrize(
+    "text, message", [(None, "No such file"), ("{", "Expecting"),
+                      ("[1]", "fault plan must be a mapping")],
+)
+def test_plan_file_errors_are_config_errors_naming_the_file(
+    tmp_path, text, message
+):
+    from repro.sim.config import ConfigError
+
+    path = tmp_path / "plan.json"
+    if text is not None:
+        path.write_text(text)
+    with pytest.raises(ConfigError, match=f"bad fault plan .*plan.json.*{message}"):
+        FaultPlan.load(path)
+
+
 def test_failure_record_round_trip():
     rec = FailureRecord(
         kind="timeout",

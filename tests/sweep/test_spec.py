@@ -90,6 +90,30 @@ def test_from_dict_defaults_omitted_keys():
         ({"config": dict(config_to_dict(small_test_chip()), mesh_width="4")},
          "config", "config.mesh_width: expected an integer"),
         ({"plan": {"seed": "x", "events": []}}, "plan", "plan.seed: "),
+        # no silent defaults: each used to run (80,000 cycles after a
+        # 60,000-cycle warmup, or with the plan's key ignored)
+        ({"cycle": 500, "warmups": 0}, "",
+         "unknown spec key.s. cycle, warmups; valid keys: protocol"),
+        ({"plan": {"events": [], "sed": 1}}, "plan", "unknown plan key.s. sed"),
+        ({"plan": {"events": [{"cycle": 9, "kind": "vm_depart", "vm": 0,
+                               "tile": [1]}]}},
+         "plan", r"unknown plan\.events\[0\] key.s. tile; valid keys"),
+        # no truncation: each used to run as 2, 100, 1 and 2
+        ({"plan": {"seed": 2.9, "events": []}}, "plan", "plan.seed: "),
+        ({"plan": {"events": [{"cycle": 100.7, "kind": "vm_depart",
+                               "vm": 0}]}},
+         "plan", r"plan\.events\[0\]\.cycle: expected an integer"),
+        ({"plan": {"events": [{"cycle": 100, "kind": "vm_depart",
+                               "vm": True}]}},
+         "plan", r"plan\.events\[0\]\.vm: expected an integer"),
+        ({"plan": {"events": [{"cycle": 100, "kind": "dedup_break",
+                               "vm": 0, "pages": 2.5}]}},
+         "plan", r"plan\.events\[0\]\.pages: expected an integer"),
+        ({"plan": {"events": [{"cycle": 100, "kind": "vm_arrive", "vm": 9,
+                               "tiles": [15], "benchmark": "nope"}]}},
+         "plan", r"plan\.events\[0\]\.benchmark: expected a workload"),
+        ({"config": dict(config_to_dict(small_test_chip()), l1c_entrys=2)},
+         "config", "unknown config key.s. l1c_entrys"),
     ],
 )
 def test_malformed_document_is_a_config_error_naming_its_key(
@@ -115,6 +139,24 @@ def test_malformed_document_is_a_config_error_naming_its_key(
         ({"n_vms": 1000}, "placement", "'aligned' placement of 1000 VMs"),
         ({"placement": "alt", "n_vms": 3}, "placement",
          "'alt' placement of 3 VMs"),
+        ({"placement": {"0": [0]}, "n_vms": 17}, "n_vms",
+         "17 VMs do not fit the chip's 16 tiles"),
+        ({"overrides": [["memory.n_controllers", 13]]},
+         "memory.n_controllers", "13 controllers do not fit"),
+        ({"workload_specs": []}, "workload_specs",
+         r"no workload document for placed VM\(s\) \[0, 1, 2, 3\]"),
+        ({"workload_specs": [[0, dict(snapshot_workload("radix", 1)[0][1],
+                                      name={})]]},
+         "workload_specs", "VM 0: name: expected str"),
+        ({"workload_specs": [["0", {}]]}, "workload_specs",
+         "VM '0' is not an integer"),
+        # the arriving VM used to fail mid-run with KeyError
+        ({"workload": "radix-copy",
+          "workload_specs": [list(p) for p in snapshot_workload("radix", 3)],
+          "n_vms": 3,
+          "plan": {"events": [{"cycle": 100, "kind": "vm_arrive", "vm": 5,
+                               "tiles": [15]}]}},
+         "plan", "without a benchmark runs 'radix-copy'"),
     ],
 )
 def test_bad_value_is_a_config_error_where_the_spec_is_built(

@@ -5,9 +5,11 @@ import json
 import pytest
 
 from repro.cli import main
+from repro.sim.config import ConfigError
 from repro.verify.bundle import (
     BUNDLE_SCHEMA,
     load_bundle,
+    parse_bundle,
     replay_bundle,
     write_bundle,
 )
@@ -154,3 +156,76 @@ def test_cli_invalid_config_exits_two(capsys):
     ])
     assert rc == 2
     assert "cycles" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "text",
+    [None, "not json", "[1, 2]", json.dumps({"schema": "something-else"})],
+)
+def test_cli_replay_of_a_bad_file_exits_two(tmp_path, capsys, text):
+    # a missing, non-JSON, non-object or wrong-schema file used to end in
+    # a traceback with exit 1, the code for "did not reproduce"
+    path = tmp_path / "b.json"
+    if text is not None:
+        path.write_text(text)
+    assert main(["verify", "--replay", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: bad verify bundle {str(path)!r}: ")
+
+
+@pytest.mark.parametrize(
+    "argv, key",
+    [
+        (["--rounds", "-1"], "rounds"),
+        (["--rounds", "0"], "rounds"),
+        (["--ops", "-5"], "n_ops"),
+        (["--budget-seconds", "-1"], "budget_seconds"),
+    ],
+)
+def test_cli_verify_below_one_round_or_op_exits_two(tmp_path, capsys, argv, key):
+    # each used to report "pass" after 0 rounds or 0 ops
+    rc = main(["verify", "--bundle-dir", str(tmp_path), *argv])
+    out, err = capsys.readouterr()
+    assert rc == 2 and out == ""
+    assert err.startswith(f"error: {key} must be")
+
+
+def _bundle_doc(tmp_path):
+    path = write_bundle(
+        tmp_path,
+        protocol="directory",
+        ops=[Op(0, 1, True), Op(1, 1, False), Op(2, 1, True, "migrate", 3)],
+        violation=_dummy_violation(),
+        config=CONFIG,
+        seed=9,
+        mutation="directory-stale-eviction",
+    )
+    return json.loads(path.read_text())
+
+
+@pytest.mark.parametrize(
+    "change, key",
+    [
+        ({"ops": [[0, 1]]}, "ops"),
+        ({"ops": [[99, 1, 1]]}, "ops"),
+        ({"ops": [[0, 1, 1, "teleport", 0]]}, "ops"),
+        ({"ops": [[0, 1, 1, "migrate", 16]]}, "ops"),
+        ({"ops": {"0": [0, 1, 1]}}, "ops"),
+        ({"violation": {"kind": "coherence"}}, "violation"),
+        ({"violation": [1]}, "violation"),
+        ({"protocol": "nope"}, "protocol"),
+        ({"protocol": ["dico"]}, "protocol"),
+        ({"mutation": "nope"}, "mutation"),
+        ({"seed": "9"}, "seed"),
+        ({"config": {"mesh_width": 4}}, "config"),
+        ({"opps": []}, ""),
+    ],
+)
+def test_malformed_bundle_is_a_config_error_naming_its_key(
+    tmp_path, change, key
+):
+    doc = _bundle_doc(tmp_path)
+    parse_bundle(doc)
+    with pytest.raises(ConfigError) as exc:
+        parse_bundle(dict(doc, **change))
+    assert exc.value.key == key

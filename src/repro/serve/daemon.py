@@ -126,6 +126,8 @@ class ServeConfig:
             value = getattr(self, key)
             if not is_int(value) or value < 1:
                 raise ConfigError(key, f"{key} must be >= 1, got {value!r}")
+        if not is_int(self.port) or not 0 <= self.port <= 65535:
+            raise ConfigError("port", f"port must be in [0, 65535], got {self.port!r}")
 
 
 def spec_from_doc(doc: Any) -> RunSpec:

@@ -354,6 +354,19 @@ def test_zero_workers_or_queue_fail_at_start(
     assert f"error: {field} must be >= 1, got 0" in capsys.readouterr().err
 
 
+def test_port_out_of_range_fails_at_start(tmp_path, capsys, monkeypatch):
+    # used to end in an OverflowError traceback from bind()
+    monkeypatch.setattr(
+        "repro.serve.daemon.serve",
+        lambda config: pytest.fail("the daemon started"),
+    )
+    rc = main(["serve", "--cache-dir", str(tmp_path), "--port", "99999"])
+    assert rc == 2
+    assert "error: port must be in [0, 65535], got 99999" in (
+        capsys.readouterr().err
+    )
+
+
 def test_unknown_routes_and_jobs_are_404(server):
     client, _ = server
     with pytest.raises(ServeError) as err:

@@ -43,11 +43,12 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
-from ..sim.config import ConfigError, check_document
+from ..sim.config import ConfigError, check_document, is_int
 
 __all__ = [
     "FAULT_KINDS",
@@ -59,15 +60,20 @@ __all__ = [
 FAULT_KINDS = ("crash", "hang", "corrupt-result", "corrupt-cache")
 
 
-def _check_type(name: str, value: Any, kinds: Tuple[type, ...]) -> None:
-    """A :class:`ConfigError` naming ``name`` unless ``value`` is one of
-    ``kinds`` (never a ``bool``, which would pass as an ``int``)."""
-    if isinstance(value, bool) or not isinstance(value, kinds):
-        raise ConfigError(
-            name,
-            f"{name} must be {' or '.join(k.__name__ for k in kinds)}"
-            f", got {value!r}",
-        )
+#: the value kinds of a plan or policy document and their tests; a
+#: ``bool`` is no ``int``
+_KIND_OK = {
+    "int": is_int,
+    "int or float": lambda v: is_int(v) or isinstance(v, float),
+    "str": lambda v: isinstance(v, str),
+}
+
+
+def _check_type(name: str, value: Any, kind: str) -> None:
+    """A :class:`ConfigError` naming ``name`` unless ``value`` is a
+    ``kind`` (a key of ``_KIND_OK``)."""
+    if not _KIND_OK[kind](value):
+        raise ConfigError(name, f"{name} must be {kind}, got {value!r}")
 
 
 class InjectedFault(RuntimeError):
@@ -92,10 +98,10 @@ class FaultRule:
                 "kind",
                 f"unknown fault kind {self.kind!r}; options: {FAULT_KINDS}",
             )
-        _check_type("rate", self.rate, (int, float))
-        _check_type("times", self.times, (int,))
+        _check_type("rate", self.rate, "int or float")
+        _check_type("times", self.times, "int")
         if self.match is not None:
-            _check_type("match", self.match, (str,))
+            _check_type("match", self.match, "str")
         if not 0.0 <= self.rate <= 1.0:
             raise ConfigError("rate", f"rate must be in [0, 1], got {self.rate}")
         if self.times < 1:
@@ -145,8 +151,12 @@ class FaultPlan:
     hang_s: float = 3600.0
 
     def __post_init__(self) -> None:
-        _check_type("seed", self.seed, (int,))
-        _check_type("hang_s", self.hang_s, (int, float))
+        _check_type("seed", self.seed, "int")
+        _check_type("hang_s", self.hang_s, "int or float")
+        if not 0 <= self.hang_s < math.inf:  # NaN fails too
+            raise ConfigError(
+                "hang_s", f"hang_s must be finite and >= 0, got {self.hang_s}"
+            )
         object.__setattr__(self, "rules", tuple(self.rules))
 
     # ------------------------------------------------------------------

@@ -18,6 +18,7 @@ schedule in every run, which keeps chaos runs reproducible.
 from __future__ import annotations
 
 import hashlib
+import math
 import random
 from dataclasses import dataclass, fields
 from typing import Any, Dict, List, Mapping, Optional
@@ -108,9 +109,9 @@ class FaultPolicy:
     on_failure: str = "raise"
 
     def __post_init__(self) -> None:
-        _check_type("max_retries", self.max_retries, (int,))
+        _check_type("max_retries", self.max_retries, "int")
         if self.timeout_s is not None:
-            _check_type("timeout_s", self.timeout_s, (int, float))
+            _check_type("timeout_s", self.timeout_s, "int or float")
         if self.on_failure not in ("raise", "skip"):
             raise ConfigError(
                 "on_failure",
@@ -121,9 +122,11 @@ class FaultPolicy:
                 "max_retries",
                 f"max_retries must be >= 0, got {self.max_retries}",
             )
-        if self.timeout_s is not None and self.timeout_s <= 0:
+        # NaN fails too: it would time out every attempt at once
+        if self.timeout_s is not None and not 0 < self.timeout_s < math.inf:
             raise ConfigError(
-                "timeout_s", f"timeout_s must be > 0, got {self.timeout_s}"
+                "timeout_s",
+                f"timeout_s must be finite and > 0, got {self.timeout_s}",
             )
 
     def to_dict(self) -> Dict[str, Any]:

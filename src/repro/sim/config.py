@@ -18,11 +18,12 @@ plain frozen dataclass so experiment sweeps can derive variants with
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 from typing import Any, Mapping, Sequence
 
 __all__ = [
     "CacheGeometry",
+    "CONFIG_SECTIONS",
     "ConfigError",
     "check_document",
     "is_int",
@@ -366,6 +367,13 @@ _FIELD_TYPES = {
     "CacheGeometry": CacheGeometry,
     "NocConfig": NocConfig,
     "MemoryConfig": MemoryConfig,
+}
+
+#: :class:`ChipConfig`'s nested sections: field name -> section type
+CONFIG_SECTIONS = {
+    f.name: _FIELD_TYPES[f.type]
+    for f in fields(ChipConfig)
+    if is_dataclass(_FIELD_TYPES[f.type])
 }
 
 #: the paper's 64-tile, 4-area evaluation platform

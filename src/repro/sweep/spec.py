@@ -37,11 +37,9 @@ from ..core.protocols.registry import REGISTRY
 from ..mem.controller import border_positions
 from ..sim.chip import Chip, paper_scaled_chip
 from ..sim.config import (
-    CacheGeometry,
+    CONFIG_SECTIONS,
     ChipConfig,
     ConfigError,
-    MemoryConfig,
-    NocConfig,
     check_document,
     is_int,
 )
@@ -69,17 +67,6 @@ def config_to_dict(config: ChipConfig) -> Dict[str, Any]:
     return dataclasses.asdict(config)
 
 
-# nested ChipConfig sections and their dataclass types; kept explicit
-# because the annotations are strings under ``from __future__ import
-# annotations`` and can't be resolved by inspection alone
-_NESTED = {
-    "l1": CacheGeometry,
-    "l2": CacheGeometry,
-    "noc": NocConfig,
-    "memory": MemoryConfig,
-}
-
-
 def config_from_dict(doc: Any) -> ChipConfig:
     """Inverse of :func:`config_to_dict`.  The document and each of its
     sections must hold every field of its dataclass and no other key,
@@ -103,8 +90,8 @@ def _config_section(cls: type, doc: Any, path: str) -> Any:
             raise ConfigError("config", f"missing key {path}.{name}")
     check_document("config", path, doc, names)
     values = {
-        name: _config_section(_NESTED[name], doc[name], f"{path}.{name}")
-        if name in _NESTED
+        name: _config_section(CONFIG_SECTIONS[name], doc[name], f"{path}.{name}")
+        if name in CONFIG_SECTIONS
         else doc[name]
         for name in names
     }
@@ -118,10 +105,10 @@ def valid_override_keys() -> Tuple[str, ...]:
     """Every dotted path :func:`apply_overrides` accepts, sorted."""
     keys = []
     for f in dataclasses.fields(ChipConfig):
-        if f.name in _NESTED:
+        if f.name in CONFIG_SECTIONS:
             keys.extend(
                 f"{f.name}.{sub.name}"
-                for sub in dataclasses.fields(_NESTED[f.name])
+                for sub in dataclasses.fields(CONFIG_SECTIONS[f.name])
             )
         else:
             keys.append(f.name)
@@ -189,7 +176,7 @@ def _parse_placement(
     for key, tiles in doc.items():
         if isinstance(key, str) and key.isascii() and key.isdigit():
             vm = int(key)
-        elif isinstance(key, int) and not isinstance(key, bool) and key >= 0:
+        elif is_int(key) and key >= 0:
             vm = key
         else:
             raise ConfigError(
@@ -202,11 +189,7 @@ def _parse_placement(
                 "placement", f"VM {vm}: expected a list of tiles, got {tiles!r}"
             )
         for tile in tiles:
-            if (
-                isinstance(tile, bool)
-                or not isinstance(tile, int)
-                or not 0 <= tile < n_tiles
-            ):
+            if not is_int(tile) or not 0 <= tile < n_tiles:
                 raise ConfigError(
                     "placement",
                     f"VM {vm}: tile {tile!r} is not a tile id in "
@@ -350,8 +333,8 @@ class RunSpec:
             ("n_vms", 1, "need at least one VM"),
         ):
             value = getattr(self, key)
-            # a bool is an int, and a float would reach numpy or range()
-            if isinstance(value, bool) or not isinstance(value, int):
+            # a float would reach numpy or range()
+            if not is_int(value):
                 raise ConfigError(key, f"expected an integer, got {value!r}")
             if value < least:
                 raise ConfigError(key, f"{rule}, got {value}")

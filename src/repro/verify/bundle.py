@@ -46,7 +46,6 @@ _BUNDLE_KEYS = (
 )
 _VIOLATION_KEYS = ("kind", "protocol", "op_index", "message", "details")
 _VIOLATION_KINDS = ("coherence", "oracle", "stuck", "divergence")
-_EVENT_OPS = ("migrate", "drain", "shootdown")
 
 
 def write_bundle(
@@ -94,29 +93,23 @@ class Bundle:
     factory: Optional[Callable[..., Any]]
 
 
-def _parse_op(i: int, item: Any, n_tiles: int) -> Op:
-    """``[tile, block, w]`` or ``[tile, block, w, event, arg]``."""
-    if not isinstance(item, list) or len(item) not in (3, 5):
-        raise ConfigError(
-            "ops", f"ops[{i}]: expected a list of 3 or 5 items, got {item!r}"
-        )
-    tile, block, w = item[:3]
-    event, arg = item[3:] if len(item) == 5 else (None, 0)
-    tile_ids = range(n_tiles)
-    if (
-        not (is_int(tile) and tile in tile_ids)
-        or not (is_int(block) and block >= 0)
-        or w not in (0, 1)
-        or not (event is None or isinstance(event, str) and event in _EVENT_OPS)
-        or not (is_int(arg) and (event != "migrate" or arg in tile_ids))
-    ):
-        raise ConfigError(
-            "ops",
-            f"ops[{i}]: {item!r} is not [tile, block, 0|1] or [tile, "
-            f"block, 0|1, {'|'.join(_EVENT_OPS)}, arg] on a "
-            f"{n_tiles}-tile chip",
-        )
-    return Op(tile, block, bool(w), event, arg)
+def _parse_ops(items: Any, n_tiles: int) -> Tuple[Op, ...]:
+    """The bundle's ops, each read by :meth:`Op.from_list`, on tiles of
+    an ``n_tiles``-tile chip."""
+    if not isinstance(items, list):
+        raise ConfigError("ops", f"expected a list, got {type(items).__name__}")
+    ops = []
+    for i, item in enumerate(items):
+        try:
+            op = Op.from_list(item)
+            if op.tile >= n_tiles or op.event == "migrate" and op.arg >= n_tiles:
+                raise ConfigError(
+                    "", f"{item!r} names a tile outside the {n_tiles}-tile chip"
+                )
+        except ConfigError as exc:
+            raise ConfigError("ops", f"ops[{i}]: {exc}") from None
+        ops.append(op)
+    return tuple(ops)
 
 
 def _parse_violation(doc: Any) -> Violation:
@@ -163,34 +156,32 @@ def parse_bundle(doc: Any) -> Bundle:
     if not is_int(doc["seed"]):
         raise ConfigError("seed", f"expected an integer, got {doc['seed']!r}")
     config = config_from_dict(doc["config"])
-    if not isinstance(doc["ops"], list):
-        raise ConfigError(
-            "ops", f"expected a list, got {type(doc['ops']).__name__}"
-        )
     mutation = doc.get("mutation")
     return Bundle(
         protocol=REGISTRY.resolve(doc["protocol"]),
         seed=doc["seed"],
         config=config,
-        ops=tuple(
-            _parse_op(i, item, config.n_tiles)
-            for i, item in enumerate(doc["ops"])
-        ),
+        ops=_parse_ops(doc["ops"], config.n_tiles),
         violation=_parse_violation(doc["violation"]),
         factory=None if mutation is None else make_mutated_factory(mutation),
     )
 
 
-def load_bundle(path: Union[str, Path]) -> Dict[str, Any]:
-    """Read a bundle file and check it with :func:`parse_bundle`; a
+def _read_bundle(path: Union[str, Path]) -> Tuple[Dict[str, Any], Bundle]:
+    """A bundle file's document and its :func:`parse_bundle` result; a
     missing or unreadable file, bad JSON or a malformed document is a
     :class:`ConfigError` naming the file."""
     try:
         doc = json.loads(Path(path).read_text())
-        parse_bundle(doc)
+        return doc, parse_bundle(doc)
     except (OSError, ValueError) as exc:  # ConfigError is a ValueError
         raise ConfigError("", f"bad verify bundle {str(path)!r}: {exc}") from None
-    return doc
+
+
+def load_bundle(path: Union[str, Path]) -> Dict[str, Any]:
+    """A bundle file's document once :func:`parse_bundle` accepts it; a
+    bad file is a :class:`ConfigError` naming it."""
+    return _read_bundle(path)[0]
 
 
 @dataclass
@@ -218,8 +209,7 @@ def replay_bundle(path: Union[str, Path]) -> ReplayResult:
     violation kind at the same op index.  A bundle that no longer fails
     means the bug was fixed (or the protocol changed) since capture.
     """
-    # re-parsing the checked document is cheap: a few hundred ops
-    bundle = parse_bundle(load_bundle(path))
+    bundle = _read_bundle(path)[1]
     ops, expected = bundle.ops, bundle.violation
     result = run_trace(
         bundle.protocol,

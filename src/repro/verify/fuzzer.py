@@ -16,7 +16,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
+
+from ..sim.config import ConfigError, is_int
 
 __all__ = ["Op", "SCENARIOS", "EVENT_SCENARIOS", "generate_ops"]
 
@@ -29,6 +31,9 @@ DEFAULT_POOL = 64
 #: test chip (8 sets); eviction-storm traffic uses it to overflow one
 #: set's associativity
 SET_STRIDE = 8
+
+#: the consolidation actions an :class:`Op` can carry
+EVENTS = ("migrate", "drain", "shootdown")
 
 
 @dataclass(frozen=True)
@@ -59,18 +64,26 @@ class Op:
         return [self.tile, self.block, int(self.is_write), self.event, self.arg]
 
     @classmethod
-    def from_list(cls, doc: Sequence) -> "Op":
-        if len(doc) == 3:
-            tile, block, w = doc
-            return cls(tile=int(tile), block=int(block), is_write=bool(w))
-        tile, block, w, event, arg = doc
-        return cls(
-            tile=int(tile),
-            block=int(block),
-            is_write=bool(w),
-            event=str(event),
-            arg=int(arg),
-        )
+    def from_list(cls, doc: Any) -> "Op":
+        """Inverse of :meth:`to_list`: ``[tile, block, 0|1]`` or
+        ``[tile, block, 0|1, event, arg]`` with non-negative integer
+        tile, block and arg; anything else is a :class:`ConfigError`.
+        Whether the tiles exist is the chip's question."""
+        ok = isinstance(doc, list) and len(doc) in (3, 5)
+        if ok:
+            tile, block, w, event, arg = doc if len(doc) == 5 else [*doc, None, 0]
+            ok = (
+                all(is_int(v) and v >= 0 for v in (tile, block, arg))
+                and w in (0, 1)
+                and (event is None or event in EVENTS)
+            )
+        if not ok:
+            raise ConfigError(
+                "",
+                f"expected [tile, block, 0|1] or [tile, block, 0|1, "
+                f"{'|'.join(EVENTS)}, arg], got {doc!r}",
+            )
+        return cls(tile, block, bool(w), event, arg)
 
 
 Generator = Callable[[random.Random, int, int], List[Op]]

@@ -8,10 +8,12 @@ job's policy), ``FaultPlan.from_dict`` (``--fault-plan``) and
 documents with one key dropped, retyped or added, and arbitrary JSON.
 The only exception allowed out is :class:`ConfigError`, which the CLI
 turns into exit 2 and the daemon into a 400; a spec that builds must
-also build its chip.
+also build its chip, and a built policy or plan must hold times the
+executor can wait on (a NaN timeout ends every attempt at once).
 """
 
 import copy
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -70,10 +72,19 @@ def _build_spec(doc):
     RunSpec.from_dict(doc).build_chip()
 
 
+def _build_policy(doc):
+    timeout_s = FaultPolicy.from_dict(doc).timeout_s
+    assert timeout_s is None or 0 < timeout_s < math.inf
+
+
+def _build_plan(doc):
+    assert 0 <= FaultPlan.from_dict(doc).hang_s < math.inf
+
+
 PARSERS = {
     "spec": (_build_spec, SPEC_DOCS),
-    "policy": (FaultPolicy.from_dict, POLICY_DOCS),
-    "fault-plan": (FaultPlan.from_dict, PLAN_DOCS),
+    "policy": (_build_policy, POLICY_DOCS),
+    "fault-plan": (_build_plan, PLAN_DOCS),
     "bundle": (parse_bundle, BUNDLE_DOCS),
 }
 

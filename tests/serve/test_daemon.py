@@ -228,6 +228,17 @@ def test_mistyped_policy_values_rejected(server, policy):
     assert next(iter(policy)) in str(err.value)
 
 
+def test_non_finite_policy_timeout_is_400(server):
+    client, _ = server
+    # a NaN timeout used to be admitted and time out every attempt
+    for value in (float("nan"), float("inf")):
+        with pytest.raises(ServeError) as err:
+            client.submit(tiny_docs(1), policy={"timeout_s": value})
+        assert err.value.status == 400
+        assert "timeout_s must be finite and > 0" in str(err.value)
+    assert client.stats()["points"]["executed"] == 0
+
+
 @pytest.mark.parametrize(
     "change, message",
     [

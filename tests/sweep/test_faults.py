@@ -204,6 +204,40 @@ def test_policy_document_rejects_unknown_keys_but_drops_retired_ones():
     assert FaultPolicy.from_dict(old) == FaultPolicy(max_retries=2)
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_policy_timeout_must_be_finite(value):
+    from repro.sim.config import ConfigError
+
+    # NaN used to build a policy that timed out every attempt at once
+    with pytest.raises(ConfigError, match="timeout_s must be finite"):
+        FaultPolicy(timeout_s=value)
+    with pytest.raises(ConfigError, match="timeout_s must be finite"):
+        FaultPolicy.from_dict({"timeout_s": value})
+
+
+def test_sweep_with_a_nan_timeout_exits_2_before_any_point(capsys):
+    from repro.cli import main
+
+    # used to run every point into an instant "timeout" and exit 1
+    code = main([
+        "sweep", "--protocols", "dico", "--workloads", "radix",
+        "--cycles", "1500", "--warmup", "500", "--no-cache",
+        "--timeout", "nan",
+    ])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err == "error: timeout_s must be finite and > 0, got nan\n"
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0])
+def test_plan_hang_s_must_be_finite_and_non_negative(value):
+    from repro.sim.config import ConfigError
+
+    # each used to build a plan whose hang failed inside the worker
+    with pytest.raises(ConfigError, match="hang_s must be finite and >= 0"):
+        FaultPlan.from_dict({"hang_s": value})
+
+
 @pytest.mark.parametrize(
     "text, message", [(None, "No such file"), ("{", "Expecting"),
                       ("[1]", "fault plan must be a mapping")],

@@ -100,6 +100,7 @@ def test_sweep_rejects_bad_override_value_at_any_jobs(capsys, monkeypatch):
         (["--set", "l1c_entries=x"], "overrides: l1c_entries='x'"),
         (["--jobs", "0"], "--jobs must be >= 1, got 0"),
         (["--seeds", "1,x"], "--seeds: 'x' is not an integer"),
+        (["--timeout", "nan"], "timeout_s must be finite and > 0, got nan"),
     ],
 )
 def test_bad_sweep_input_prints_an_error_and_exits_2(capsys, argv, message):
